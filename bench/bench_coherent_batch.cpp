@@ -5,7 +5,7 @@
 // estimate. The runtime exploits that twice: the backend's ChannelPrepCache
 // pays the QR factorization once per block instead of once per frame, and a
 // lane that pops B consecutive frames sharing a channel decodes them through
-// one fused multi-frame level GEMM (decode_batch_with) — bit-identical per
+// one fused multi-frame level GEMM (decode_wide) — bit-identical per
 // frame to the sequential path by construction. This bench sweeps L x B on a
 // single lane so the speedup is pure reuse + fusion, not parallelism.
 //

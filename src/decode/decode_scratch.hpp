@@ -57,8 +57,6 @@ struct DecodeScratch {
   GemmWorkspace gemm_ws;
 
   // Tree traversal state.
-  std::vector<ScratchNode> frontier;  ///< BFS current level
-  std::vector<ScratchNode> next;      ///< BFS next level
   TreeList<ScratchNode> open;         ///< Best-FS open list
   std::vector<ScratchChild> children;
   std::vector<ScratchChild> survivors;

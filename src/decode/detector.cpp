@@ -28,6 +28,7 @@ void DecodeStats::export_counters(obs::CounterRegistry& registry,
   registry.set(p + "quant_overflows", quant_overflows);
   registry.set(p + "quant_requants", quant_requants);
   registry.set(p + "quant_fallbacks", quant_fallbacks);
+  registry.set(p + "radius_fallbacks", radius_fallbacks);
   registry.set(p + "neumann_terms", neumann_terms);
   registry.set(p + "neumann_exact_solves", neumann_exact_solves);
   registry.set(p + "neumann_fallbacks", neumann_fallbacks);
@@ -47,14 +48,6 @@ void Detector::decode_with(const PreprocessedChannel& prep,
   // Base fallback: detectors without a cacheable phase (or handed a prep of
   // the wrong kind) decode from the shared channel matrix directly.
   decode_into(prep.channel.matrix(), y, sigma2, out);
-}
-
-void Detector::decode_batch_with(const PreprocessedChannel& prep,
-                                 std::span<BatchItem> items) {
-  for (BatchItem& item : items) {
-    SD_CHECK(item.out != nullptr, "batch item missing an output slot");
-    decode_with(prep, item.y, item.sigma2, *item.out);
-  }
 }
 
 void Detector::decode_wide(std::span<WideItem> items) {

@@ -42,6 +42,7 @@ struct DecodeStats {
   std::uint64_t quant_overflows = 0;    ///< int32 PD / radius saturations
   std::uint64_t quant_requants = 0;     ///< between-level Q(2f)->Q(f) narrowings
   std::uint64_t quant_fallbacks = 0;    ///< frames re-run on the float path
+  std::uint64_t radius_fallbacks = 0;   ///< empty spheres retried unbounded
   // Neumann-series MMSE counters (zero for every other detector): how the
   // approximate-inversion tier resolved each frame.
   std::uint64_t neumann_terms = 0;      ///< Jacobi/Neumann series terms applied
@@ -132,25 +133,9 @@ class Detector {
                            std::span<const cplx> y, double sigma2,
                            DecodeResult& out);
 
-  /// One frame of a fused multi-frame batch.
-  struct BatchItem {
-    std::span<const cplx> y;
-    double sigma2 = 0.0;
-    DecodeResult* out = nullptr;
-  };
-
-  /// Decodes B frames sharing one prepared channel. The base implementation
-  /// loops decode_with(); detectors with a fused level-GEMM path (BFS)
-  /// override it to stack the frames' frontier columns into one wide product
-  /// per level. Every override is REQUIRED to produce per-frame results
-  /// bit-identical to sequential decode_with() calls (pinned by
-  /// tests/test_coherent_batch.cpp).
-  virtual void decode_batch_with(const PreprocessedChannel& prep,
-                                 std::span<BatchItem> items);
-
-  /// One frame of a cross-channel ("wide") batch: each frame carries its OWN
+  /// One frame of a multi-frame ("wide") batch: each frame carries its OWN
   /// prepared channel. The prep pointers must outlive the call; frames may
-  /// freely share a prep.
+  /// freely share a prep (a coherent batch points every item at one prep).
   struct WideItem {
     const PreprocessedChannel* prep = nullptr;
     std::span<const cplx> y;
@@ -162,7 +147,8 @@ class Detector {
   /// decode_with(); the BFS detector overrides it to pack the frames'
   /// frontier columns — across DIFFERENT channels — into one block-diagonal
   /// level product (DESIGN.md §14). Every override is REQUIRED to produce
-  /// per-frame results bit-identical to sequential decode_with() calls.
+  /// per-frame results bit-identical to sequential decode_with() calls
+  /// (pinned by tests/test_coherent_batch.cpp).
   virtual void decode_wide(std::span<WideItem> items);
 };
 

@@ -55,16 +55,6 @@ void ParallelSdDetector::decode_with(const PreprocessedChannel& prep,
   materialize_symbols(*c_, out);
 }
 
-void ParallelSdDetector::decode_batch_with(const PreprocessedChannel& prep,
-                                           std::span<BatchItem> items) {
-  batch_wide_.clear();
-  batch_wide_.reserve(items.size());
-  for (BatchItem& it : items) {
-    batch_wide_.push_back(WideItem{&prep, it.y, it.sigma2, it.out});
-  }
-  decode_wide(batch_wide_);
-}
-
 void ParallelSdDetector::decode_wide(std::span<WideItem> items) {
   // Items whose prep kind doesn't match ours can't join the fused partition;
   // they take the same per-frame fallback decode_with applies. With fewer

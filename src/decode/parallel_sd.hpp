@@ -48,11 +48,6 @@ class ParallelSdDetector final : public Detector {
   void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
                    double sigma2, DecodeResult& out) override;
 
-  /// Fused same-channel batch: forwarded through decode_wide with every item
-  /// sharing one prep, so batches and cross-channel runs take one code path.
-  void decode_batch_with(const PreprocessedChannel& prep,
-                         std::span<BatchItem> items) override;
-
   /// Cross-channel wide decode (DESIGN.md §16): every frame's sub-tree
   /// partition is flattened into ONE work-unit list, interleaved round-robin
   /// across frames in each frame's best-first rank order, and assigned
@@ -116,11 +111,10 @@ class ParallelSdDetector final : public Detector {
 
   std::vector<PeScratch> workers_;
 
-  // decode_wide state: per-frame slots, the interleaved (frame, rank) work
-  // units, and the BatchItem -> WideItem adapter for decode_batch_with.
+  // decode_wide state: per-frame slots and the interleaved (frame, rank)
+  // work units.
   std::vector<WideSlot> wide_slots_;
   std::vector<std::pair<usize, usize>> wide_units_;
-  std::vector<WideItem> batch_wide_;
 };
 
 }  // namespace sd

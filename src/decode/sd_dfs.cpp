@@ -133,12 +133,10 @@ void SdDfsDetector::search(const Preprocessed& pre, double sigma2,
       enter_depth(depth, child.pd);
     }
 
-    if (found_leaf || result.stats.node_budget_hit ||
-        opts_.radius_policy == RadiusPolicy::kInfinite) {
+    if (found_leaf || result.stats.node_budget_hit || std::isinf(radius_sq)) {
       break;
     }
-    radius_sq *= 2.0;
-    SD_ASSERT(attempt < 64);
+    radius_sq = next_radius_sq(radius_sq, attempt, result.stats);
   }
 
   if (!found_leaf) {

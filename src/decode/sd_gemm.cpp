@@ -235,13 +235,12 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
     result.stats.peak_list_size =
         std::max<std::uint64_t>(result.stats.peak_list_size, open.peak_size());
 
-    if (found_leaf || result.stats.node_budget_hit ||
-        opts_.radius_policy == RadiusPolicy::kInfinite) {
+    // An unbounded sphere cannot grow; the Babai fallback below answers.
+    if (found_leaf || result.stats.node_budget_hit || std::isinf(radius_sq)) {
       break;
     }
-    // Empty sphere under the noise-scaled radius: double and retry.
-    radius_sq *= 2.0;
-    SD_ASSERT(attempt < 64);
+    // Empty sphere under the noise-scaled radius: enlarge it and retry.
+    radius_sq = next_radius_sq(radius_sq, attempt, result.stats);
   }
 
   if (!found_leaf) {

@@ -7,87 +7,570 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "linalg/gemm.hpp"
+#include "decode/decode_scratch.hpp"
+#include "decode/mst.hpp"
 #include "obs/trace.hpp"
 
 namespace sd {
 
-/// Per-frame state for the fused lockstep search. Each frame keeps its own
-/// Meta State Table, frontier, and triangular system (ybar AND R may differ
-/// per frame — frames carry their own prep in the wide path), so NodeIds,
-/// truncation cuts, and stats evolve exactly as in a solo decode.
-struct SdGemmBfsDetector::FusedFrame {
-  PreprocessScratch prep;
-  Preprocessed pre;
-  std::optional<MetaStateTable> mst_storage;
-  std::vector<ScratchNode> frontier;
-  std::vector<ScratchNode> next;
-  std::vector<index_t> path;
-  std::vector<index_t> best_path;
-  std::vector<index_t> layered;
-  const PreprocessedChannel* chan = nullptr;  ///< this frame's own prep
-  DecodeResult* out = nullptr;
-  double radius_sq = 0.0;
-  // Quantized-path state: scales are per channel, so each frame carries its
-  // own quantized constellation and integer radius.
-  std::vector<QuantNode> qfrontier;
-  std::vector<QuantNode> qnext;
-  std::vector<std::int16_t> qsyms;
-  std::int32_t radius_q = 0;
-  usize block = 0;       ///< index of this frame's A block at the level
-  bool active = false;   ///< still in the fused lockstep
-  bool restart = false;  ///< peeled off; re-run via sequential decode_with
-  bool truncated = false;
-
-  MetaStateTable& mst(index_t levels, usize capacity_per_level) {
-    if (!mst_storage || mst_storage->levels() != levels ||
-        mst_storage->capacity_per_level() != capacity_per_level) {
-      mst_storage.emplace(levels, capacity_per_level);
-    }
-    return *mst_storage;
-  }
-};
-
 namespace {
 
-/// Quantizes the constellation into interleaved (re, im) Q(f) pairs — once
-/// per decode, since the scale is per channel.
-void quantize_constellation(const Constellation& c,
-                            const quant::QuantSpec& spec,
-                            std::vector<std::int16_t>& out,
-                            std::uint64_t& clamps) {
-  const index_t p = c.order();
-  out.resize(2 * static_cast<usize>(p));
-  for (index_t i = 0; i < p; ++i) {
-    const cplx s = c.point(i);
-    out[2 * static_cast<usize>(i)] =
-        quant::quantize_sat(s.real(), spec, clamps);
-    out[2 * static_cast<usize>(i) + 1] =
-        quant::quantize_sat(s.imag(), spec, clamps);
-  }
-}
-
-/// Maps the float radius into the Q(2f) integer domain, rounding UP so the
-/// integer sphere never prunes a candidate the float radius would keep at
-/// this scale. Saturation (counted as an overflow) means Q(2f) cannot
-/// express a sphere this large — the search falls back to float if even
-/// that sphere comes up empty.
-std::int32_t quantized_radius(double radius_sq, const quant::QuantSpec& spec,
-                              std::uint64_t& overflows) {
-  const double scaled = std::ceil(radius_sq * static_cast<double>(spec.scale) *
-                                  static_cast<double>(spec.scale));
-  if (!(scaled < static_cast<double>(quant::kQuantPdMax))) {
-    ++overflows;
-    return quant::kQuantPdMax;
-  }
-  return static_cast<std::int32_t>(scaled);
-}
+/// Quantized frontier entry: MST node id plus its exact int32 Q(2f) PD.
+struct QuantNode {
+  NodeId id;
+  std::int32_t pd;
+};
 
 }  // namespace
 
+/// Per-frame engine state. Each frame keeps its own triangular system, Meta
+/// State Table, frontier and radius (ybar AND R may differ per frame), so
+/// NodeIds, truncation cuts and stats evolve exactly as in a solo decode
+/// whatever the frame's lockstep company.
+struct SdGemmBfsDetector::Frame {
+  template <class Node>
+  struct Levels {
+    std::vector<Node> cur;   ///< frontier of the next level to expand
+    std::vector<Node> next;  ///< survivors being collected
+  };
+
+  // Inputs: the caller fills pre, then bind()s the rest.
+  PreprocessScratch prep;
+  Preprocessed pre;
+  const PreprocessedChannel* chan = nullptr;
+  const quant::QuantChannelPrep* qprep = nullptr;
+  double sigma2 = 0.0;
+  DecodeResult* out = nullptr;
+  index_t m = 0;
+
+  // Search state.
+  std::optional<MetaStateTable> mst;  ///< rebuilt only when m changes
+  Levels<ScratchNode> f32;
+  Levels<QuantNode> i16;
+  std::vector<std::int16_t> qsyms;  ///< constellation under this frame's spec
+  std::vector<index_t> path;
+  std::vector<index_t> best_path;
+  std::vector<index_t> layered;
+  double radius_sq = 0.0;
+  std::int32_t radius_q = 0;
+  int attempt = 0;
+  index_t depth = 0;     ///< next level to expand
+  usize block = 0;       ///< index of this frame's R block at the level
+  bool active = false;   ///< still advancing in the current lockstep
+  bool truncated = false;
+
+  /// Attaches the frame (pre already filled) to its inputs and output slot.
+  /// `c` keys R-block sharing in the lockstep (null for one-shot input).
+  void bind(const PreprocessedChannel* c, const quant::QuantChannelPrep* q,
+            double s2, DecodeResult& o) {
+    chan = c;
+    qprep = q;
+    sigma2 = s2;
+    out = &o;
+    m = pre.r.rows();
+  }
+};
+
+/// Float policy: complex A/S staging, gemm_grouped, real PDs compared
+/// against the float radius.
+struct SdGemmBfsDetector::Fp32Arith {
+  using Node = ScratchNode;
+  SdGemmBfsDetector& d;
+
+  static Frame::Levels<Node>& levels(Frame& fr) { return fr.f32; }
+  static bool saturated(const Frame&) { return false; }
+  void start(Frame&) {}
+  void begin_attempt(Frame&) {}
+
+  /// Rows of the level product: in LevelGemm::kRow0 mode only row 0 — the
+  /// one the PD recursion reads — is formed, bit-identical to row 0 of the
+  /// full product; flop/byte charges then reflect the smaller product.
+  [[nodiscard]] index_t rows(index_t k) const {
+    return d.opts_.base.level_gemm == LevelGemm::kRow0 ? 1 : k;
+  }
+
+  /// One zr x k R row-block per distinct channel, side by side (full rows
+  /// rewritten, including the explicit lower-triangle zeros), and a k x cols
+  /// tree-state operand.
+  void begin_level(index_t a, index_t k, usize cols) {
+    const index_t zr = rows(k);
+    d.s_mat_.reshape(k, static_cast<index_t>(cols));
+    CMat& a_stack = d.a_stack_;
+    a_stack.reshape(zr, static_cast<index_t>(d.blocks_.size()) * k);
+    for (usize g = 0; g < d.blocks_.size(); ++g) {
+      const CMat& r = d.blocks_[g]->pre.r;
+      const index_t base = static_cast<index_t>(g) * k;
+      for (index_t r2 = 0; r2 < zr; ++r2) {
+        for (index_t t = 0; t < r2; ++t) a_stack(r2, base + t) = cplx{0, 0};
+        for (index_t t = r2; t < k; ++t) {
+          a_stack(r2, base + t) = r(a + r2, a + t);
+        }
+      }
+    }
+  }
+
+  /// Tree-state block of one frontier node: row 0 enumerates the children,
+  /// row t repeats the node's symbol t levels up.
+  void stage_states(const Frame& fr, index_t col, index_t depth, index_t k) {
+    const Constellation& c = *d.c_;
+    const index_t p = c.order();
+    CMat& s = d.s_mat_;
+    for (index_t ci = 0; ci < p; ++ci) s(0, col + ci) = c.point(ci);
+    for (index_t t = 1; t < k; ++t) {
+      const cplx sym = c.point(fr.path[static_cast<usize>(depth - t)]);
+      for (index_t ci = 0; ci < p; ++ci) s(t, col + ci) = sym;
+    }
+  }
+
+  void product(index_t k, usize cols) {
+    d.z_.reshape(rows(k), static_cast<index_t>(cols));
+    gemm_grouped(cplx{1, 0}, d.a_stack_, k, d.s_mat_, cplx{0, 0}, d.z_,
+                 d.groups_, d.gemm_ws_);
+  }
+
+  void charge(DecodeStats& stats, index_t cols, index_t k) const {
+    const index_t zr = rows(k);
+    stats.flops += gemm_flops(zr, cols, k);
+    stats.bytes_touched +=
+        sizeof(cplx) * (static_cast<std::uint64_t>(zr) * k +
+                        static_cast<std::uint64_t>(k) * cols +
+                        static_cast<std::uint64_t>(zr) * cols);
+  }
+
+  /// What a frame's PD loop reads at one level: its target and row 0 of
+  /// the product.
+  struct Level {
+    cplx target;
+    const cplx* z;
+  };
+
+  [[nodiscard]] Level level(const Frame& fr, index_t a, DecodeStats&) const {
+    return Level{fr.pre.ybar[static_cast<usize>(a)], d.z_.data()};
+  }
+
+  [[nodiscard]] static real child_pd(const Level& lv, real parent,
+                                     index_t col, DecodeStats&) {
+    return parent + norm2(lv.target - lv.z[col]);
+  }
+
+  [[nodiscard]] static double radius(const Frame& fr) { return fr.radius_sq; }
+  [[nodiscard]] static double metric(const Frame&, real pd) {
+    return static_cast<double>(pd);
+  }
+};
+
+/// Fixed-point policy: int16 R planes and interleaved states,
+/// qgemm_level_grouped, a saturating requantize of each residual, exact
+/// int32 PDs against an integer radius, dequantized metric. The level
+/// product is always row 0 only: the PD recursion consumes nothing else and
+/// 1 x k by k x cols is the madd kernel's native shape.
+struct SdGemmBfsDetector::I16Arith {
+  using Node = QuantNode;
+  SdGemmBfsDetector& d;
+
+  static Frame::Levels<Node>& levels(Frame& fr) { return fr.i16; }
+
+  /// The sphere is as large as Q(2f) can express: an empty frontier is then
+  /// a quantization floor, not a radius problem.
+  static bool saturated(const Frame& fr) {
+    return fr.radius_q >= quant::kQuantPdMax;
+  }
+
+  /// Quantizes the constellation into interleaved (re, im) Q(f) pairs —
+  /// once per decode, since the scale is per channel.
+  void start(Frame& fr) {
+    SD_CHECK(fr.qprep != nullptr && fr.qprep->valid(),
+             "quantized search needs a calibrated channel prep");
+    const quant::QuantSpec& spec = fr.qprep->spec;
+    const index_t p = d.c_->order();
+    fr.qsyms.resize(2 * static_cast<usize>(p));
+    for (index_t i = 0; i < p; ++i) {
+      const cplx s = d.c_->point(i);
+      std::uint64_t& clamps = fr.out->stats.quant_saturations;
+      fr.qsyms[2 * static_cast<usize>(i)] =
+          quant::quantize_sat(s.real(), spec, clamps);
+      fr.qsyms[2 * static_cast<usize>(i) + 1] =
+          quant::quantize_sat(s.imag(), spec, clamps);
+    }
+  }
+
+  /// Maps the float radius into the Q(2f) integer domain, rounding UP so the
+  /// integer sphere never prunes a candidate the float radius would keep at
+  /// this scale. Saturation (counted as an overflow) means Q(2f) cannot
+  /// express a sphere this large — the search falls back to float if even
+  /// that sphere comes up empty.
+  void begin_attempt(Frame& fr) {
+    const double scale = static_cast<double>(fr.qprep->spec.scale);
+    const double scaled = std::ceil(fr.radius_sq * scale * scale);
+    if (!(scaled < static_cast<double>(quant::kQuantPdMax))) {
+      ++fr.out->stats.quant_overflows;
+      fr.radius_q = quant::kQuantPdMax;
+    } else {
+      fr.radius_q = static_cast<std::int32_t>(scaled);
+    }
+  }
+
+  void begin_level(index_t a, index_t k, usize cols) {
+    d.qs_ri_.reshape(k, 2 * static_cast<index_t>(cols));
+    const index_t a_cols = static_cast<index_t>(d.blocks_.size()) * k;
+    d.qa_re_.reshape(1, a_cols);
+    d.qa_im_.reshape(1, a_cols);
+    for (usize g = 0; g < d.blocks_.size(); ++g) {
+      const quant::QuantChannelPrep& qp = *d.blocks_[g]->qprep;
+      const index_t base = static_cast<index_t>(g) * k;
+      for (index_t t = 0; t < k; ++t) {
+        d.qa_re_(0, base + t) = qp.r_re(a, a + t);
+        d.qa_im_(0, base + t) = qp.r_im(a, a + t);
+      }
+    }
+  }
+
+  void stage_states(const Frame& fr, index_t col, index_t depth, index_t k) {
+    const index_t p = d.c_->order();
+    std::copy(fr.qsyms.begin(), fr.qsyms.end(), &d.qs_ri_(0, 2 * col));
+    for (index_t t = 1; t < k; ++t) {
+      const usize si =
+          2 * static_cast<usize>(fr.path[static_cast<usize>(depth - t)]);
+      const std::int16_t sr = fr.qsyms[si];
+      const std::int16_t sim = fr.qsyms[si + 1];
+      std::int16_t* row = &d.qs_ri_(t, 2 * col);
+      for (index_t c = 0; c < p; ++c) {
+        row[2 * c] = sr;
+        row[2 * c + 1] = sim;
+      }
+    }
+  }
+
+  void product(index_t k, usize cols) {
+    d.qz_re_.reshape(1, static_cast<index_t>(cols));
+    d.qz_im_.reshape(1, static_cast<index_t>(cols));
+    quant::qgemm_level_grouped(d.qa_re_, d.qa_im_, k, d.qs_ri_, d.qz_re_,
+                               d.qz_im_, d.groups_);
+  }
+
+  // flops are charged MAC-equivalent (same complex MAC count as the float
+  // product of this shape); bytes reflect the narrow operands.
+  static void charge(DecodeStats& stats, index_t cols, index_t k) {
+    stats.flops += gemm_flops(1, cols, k);
+    stats.bytes_touched += quant::qgemm_bytes(1, cols, k);
+    stats.quant_requants += static_cast<std::uint64_t>(cols);
+  }
+
+  /// What a frame's PD loop reads at one level: its target in Q(2f) and row
+  /// 0 of the exact product.
+  struct Level {
+    std::int32_t t_re;
+    std::int32_t t_im;
+    int frac_bits;
+    const std::int32_t* z_re;
+    const std::int32_t* z_im;
+  };
+
+  [[nodiscard]] Level level(const Frame& fr, index_t a,
+                            DecodeStats& stats) const {
+    const quant::QuantSpec& spec = fr.qprep->spec;
+    const int fb = spec.frac_bits;
+    const cplx t = fr.pre.ybar[static_cast<usize>(a)];
+    return Level{static_cast<std::int32_t>(quant::quantize_sat(
+                     t.real(), spec, stats.quant_saturations))
+                     << fb,
+                 static_cast<std::int32_t>(quant::quantize_sat(
+                     t.imag(), spec, stats.quant_saturations))
+                     << fb,
+                 fb, d.qz_re_.data(), d.qz_im_.data()};
+  }
+
+  /// Residual in exact Q(2f), then the saturating requantize to Q(f) — the
+  /// between-levels narrowing — and an exact int32 PD.
+  [[nodiscard]] static std::int32_t child_pd(const Level& lv,
+                                             std::int32_t parent, index_t col,
+                                             DecodeStats& stats) {
+    const std::int32_t dre = lv.t_re - lv.z_re[col];
+    const std::int32_t dim = lv.t_im - lv.z_im[col];
+    const std::int16_t rqr =
+        quant::requantize_sat(dre, lv.frac_bits, stats.quant_saturations);
+    const std::int16_t rqi =
+        quant::requantize_sat(dim, lv.frac_bits, stats.quant_saturations);
+    const std::int32_t inc = static_cast<std::int32_t>(rqr) * rqr +
+                             static_cast<std::int32_t>(rqi) * rqi;
+    return quant::pd_add_sat(parent, inc, stats.quant_overflows);
+  }
+
+  [[nodiscard]] static std::int32_t radius(const Frame& fr) {
+    return fr.radius_q;
+  }
+  /// Dequantized PD: path/metric reporting (and the MST) stay in the float
+  /// domain; the search itself compares ints.
+  [[nodiscard]] static double metric(const Frame& fr, std::int32_t pd) {
+    return static_cast<double>(pd) * fr.qprep->spec.inv_scale2;
+  }
+};
+
+/// The level engine over one arithmetic policy: the lockstep level loop, the
+/// per-frame retry driver and the harvest. Every decode entry point runs
+/// through it; a single-frame decode is width 1.
+template <class Arith>
+struct SdGemmBfsDetector::Engine {
+  using Node = typename Arith::Node;
+  SdGemmBfsDetector& d;
+  Arith arith{d};
+
+  /// One lockstep pass over the frames, then each frame finishes alone.
+  void solve(std::span<Frame* const> frames) {
+    SD_TRACE_SPAN("decode.search");
+    for (Frame* fr : frames) start(*fr);
+    Timer timer;
+    advance(frames);
+    for (Frame* fr : frames) {
+      finish(*fr);
+      // Wall time is genuinely shared across a lockstep; each frame is
+      // charged the pass up to its own answer (the *_seconds fields are
+      // measurements, not part of the bit-identity contract).
+      fr->out->stats.search_seconds = timer.elapsed_seconds();
+    }
+  }
+
+  /// Starts a fresh search: any partial stats of an earlier policy's
+  /// attempts are discarded, as a retry would.
+  void start(Frame& fr) {
+    SD_CHECK(fr.m <= kGemmKc,
+             "SD-GEMM-BFS supports at most kGemmKc (128) transmit antennas");
+    const usize m = static_cast<usize>(fr.m);
+    fr.out->reset();
+    fr.out->stats.preprocess_seconds = fr.pre.seconds;
+    fr.out->stats.tree_levels = static_cast<std::uint64_t>(m);
+    fr.truncated = false;
+    fr.attempt = 0;
+    fr.radius_sq = initial_radius_sq(d.opts_.base, fr.sigma2, fr.m);
+    if (!fr.mst || fr.mst->levels() != fr.m) fr.mst.emplace(fr.m, 4096);
+    fr.path.assign(m, 0);
+    fr.best_path.assign(m, 0);
+    arith.start(fr);
+    begin_attempt(fr);
+  }
+
+  void begin_attempt(Frame& fr) {
+    arith.begin_attempt(fr);
+    fr.mst->reset();
+    std::vector<Node>& cur = Arith::levels(fr).cur;
+    cur.clear();
+    cur.push_back(Node{kRootId, {}});
+    fr.depth = 0;
+  }
+
+  /// Expands the frames' levels in lockstep (all start at the same depth)
+  /// until each reaches the leaves, empties, or is demoted by the fused
+  /// operand budget. Frames whose dimension differs from the first frame's
+  /// cannot share its levels; they stay behind.
+  void advance(std::span<Frame* const> frames) {
+    if (frames.empty()) return;
+    const index_t p = d.c_->order();
+    const index_t m = frames.front()->m;
+    // Cap on the stacked tree-state width: the widest operand a SOLO decode
+    // can legally form (a full frontier's children). Exceeding it demotes
+    // frames — from the END of the set, deterministically — to finish alone,
+    // so fused memory never exceeds the sequential worst case times one.
+    const usize col_budget = d.opts_.max_frontier * static_cast<usize>(p);
+    for (Frame* fr : frames) fr->active = fr->m == m;
+
+    for (index_t depth = frames.front()->depth; depth < m; ++depth) {
+      // A frame whose frontier emptied has ended its attempt; finish() owns
+      // the radius retry.
+      usize active_count = 0;
+      usize total_cols = 0;
+      for (Frame* fr : frames) {
+        if (!fr->active) continue;
+        if (Arith::levels(*fr).cur.empty()) {
+          fr->active = false;
+          continue;
+        }
+        ++active_count;
+        total_cols += Arith::levels(*fr).cur.size() * static_cast<usize>(p);
+      }
+      for (usize i = frames.size();
+           i-- > 0 && total_cols > col_budget && active_count > 1;) {
+        Frame& fr = *frames[i];
+        if (!fr.active) continue;
+        total_cols -= Arith::levels(fr).cur.size() * static_cast<usize>(p);
+        fr.active = false;
+        --active_count;
+      }
+      if (active_count == 0) break;
+
+      const index_t a = m - 1 - depth;
+      const index_t k = m - a;  // R row-block length = depth + 1
+
+      // One R block per DISTINCT channel among the active frames, in
+      // first-appearance order. Same-channel frames share a block (coherent
+      // traffic degenerates to the single-block case); i.i.d. traffic gets
+      // one block per frame.
+      d.blocks_.clear();
+      for (Frame* fr : frames) {
+        if (!fr->active) continue;
+        usize g = 0;
+        while (g < d.blocks_.size() && d.blocks_[g]->chan != fr->chan) ++g;
+        if (g == d.blocks_.size()) d.blocks_.push_back(fr);
+        fr->block = g;
+      }
+      arith.begin_level(a, k, total_cols);
+
+      // One stacked tree-state operand: frame j's segment is exactly the S
+      // it would build solo. Column independence of the grouped kernels
+      // (DESIGN.md §12/§14) makes each segment's product bit-identical to the
+      // solo product against that frame's own R block.
+      d.groups_.clear();
+      index_t col_off = 0;
+      for (Frame* fr : frames) {
+        if (!fr->active) continue;
+        const std::vector<Node>& cur = Arith::levels(*fr).cur;
+        for (usize ni = 0; ni < cur.size(); ++ni) {
+          if (cur[ni].id != kRootId) {
+            fr->mst->path_symbols(cur[ni].id, fr->path);
+          }
+          arith.stage_states(*fr, col_off + static_cast<index_t>(ni) * p,
+                             depth, k);
+        }
+        const index_t cols = static_cast<index_t>(cur.size()) * p;
+        d.groups_.push_back(
+            GemmGroup{static_cast<index_t>(fr->block) * k, col_off, cols});
+        col_off += cols;
+      }
+
+      // ONE grouped block-diagonal product for the whole level, across all
+      // channels — the cross-channel generalization of the single level GEMM
+      // that [1] maps onto the GPU.
+      arith.product(k, total_cols);
+
+      // Per-frame consume: prune / insert / truncate with the frame's own
+      // MST, radius and stats over its column segment. Stats are charged
+      // as-if-solo (each frame "sees" its own product), so lockstep and
+      // sequential DecodeStats match field for field.
+      col_off = 0;
+      for (Frame* fr : frames) {
+        if (!fr->active) continue;
+        DecodeStats& stats = fr->out->stats;
+        auto& [cur, next] = Arith::levels(*fr);
+        const usize f = cur.size();
+        const index_t cols = static_cast<index_t>(f) * p;
+        ++stats.gemm_calls;
+        arith.charge(stats, cols, k);
+        stats.nodes_expanded += f;
+        stats.nodes_generated += static_cast<std::uint64_t>(cols);
+
+        MetaStateTable& mst = *fr->mst;
+        const auto lv = arith.level(*fr, a, stats);
+        const auto radius = Arith::radius(*fr);
+        next.clear();
+        for (usize ni = 0; ni < f; ++ni) {
+          const index_t base_col = col_off + static_cast<index_t>(ni) * p;
+          for (index_t c = 0; c < p; ++c) {
+            const auto pd =
+                Arith::child_pd(lv, cur[ni].pd, base_col + c, stats);
+            if (pd >= radius) {
+              ++stats.nodes_pruned;
+              continue;
+            }
+            // The MST stores the PD as a float: exact for fp32 PDs, the
+            // dequantized value for int16 ones.
+            const NodeId id = mst.insert(
+                depth, MstNode{cur[ni].id, c,
+                               static_cast<real>(Arith::metric(*fr, pd))});
+            next.push_back(Node{id, pd});
+          }
+        }
+
+        const usize cap = d.opts_.max_frontier;
+        if (next.size() > cap) {
+          // Memory guard: keep the best max_frontier nodes. This is the
+          // BER-costing heuristic GPU implementations fall back on.
+          //
+          // Determinism contract: the cut must be a TOTAL order. A pd-only
+          // comparator lets std::nth_element resolve PD ties (common for the
+          // symmetric constellations) in stdlib-dependent order, so which
+          // tied nodes survive — and every downstream golden number of a
+          // truncated decode — varied across toolchains. The NodeId
+          // tie-break is total (ids are unique) and reproducible (ids are
+          // assigned in frontier order, itself deterministic by induction).
+          // partial_sort rather than nth_element so the surviving
+          // frontier's ORDER is pinned too: the next level assigns NodeIds
+          // in frontier order, and those ids feed the next cut's key. On the
+          // int16 path the ties are genuine value ties of EXACT ints.
+          fr->truncated = true;
+          std::partial_sort(next.begin(),
+                            next.begin() + static_cast<std::ptrdiff_t>(cap),
+                            next.end(), [](const Node& x, const Node& y2) {
+                              return x.pd < y2.pd ||
+                                     (x.pd == y2.pd && x.id < y2.id);
+                            });
+          stats.nodes_pruned += next.size() - cap;
+          next.resize(cap);
+        }
+
+        cur.swap(next);
+        stats.peak_list_size =
+            std::max<std::uint64_t>(stats.peak_list_size, cur.size());
+        fr->depth = depth + 1;
+        col_off += cols;
+      }
+    }
+  }
+
+  /// Runs one frame to its answer: continues a demoted search at width 1,
+  /// retries an empty sphere, falls back from int16 to fp32, harvests.
+  void finish(Frame& fr) {
+    DecodeResult& out = *fr.out;
+    std::vector<Node>& cur = Arith::levels(fr).cur;
+    for (;;) {
+      if (!cur.empty() && fr.depth < fr.m) {
+        // Demoted from (or never in) the lockstep: continue at width 1 from
+        // the same level, which is exactly where a solo decode would be.
+        Frame* const self[] = {&fr};
+        advance(self);
+        continue;
+      }
+      if (!cur.empty()) break;  // leaves reached
+      if (Arith::saturated(fr)) {
+        // Re-run this frame on the float policy — exactly decode_with's
+        // float search, with the int16 attempts' partial stats discarded
+        // like any retry's.
+        Engine<Fp32Arith> f32{d};
+        f32.start(fr);
+        f32.finish(fr);
+        out.stats.quant_fallbacks = 1;
+        return;
+      }
+      // Even an unbounded sphere came up empty: every PD is +inf (non-finite
+      // input). Nothing is left to try; the answer below is all symbol 0.
+      if (std::isinf(fr.radius_sq)) break;
+      // Empty sphere: enlarge the radius and re-run the whole BFS — the
+      // standard recovery, and the cost is charged (stats accumulate).
+      fr.radius_sq = next_radius_sq(fr.radius_sq, fr.attempt++, out.stats);
+      begin_attempt(fr);
+    }
+
+    if (!cur.empty()) {
+      // Leaf level survivors: the minimum-PD one is the solution.
+      const auto best_it = std::min_element(
+          cur.begin(), cur.end(),
+          [](const Node& x, const Node& y2) { return x.pd < y2.pd; });
+      out.stats.leaves_reached += cur.size();
+      ++out.stats.radius_updates;
+      fr.mst->path_symbols(best_it->id, fr.best_path);
+      out.metric = Arith::metric(fr, best_it->pd);
+    }
+    const usize m = static_cast<usize>(fr.m);
+    fr.layered.resize(m);
+    for (usize l = 0; l < m; ++l) fr.layered[m - 1 - l] = fr.best_path[l];
+    to_antenna_order_into(fr.pre, fr.layered, out.indices);
+    materialize_symbols(*d.c_, out);
+  }
+};
+
 SdGemmBfsDetector::SdGemmBfsDetector(const Constellation& constellation,
                                      BfsOptions options)
-    : c_(&constellation), opts_(options) {
+    : c_(&constellation),
+      opts_(options),
+      solo_(std::make_unique<Frame>()) {
   // BFS cannot prune without a finite radius; an unbounded sphere would make
   // the frontier exactly |Omega|^level, i.e. exhaustive ML.
   if (opts_.base.radius_policy == RadiusPolicy::kInfinite) {
@@ -107,19 +590,20 @@ DecodeResult SdGemmBfsDetector::decode(const CMat& h, std::span<const cplx> y,
 void SdGemmBfsDetector::decode_into(const CMat& h, std::span<const cplx> y,
                                     double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
-  out.reset();
-  preprocess_into(h, y, opts_.base.sorted_qr, scratch_.prep, scratch_.pre);
-  out.stats.preprocess_seconds = scratch_.pre.seconds;
+  Frame& fr = *solo_;
+  preprocess_into(h, y, opts_.base.sorted_qr, fr.prep, fr.pre);
+  const quant::QuantChannelPrep* qprep = nullptr;
   if (opts_.quantized) {
     // Same calibration+quantization code as build_channel_prep's quant
     // kinds, on the same R bytes — so decode_into and decode_with agree
     // bit-for-bit on the quantized path too.
-    quant::quantize_channel_prep(scratch_.pre.r, qlocal_);
-    search_quant(scratch_.pre, qlocal_, sigma2, out);
-  } else {
-    search(scratch_.pre, sigma2, out);
+    quant::quantize_channel_prep(fr.pre.r, qlocal_);
+    qprep = &qlocal_;
   }
-  materialize_symbols(*c_, out);
+  fr.bind(nullptr, qprep, sigma2, out);
+  Frame* const one[] = {&fr};
+  solve(one);
+  truncated_ = fr.truncated;
 }
 
 void SdGemmBfsDetector::decode_with(const PreprocessedChannel& prep,
@@ -130,892 +614,46 @@ void SdGemmBfsDetector::decode_with(const PreprocessedChannel& prep,
     return;
   }
   SD_TRACE_SPAN("decode");
-  out.reset();
-  preprocess_with_channel(prep, y, scratch_.prep, scratch_.pre);
-  out.stats.preprocess_seconds = scratch_.pre.seconds;
-  if (opts_.quantized) {
-    search_quant(scratch_.pre, prep.qprep, sigma2, out);
-  } else {
-    search(scratch_.pre, sigma2, out);
-  }
-  materialize_symbols(*c_, out);
-}
-
-void SdGemmBfsDetector::decode_batch_with(const PreprocessedChannel& prep,
-                                          std::span<BatchItem> items) {
-  if (items.size() <= 1 || prep.kind != prep_kind()) {
-    Detector::decode_batch_with(prep, items);
-    return;
-  }
-  // Shared-prep batches are the degenerate wide batch: every frame points at
-  // the same prep, so each level groups into a single A block.
-  wide_items_.clear();
-  for (BatchItem& item : items) {
-    SD_CHECK(item.out != nullptr, "batch item missing an output slot");
-    wide_items_.push_back(WideItem{&prep, item.y, item.sigma2, item.out});
-  }
-  decode_wide(wide_items_);
+  WideItem item{&prep, y, sigma2, &out};
+  decode_wide({&item, 1});
 }
 
 void SdGemmBfsDetector::decode_wide(std::span<WideItem> items) {
-  if (items.size() <= 1) {
-    Detector::decode_wide(items);  // solo decode_with sets truncated_
-    return;
-  }
-  if (opts_.quantized) {
-    decode_wide_quant(items);
-    return;
-  }
+  if (items.empty()) return;
   SD_TRACE_SPAN("decode.batch");
-  const index_t p = c_->order();
-  const bool row0 = opts_.base.level_gemm == LevelGemm::kRow0;
-  // Cap on the stacked tree-state width: the widest operand a SOLO decode can
-  // legally form (a full frontier's children). Exceeding it peels frames off
-  // the fused pass — from the END of the batch, deterministically — so fused
-  // memory never exceeds the sequential worst case times one.
-  const usize fused_col_budget =
-      opts_.max_frontier * static_cast<usize>(p);
-
-  while (fused_.size() < items.size()) {
-    fused_.push_back(std::make_unique<FusedFrame>());
+  while (pool_.size() < items.size()) {
+    pool_.push_back(std::make_unique<Frame>());
   }
-
-  // Per-frame setup: derive each frame's triangular system from ITS OWN prep
-  // and plant the virtual root, mirroring the start of a solo decode_with()
-  // exactly. Frames whose prep kind doesn't match (they need the one-shot
-  // fallback) or whose dimension differs from the batch's first lockstep
-  // frame (levels would not line up) peel to the sequential path up front.
-  index_t m = -1;
+  // Each frame derives its triangular system from ITS OWN prep. A frame whose
+  // prep kind doesn't match needs the one-shot fallback of decode_with().
+  frames_.clear();
   for (usize i = 0; i < items.size(); ++i) {
-    FusedFrame& fr = *fused_[i];
-    WideItem& item = items[i];
+    Frame& fr = *pool_[i];
+    const WideItem& item = items[i];
     SD_CHECK(item.prep != nullptr, "wide item missing a prepared channel");
     SD_CHECK(item.out != nullptr, "wide item missing an output slot");
-    fr.chan = item.prep;
-    fr.out = item.out;
-    fr.truncated = false;
-    const index_t mi = item.prep->channel.matrix().cols();
-    if (item.prep->kind != prep_kind() || (m >= 0 && mi != m)) {
-      fr.active = false;
-      fr.restart = true;
+    if (item.prep->kind != prep_kind()) {
+      decode_with(*item.prep, item.y, item.sigma2, *item.out);
+      fr.truncated = truncated_;
       continue;
     }
-    m = mi;
-    item.out->reset();
     preprocess_with_channel(*item.prep, item.y, fr.prep, fr.pre);
-    item.out->stats.preprocess_seconds = fr.pre.seconds;
-    item.out->stats.tree_levels = static_cast<std::uint64_t>(m);
-    fr.radius_sq = initial_radius_sq(opts_.base, item.sigma2, m);
-    fr.active = true;
-    fr.restart = false;
-    fr.mst(m, 4096).reset();
-    fr.frontier.clear();
-    fr.frontier.push_back(ScratchNode{kRootId, real{0}});
-    fr.path.assign(static_cast<usize>(m), 0);
-    fr.best_path.assign(static_cast<usize>(m), 0);
+    fr.bind(item.prep, opts_.quantized ? &item.prep->qprep : nullptr,
+            item.sigma2, *item.out);
+    frames_.push_back(&fr);
   }
-
-  Timer timer;
-  for (index_t depth = 0; depth < m; ++depth) {
-    // A frame whose frontier emptied needs the radius-doubling retry; peel
-    // it off (its partial stats are discarded with out.reset() below).
-    usize active_count = 0;
-    usize total_cols = 0;
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      if (fr.frontier.empty()) {
-        fr.active = false;
-        fr.restart = true;
-        continue;
-      }
-      ++active_count;
-      total_cols += fr.frontier.size() * static_cast<usize>(p);
-    }
-    for (usize i = items.size();
-         i-- > 0 && total_cols > fused_col_budget && active_count > 1;) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      total_cols -= fr.frontier.size() * static_cast<usize>(p);
-      fr.active = false;
-      fr.restart = true;
-      --active_count;
-    }
-    if (active_count == 0) break;
-
-    const index_t a = m - 1 - depth;
-    const index_t k = m - a;
-    const index_t zr = row0 ? 1 : k;
-
-    // Stacked A: one zr x k R row-block per DISTINCT prep among the active
-    // frames, side by side in first-appearance order. Same-channel frames
-    // share a block (coherent traffic degenerates to the single-block case);
-    // i.i.d. traffic gets one block per frame.
-    block_keys_.clear();
-    block_pres_.clear();
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      usize g = 0;
-      while (g < block_keys_.size() && block_keys_[g] != fr.chan) ++g;
-      if (g == block_keys_.size()) {
-        block_keys_.push_back(fr.chan);
-        block_pres_.push_back(&fr.pre);
-      }
-      fr.block = g;
-    }
-    CMat& a_stack = scratch_.a_block;
-    a_stack.reshape(zr, static_cast<index_t>(block_keys_.size()) * k);
-    for (usize g = 0; g < block_keys_.size(); ++g) {
-      const Preprocessed& gpre = *block_pres_[g];
-      const index_t base = static_cast<index_t>(g) * k;
-      for (index_t r2 = 0; r2 < zr; ++r2) {
-        for (index_t t = 0; t < r2; ++t) a_stack(r2, base + t) = cplx{0, 0};
-        for (index_t t = r2; t < k; ++t) {
-          a_stack(r2, base + t) = gpre.r(a + r2, a + t);
-        }
-      }
-    }
-
-    // One stacked tree-state matrix: frame j's segment is exactly the S it
-    // would build solo. Column independence of the GEMM kernels (DESIGN.md
-    // §12/§14) makes each segment's product bit-identical to the solo
-    // product against that frame's own A block.
-    CMat& s_mat = scratch_.s_mat;
-    s_mat.reshape(k, static_cast<index_t>(total_cols));
-    groups_.clear();
-    usize col_off = 0;
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      const usize f = fr.frontier.size();
-      for (usize ni = 0; ni < f; ++ni) {
-        if (fr.frontier[ni].id != kRootId) {
-          fr.mst_storage->path_symbols(fr.frontier[ni].id, fr.path);
-        }
-        const index_t base_col =
-            static_cast<index_t>(col_off + ni * static_cast<usize>(p));
-        for (index_t c = 0; c < p; ++c) {
-          s_mat(0, base_col + c) = c_->point(c);
-        }
-        for (index_t t = 1; t < k; ++t) {
-          const cplx sym = c_->point(fr.path[static_cast<usize>(depth - t)]);
-          for (index_t c = 0; c < p; ++c) {
-            s_mat(t, base_col + c) = sym;
-          }
-        }
-      }
-      groups_.push_back(GemmGroup{static_cast<index_t>(fr.block) * k,
-                                  static_cast<index_t>(col_off),
-                                  static_cast<index_t>(f) * p});
-      col_off += f * static_cast<usize>(p);
-    }
-
-    // ONE grouped block-diagonal product for the whole level, across all
-    // channels — the cross-channel generalization of the single level GEMM.
-    CMat& z = scratch_.z;
-    z.reshape(zr, static_cast<index_t>(total_cols));
-    gemm_grouped(cplx{1, 0}, a_stack, k, s_mat, cplx{0, 0}, z, groups_,
-                 scratch_.gemm_ws);
-
-    // Per-frame consume: prune / insert / truncate with the frame's own MST
-    // and stats — the exact solo code over the frame's column segment. Stats
-    // are charged as-if-solo (each frame "sees" its own k x (f*p) GEMM), so
-    // fused and sequential DecodeStats match field for field.
-    col_off = 0;
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      DecodeStats& stats = fr.out->stats;
-      const usize f = fr.frontier.size();
-      const index_t cols = static_cast<index_t>(f) * p;
-      ++stats.gemm_calls;
-      stats.flops += gemm_flops(zr, cols, k);
-      stats.bytes_touched +=
-          sizeof(cplx) * (static_cast<std::uint64_t>(zr) * k +
-                          static_cast<std::uint64_t>(k) * cols +
-                          static_cast<std::uint64_t>(zr) * cols);
-      stats.nodes_expanded += f;
-      stats.nodes_generated += static_cast<std::uint64_t>(cols);
-
-      MetaStateTable& mst = *fr.mst_storage;
-      const cplx target = fr.pre.ybar[static_cast<usize>(a)];
-      fr.next.clear();
-      for (usize ni = 0; ni < f; ++ni) {
-        const index_t base_col =
-            static_cast<index_t>(col_off + ni * static_cast<usize>(p));
-        for (index_t c = 0; c < p; ++c) {
-          const real pd =
-              fr.frontier[ni].pd + norm2(target - z(0, base_col + c));
-          if (static_cast<double>(pd) >= fr.radius_sq) {
-            ++stats.nodes_pruned;
-            continue;
-          }
-          const NodeId id =
-              mst.insert(depth, MstNode{fr.frontier[ni].id, c, pd});
-          fr.next.push_back(ScratchNode{id, pd});
-        }
-      }
-      if (fr.next.size() > opts_.max_frontier) {
-        fr.truncated = true;
-        std::partial_sort(
-            fr.next.begin(),
-            fr.next.begin() + static_cast<std::ptrdiff_t>(opts_.max_frontier),
-            fr.next.end(), [](const ScratchNode& x, const ScratchNode& y2) {
-              return x.pd < y2.pd || (x.pd == y2.pd && x.id < y2.id);
-            });
-        stats.nodes_pruned += fr.next.size() - opts_.max_frontier;
-        fr.next.resize(opts_.max_frontier);
-      }
-      fr.frontier.swap(fr.next);
-      stats.peak_list_size = std::max<std::uint64_t>(stats.peak_list_size,
-                                                     fr.frontier.size());
-      col_off += f * static_cast<usize>(p);
-    }
-  }
-  const double fused_seconds = timer.elapsed_seconds();
-
-  // Harvest solved frames; peel off the rest.
-  for (usize i = 0; i < items.size(); ++i) {
-    FusedFrame& fr = *fused_[i];
-    if (!fr.active || fr.frontier.empty()) {
-      fr.restart = true;
-      continue;
-    }
-    const auto best_it = std::min_element(
-        fr.frontier.begin(), fr.frontier.end(),
-        [](const ScratchNode& x, const ScratchNode& y2) {
-          return x.pd < y2.pd;
-        });
-    fr.out->stats.leaves_reached += fr.frontier.size();
-    ++fr.out->stats.radius_updates;
-    const double best_pd = static_cast<double>(best_it->pd);
-    fr.mst_storage->path_symbols(best_it->id, fr.best_path);
-    fr.layered.resize(static_cast<usize>(m));
-    for (index_t d = 0; d < m; ++d) {
-      fr.layered[static_cast<usize>(m - 1 - d)] =
-          fr.best_path[static_cast<usize>(d)];
-    }
-    to_antenna_order_into(fr.pre, fr.layered, fr.out->indices);
-    fr.out->metric = best_pd;
-    // Wall time is genuinely shared; each frame is charged the fused pass
-    // (the *_seconds fields are measurements, not part of the bit-identity
-    // contract — tests compare everything else).
-    fr.out->stats.search_seconds = fused_seconds;
-    materialize_symbols(*c_, *fr.out);
-  }
-
-  // Sequential fallback for peeled frames (kind/dimension mismatches,
-  // empty-sphere retries, and budget demotions): a full solo decode against
-  // the frame's OWN prep reproduces the exact sequential bits AND stats,
-  // because decode_with() resets the result before re-charging.
-  for (usize i = 0; i < items.size(); ++i) {
-    FusedFrame& fr = *fused_[i];
-    if (!fr.restart) continue;
-    decode_with(*fr.chan, items[i].y, items[i].sigma2, *items[i].out);
-    fr.truncated = truncated_;
-  }
+  solve(frames_);
   // Match a sequential loop's view: report the batch's LAST frame.
-  truncated_ = fused_[items.size() - 1]->truncated;
+  truncated_ = pool_[items.size() - 1]->truncated;
 }
 
-void SdGemmBfsDetector::search(const Preprocessed& pre, double sigma2,
-                               DecodeResult& result) {
-  SD_TRACE_SPAN("decode.search");
-  const index_t m = pre.r.rows();
-  const index_t p = c_->order();
-  result.stats.tree_levels = static_cast<std::uint64_t>(m);
-  truncated_ = false;
-
-  Timer timer;
-
-  MetaStateTable& mst = scratch_.mst(m, 4096);
-  double radius_sq = initial_radius_sq(opts_.base, sigma2, m);
-
-  const bool row0 = opts_.base.level_gemm == LevelGemm::kRow0;
-
-  std::vector<ScratchNode>& frontier = scratch_.frontier;
-  std::vector<ScratchNode>& next = scratch_.next;
-  std::vector<index_t>& path = scratch_.path;
-  path.assign(static_cast<usize>(m), 0);
-
-  bool solved = false;
-  std::vector<index_t>& best_path = scratch_.best_path;
-  best_path.assign(static_cast<usize>(m), 0);
-  double best_pd = std::numeric_limits<double>::infinity();
-
-  for (int attempt = 0; !solved; ++attempt) {
-    mst.reset();
-    frontier.clear();
-    frontier.push_back(ScratchNode{kRootId, real{0}});
-
-    for (index_t depth = 0; depth < m && !frontier.empty(); ++depth) {
-      const index_t a = m - 1 - depth;
-      const index_t k = m - a;  // R row-block length = depth + 1
-      const usize f = frontier.size();
-      const index_t cols = static_cast<index_t>(f) * p;
-
-      // One level = one GEMM: z = R[a:m, a:m] * S, where S packs the
-      // candidate tree-state blocks of every frontier node's every child —
-      // the large level-wide matrix product that [1] maps onto the GPU.
-      // Row 0 carries the new level's contribution (the PD increment).
-      //
-      // Operands live in detector-owned scratch: reshape() keeps the
-      // high-water allocation, a_block's full rows are (re)written including
-      // the explicit lower-triangle zeros reuse no longer provides, and
-      // s_mat / z are fully overwritten (z by the beta == 0 GEMM contract).
-      // In LevelGemm::kRow0 mode only row 0 of the product is formed — a
-      // 1 x k by k x cols GEMM — which is bit-identical to row 0 of the full
-      // product and what the PD loop below actually reads; flop/byte charges
-      // then reflect the smaller product.
-      const index_t zr = row0 ? 1 : k;
-      CMat& a_block = scratch_.a_block;
-      a_block.reshape(zr, k);
-      for (index_t r2 = 0; r2 < zr; ++r2) {
-        for (index_t t = 0; t < r2; ++t) a_block(r2, t) = cplx{0, 0};
-        for (index_t t = r2; t < k; ++t) {
-          a_block(r2, t) = pre.r(a + r2, a + t);
-        }
-      }
-      CMat& s_mat = scratch_.s_mat;
-      s_mat.reshape(k, cols);
-      for (usize ni = 0; ni < f; ++ni) {
-        if (frontier[ni].id != kRootId) {
-          mst.path_symbols(frontier[ni].id, path);
-        }
-        const index_t base_col = static_cast<index_t>(ni) * p;
-        for (index_t c = 0; c < p; ++c) {
-          s_mat(0, base_col + c) = c_->point(c);
-        }
-        for (index_t t = 1; t < k; ++t) {
-          const cplx sym = c_->point(path[static_cast<usize>(depth - t)]);
-          for (index_t c = 0; c < p; ++c) {
-            s_mat(t, base_col + c) = sym;
-          }
-        }
-      }
-      CMat& z = scratch_.z;
-      z.reshape(zr, cols);
-      gemm(Op::kNone, cplx{1, 0}, a_block, s_mat, cplx{0, 0}, z,
-           scratch_.gemm_ws);
-      ++result.stats.gemm_calls;
-      result.stats.flops += gemm_flops(zr, cols, k);
-      result.stats.bytes_touched +=
-          sizeof(cplx) * (static_cast<std::uint64_t>(zr) * k +
-                          static_cast<std::uint64_t>(k) * cols +
-                          static_cast<std::uint64_t>(zr) * cols);
-      result.stats.nodes_expanded += f;
-      result.stats.nodes_generated += static_cast<std::uint64_t>(cols);
-
-      const cplx target = pre.ybar[static_cast<usize>(a)];
-      next.clear();
-      for (usize ni = 0; ni < f; ++ni) {
-        const index_t base_col = static_cast<index_t>(ni) * p;
-        for (index_t c = 0; c < p; ++c) {
-          const real pd =
-              frontier[ni].pd + norm2(target - z(0, base_col + c));
-          if (static_cast<double>(pd) >= radius_sq) {
-            ++result.stats.nodes_pruned;
-            continue;
-          }
-          const NodeId id =
-              mst.insert(depth, MstNode{frontier[ni].id, c, pd});
-          next.push_back(ScratchNode{id, pd});
-        }
-      }
-
-      if (next.size() > opts_.max_frontier) {
-        // Memory guard: keep the best max_frontier nodes. This is the
-        // BER-costing heuristic GPU implementations fall back on.
-        //
-        // Determinism contract: the cut must be a TOTAL order. A pd-only
-        // comparator lets std::nth_element resolve PD ties (common for the
-        // symmetric constellations) in stdlib-dependent order, so which
-        // tied nodes survive — and every downstream golden number of a
-        // truncated decode — varied across toolchains. The NodeId
-        // tie-break is total (ids are unique) and reproducible (ids are
-        // assigned in frontier order, itself deterministic by induction).
-        // partial_sort rather than nth_element so the surviving
-        // frontier's ORDER is pinned too: the next level assigns NodeIds
-        // in frontier order, and those ids feed the next cut's key.
-        truncated_ = true;
-        std::partial_sort(next.begin(),
-                          next.begin() + static_cast<std::ptrdiff_t>(opts_.max_frontier),
-                          next.end(),
-                          [](const ScratchNode& x, const ScratchNode& y2) {
-                            return x.pd < y2.pd ||
-                                   (x.pd == y2.pd && x.id < y2.id);
-                          });
-        result.stats.nodes_pruned += next.size() - opts_.max_frontier;
-        next.resize(opts_.max_frontier);
-      }
-
-      frontier.swap(next);
-      result.stats.peak_list_size =
-          std::max<std::uint64_t>(result.stats.peak_list_size, frontier.size());
-    }
-
-    if (!frontier.empty()) {
-      // Leaf level survivors: the minimum-PD one is the solution.
-      const auto best_it = std::min_element(
-          frontier.begin(), frontier.end(),
-          [](const ScratchNode& x, const ScratchNode& y2) {
-            return x.pd < y2.pd;
-          });
-      result.stats.leaves_reached += frontier.size();
-      ++result.stats.radius_updates;
-      best_pd = static_cast<double>(best_it->pd);
-      mst.path_symbols(best_it->id, best_path);
-      solved = true;
-    } else {
-      // Empty sphere: enlarge the radius and re-run the whole BFS — the
-      // standard recovery, and the cost is charged (stats accumulate).
-      radius_sq *= 2.0;
-      SD_ASSERT(attempt < 64);
-    }
+void SdGemmBfsDetector::solve(std::span<Frame* const> frames) {
+  if (frames.empty()) return;
+  if (opts_.quantized) {
+    Engine<I16Arith>{*this}.solve(frames);
+  } else {
+    Engine<Fp32Arith>{*this}.solve(frames);
   }
-
-  std::vector<index_t>& layered = scratch_.layered;
-  layered.resize(static_cast<usize>(m));
-  for (index_t d = 0; d < m; ++d) {
-    layered[static_cast<usize>(m - 1 - d)] = best_path[static_cast<usize>(d)];
-  }
-  to_antenna_order_into(pre, layered, result.indices);
-  result.metric = best_pd;
-  result.stats.search_seconds = timer.elapsed_seconds();
-}
-
-void SdGemmBfsDetector::search_quant(const Preprocessed& pre,
-                                     const quant::QuantChannelPrep& qprep,
-                                     double sigma2, DecodeResult& result) {
-  SD_TRACE_SPAN("decode.search");
-  SD_CHECK(qprep.valid(), "quantized search needs a calibrated channel prep");
-  const index_t m = pre.r.rows();
-  const index_t p = c_->order();
-  result.stats.tree_levels = static_cast<std::uint64_t>(m);
-  truncated_ = false;
-
-  Timer timer;
-
-  const quant::QuantSpec& spec = qprep.spec;
-  const int fb = spec.frac_bits;
-  quantize_constellation(*c_, spec, qsyms_, result.stats.quant_saturations);
-
-  MetaStateTable& mst = scratch_.mst(m, 4096);
-  double radius_sq = initial_radius_sq(opts_.base, sigma2, m);
-
-  std::vector<QuantNode>& frontier = qfrontier_;
-  std::vector<QuantNode>& next = qnext_;
-  std::vector<index_t>& path = scratch_.path;
-  path.assign(static_cast<usize>(m), 0);
-  std::vector<index_t>& best_path = scratch_.best_path;
-  best_path.assign(static_cast<usize>(m), 0);
-  std::int32_t best_pd = quant::kQuantPdMax;
-
-  bool solved = false;
-  for (int attempt = 0; !solved; ++attempt) {
-    const std::int32_t radius_q =
-        quantized_radius(radius_sq, spec, result.stats.quant_overflows);
-    mst.reset();
-    frontier.clear();
-    frontier.push_back(QuantNode{kRootId, 0});
-
-    for (index_t depth = 0; depth < m && !frontier.empty(); ++depth) {
-      const index_t a = m - 1 - depth;
-      const index_t k = m - a;
-      const usize f = frontier.size();
-      const index_t cols = static_cast<index_t>(f) * p;
-
-      // The level product is always row 0 only on the quantized path: the
-      // PD recursion below consumes nothing but the new level's residual,
-      // and the int16 operands make the 1 x k by k x cols product the
-      // madd kernel's native shape.
-      qa_re_.reshape(1, k);
-      qa_im_.reshape(1, k);
-      for (index_t t = 0; t < k; ++t) {
-        qa_re_(0, t) = qprep.r_re(a, a + t);
-        qa_im_(0, t) = qprep.r_im(a, a + t);
-      }
-      qs_ri_.reshape(k, 2 * cols);
-      for (usize ni = 0; ni < f; ++ni) {
-        if (frontier[ni].id != kRootId) {
-          mst.path_symbols(frontier[ni].id, path);
-        }
-        const index_t base_col = static_cast<index_t>(ni) * p;
-        std::int16_t* row0 = &qs_ri_(0, 2 * base_col);
-        std::copy(qsyms_.begin(), qsyms_.end(), row0);
-        for (index_t t = 1; t < k; ++t) {
-          const usize si =
-              2 * static_cast<usize>(path[static_cast<usize>(depth - t)]);
-          const std::int16_t sr = qsyms_[si];
-          const std::int16_t sim = qsyms_[si + 1];
-          std::int16_t* row = &qs_ri_(t, 2 * base_col);
-          for (index_t c = 0; c < p; ++c) {
-            row[2 * c] = sr;
-            row[2 * c + 1] = sim;
-          }
-        }
-      }
-      quant::qgemm_level(qa_re_, qa_im_, qs_ri_, qz_re_, qz_im_);
-      ++result.stats.gemm_calls;
-      // flops are charged MAC-equivalent (same complex MAC count as the
-      // float product of this shape); bytes reflect the narrow operands.
-      result.stats.flops += gemm_flops(1, cols, k);
-      result.stats.bytes_touched += quant::qgemm_bytes(1, cols, k);
-      result.stats.nodes_expanded += f;
-      result.stats.nodes_generated += static_cast<std::uint64_t>(cols);
-      result.stats.quant_requants += static_cast<std::uint64_t>(cols);
-
-      const cplx target = pre.ybar[static_cast<usize>(a)];
-      const std::int32_t t_re =
-          static_cast<std::int32_t>(quant::quantize_sat(
-              target.real(), spec, result.stats.quant_saturations))
-          << fb;
-      const std::int32_t t_im =
-          static_cast<std::int32_t>(quant::quantize_sat(
-              target.imag(), spec, result.stats.quant_saturations))
-          << fb;
-      next.clear();
-      for (usize ni = 0; ni < f; ++ni) {
-        const index_t base_col = static_cast<index_t>(ni) * p;
-        for (index_t c = 0; c < p; ++c) {
-          // Residual in exact Q(2f), then the saturating requantize to Q(f)
-          // — the between-levels narrowing — and an exact int32 PD.
-          const std::int32_t dre = t_re - qz_re_(0, base_col + c);
-          const std::int32_t dim = t_im - qz_im_(0, base_col + c);
-          const std::int16_t rqr = quant::requantize_sat(
-              dre, fb, result.stats.quant_saturations);
-          const std::int16_t rqi = quant::requantize_sat(
-              dim, fb, result.stats.quant_saturations);
-          const std::int32_t inc = static_cast<std::int32_t>(rqr) * rqr +
-                                   static_cast<std::int32_t>(rqi) * rqi;
-          const std::int32_t pd = quant::pd_add_sat(
-              frontier[ni].pd, inc, result.stats.quant_overflows);
-          if (pd >= radius_q) {
-            ++result.stats.nodes_pruned;
-            continue;
-          }
-          // The MST records the dequantized PD so path/metric reporting
-          // stays in the float domain; the search itself compares ints.
-          const NodeId id = mst.insert(
-              depth,
-              MstNode{frontier[ni].id, c,
-                      static_cast<real>(static_cast<double>(pd) *
-                                        spec.inv_scale2)});
-          next.push_back(QuantNode{id, pd});
-        }
-      }
-
-      if (next.size() > opts_.max_frontier) {
-        // Same total-order cut as the float path, on EXACT ints — ties are
-        // genuine value ties, and the NodeId tie-break pins them.
-        truncated_ = true;
-        std::partial_sort(
-            next.begin(),
-            next.begin() + static_cast<std::ptrdiff_t>(opts_.max_frontier),
-            next.end(), [](const QuantNode& x, const QuantNode& y2) {
-              return x.pd < y2.pd || (x.pd == y2.pd && x.id < y2.id);
-            });
-        result.stats.nodes_pruned += next.size() - opts_.max_frontier;
-        next.resize(opts_.max_frontier);
-      }
-
-      frontier.swap(next);
-      result.stats.peak_list_size =
-          std::max<std::uint64_t>(result.stats.peak_list_size, frontier.size());
-    }
-
-    if (!frontier.empty()) {
-      const auto best_it = std::min_element(
-          frontier.begin(), frontier.end(),
-          [](const QuantNode& x, const QuantNode& y2) { return x.pd < y2.pd; });
-      result.stats.leaves_reached += frontier.size();
-      ++result.stats.radius_updates;
-      best_pd = best_it->pd;
-      mst.path_symbols(best_it->id, best_path);
-      solved = true;
-    } else if (radius_q >= quant::kQuantPdMax) {
-      // The sphere is already as large as Q(2f) can express and still came
-      // up empty — a quantization floor, not a radius problem. Re-run this
-      // frame on the float path (exactly decode_with's float search, with
-      // the quant attempt's partial stats discarded like any retry's).
-      const double prep_seconds = result.stats.preprocess_seconds;
-      result.reset();
-      result.stats.preprocess_seconds = prep_seconds;
-      search(pre, sigma2, result);
-      result.stats.quant_fallbacks = 1;
-      return;
-    } else {
-      radius_sq *= 2.0;
-      SD_ASSERT(attempt < 64);
-    }
-  }
-
-  std::vector<index_t>& layered = scratch_.layered;
-  layered.resize(static_cast<usize>(m));
-  for (index_t d = 0; d < m; ++d) {
-    layered[static_cast<usize>(m - 1 - d)] = best_path[static_cast<usize>(d)];
-  }
-  to_antenna_order_into(pre, layered, result.indices);
-  result.metric = static_cast<double>(best_pd) * spec.inv_scale2;
-  result.stats.search_seconds = timer.elapsed_seconds();
-}
-
-void SdGemmBfsDetector::decode_wide_quant(std::span<WideItem> items) {
-  SD_TRACE_SPAN("decode.batch");
-  const index_t p = c_->order();
-  const usize fused_col_budget = opts_.max_frontier * static_cast<usize>(p);
-
-  while (fused_.size() < items.size()) {
-    fused_.push_back(std::make_unique<FusedFrame>());
-  }
-
-  // Per-frame setup, mirroring the float wide path; additionally each frame
-  // quantizes the constellation and its radius under ITS OWN QuantSpec
-  // (scales are per channel). Frames with a non-quant prep kind or an
-  // uncalibrated prep peel to the sequential path up front.
-  index_t m = -1;
-  for (usize i = 0; i < items.size(); ++i) {
-    FusedFrame& fr = *fused_[i];
-    WideItem& item = items[i];
-    SD_CHECK(item.prep != nullptr, "wide item missing a prepared channel");
-    SD_CHECK(item.out != nullptr, "wide item missing an output slot");
-    fr.chan = item.prep;
-    fr.out = item.out;
-    fr.truncated = false;
-    const index_t mi = item.prep->channel.matrix().cols();
-    if (item.prep->kind != prep_kind() || !item.prep->qprep.valid() ||
-        (m >= 0 && mi != m)) {
-      fr.active = false;
-      fr.restart = true;
-      continue;
-    }
-    m = mi;
-    item.out->reset();
-    preprocess_with_channel(*item.prep, item.y, fr.prep, fr.pre);
-    item.out->stats.preprocess_seconds = fr.pre.seconds;
-    item.out->stats.tree_levels = static_cast<std::uint64_t>(m);
-    const quant::QuantSpec& spec = item.prep->qprep.spec;
-    quantize_constellation(*c_, spec, fr.qsyms,
-                           item.out->stats.quant_saturations);
-    fr.radius_sq = initial_radius_sq(opts_.base, item.sigma2, m);
-    fr.radius_q = quantized_radius(fr.radius_sq, spec,
-                                   item.out->stats.quant_overflows);
-    fr.active = true;
-    fr.restart = false;
-    fr.mst(m, 4096).reset();
-    fr.qfrontier.clear();
-    fr.qfrontier.push_back(QuantNode{kRootId, 0});
-    fr.path.assign(static_cast<usize>(m), 0);
-    fr.best_path.assign(static_cast<usize>(m), 0);
-  }
-
-  Timer timer;
-  for (index_t depth = 0; depth < m; ++depth) {
-    // Empty-frontier frames peel to the sequential quant decode, which owns
-    // the radius-doubling retry AND the float fallback.
-    usize active_count = 0;
-    usize total_cols = 0;
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      if (fr.qfrontier.empty()) {
-        fr.active = false;
-        fr.restart = true;
-        continue;
-      }
-      ++active_count;
-      total_cols += fr.qfrontier.size() * static_cast<usize>(p);
-    }
-    for (usize i = items.size();
-         i-- > 0 && total_cols > fused_col_budget && active_count > 1;) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      total_cols -= fr.qfrontier.size() * static_cast<usize>(p);
-      fr.active = false;
-      fr.restart = true;
-      --active_count;
-    }
-    if (active_count == 0) break;
-
-    const index_t a = m - 1 - depth;
-    const index_t k = m - a;
-
-    // Stacked A planes: one 1 x k quantized R row per DISTINCT prep.
-    block_keys_.clear();
-    block_qpreps_.clear();
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      usize g = 0;
-      while (g < block_keys_.size() && block_keys_[g] != fr.chan) ++g;
-      if (g == block_keys_.size()) {
-        block_keys_.push_back(fr.chan);
-        block_qpreps_.push_back(&fr.chan->qprep);
-      }
-      fr.block = g;
-    }
-    qa_re_.reshape(1, static_cast<index_t>(block_keys_.size()) * k);
-    qa_im_.reshape(1, static_cast<index_t>(block_keys_.size()) * k);
-    for (usize g = 0; g < block_qpreps_.size(); ++g) {
-      const quant::QuantChannelPrep& qp = *block_qpreps_[g];
-      const index_t base = static_cast<index_t>(g) * k;
-      for (index_t t = 0; t < k; ++t) {
-        qa_re_(0, base + t) = qp.r_re(a, a + t);
-        qa_im_(0, base + t) = qp.r_im(a, a + t);
-      }
-    }
-
-    // One stacked interleaved tree-state operand; frame j's segment is
-    // exactly the S it would build solo (under its own QuantSpec).
-    qs_ri_.reshape(k, 2 * static_cast<index_t>(total_cols));
-    groups_.clear();
-    usize col_off = 0;
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      const usize f = fr.qfrontier.size();
-      for (usize ni = 0; ni < f; ++ni) {
-        if (fr.qfrontier[ni].id != kRootId) {
-          fr.mst_storage->path_symbols(fr.qfrontier[ni].id, fr.path);
-        }
-        const index_t base_col =
-            static_cast<index_t>(col_off + ni * static_cast<usize>(p));
-        std::int16_t* row0 = &qs_ri_(0, 2 * base_col);
-        std::copy(fr.qsyms.begin(), fr.qsyms.end(), row0);
-        for (index_t t = 1; t < k; ++t) {
-          const usize si =
-              2 * static_cast<usize>(fr.path[static_cast<usize>(depth - t)]);
-          const std::int16_t sr = fr.qsyms[si];
-          const std::int16_t sim = fr.qsyms[si + 1];
-          std::int16_t* row = &qs_ri_(t, 2 * base_col);
-          for (index_t c = 0; c < p; ++c) {
-            row[2 * c] = sr;
-            row[2 * c + 1] = sim;
-          }
-        }
-      }
-      groups_.push_back(GemmGroup{static_cast<index_t>(fr.block) * k,
-                                  static_cast<index_t>(col_off),
-                                  static_cast<index_t>(f) * p});
-      col_off += f * static_cast<usize>(p);
-    }
-
-    // ONE grouped block-diagonal int16 product for the whole level.
-    qz_re_.reshape(1, static_cast<index_t>(total_cols));
-    qz_im_.reshape(1, static_cast<index_t>(total_cols));
-    quant::qgemm_level_grouped(qa_re_, qa_im_, k, qs_ri_, qz_re_, qz_im_,
-                               groups_);
-
-    // Per-frame consume — the exact solo integer code over the frame's
-    // column segment, with the frame's own spec/shift/radius.
-    col_off = 0;
-    for (usize i = 0; i < items.size(); ++i) {
-      FusedFrame& fr = *fused_[i];
-      if (!fr.active) continue;
-      DecodeStats& stats = fr.out->stats;
-      const quant::QuantSpec& spec = fr.chan->qprep.spec;
-      const int fb = spec.frac_bits;
-      const usize f = fr.qfrontier.size();
-      const index_t cols = static_cast<index_t>(f) * p;
-      ++stats.gemm_calls;
-      stats.flops += gemm_flops(1, cols, k);
-      stats.bytes_touched += quant::qgemm_bytes(1, cols, k);
-      stats.nodes_expanded += f;
-      stats.nodes_generated += static_cast<std::uint64_t>(cols);
-      stats.quant_requants += static_cast<std::uint64_t>(cols);
-
-      MetaStateTable& mst = *fr.mst_storage;
-      const cplx target = fr.pre.ybar[static_cast<usize>(a)];
-      const std::int32_t t_re =
-          static_cast<std::int32_t>(quant::quantize_sat(
-              target.real(), spec, stats.quant_saturations))
-          << fb;
-      const std::int32_t t_im =
-          static_cast<std::int32_t>(quant::quantize_sat(
-              target.imag(), spec, stats.quant_saturations))
-          << fb;
-      fr.qnext.clear();
-      for (usize ni = 0; ni < f; ++ni) {
-        const index_t base_col =
-            static_cast<index_t>(col_off + ni * static_cast<usize>(p));
-        for (index_t c = 0; c < p; ++c) {
-          const std::int32_t dre = t_re - qz_re_(0, base_col + c);
-          const std::int32_t dim = t_im - qz_im_(0, base_col + c);
-          const std::int16_t rqr =
-              quant::requantize_sat(dre, fb, stats.quant_saturations);
-          const std::int16_t rqi =
-              quant::requantize_sat(dim, fb, stats.quant_saturations);
-          const std::int32_t inc = static_cast<std::int32_t>(rqr) * rqr +
-                                   static_cast<std::int32_t>(rqi) * rqi;
-          const std::int32_t pd = quant::pd_add_sat(
-              fr.qfrontier[ni].pd, inc, stats.quant_overflows);
-          if (pd >= fr.radius_q) {
-            ++stats.nodes_pruned;
-            continue;
-          }
-          const NodeId id = mst.insert(
-              depth,
-              MstNode{fr.qfrontier[ni].id, c,
-                      static_cast<real>(static_cast<double>(pd) *
-                                        spec.inv_scale2)});
-          fr.qnext.push_back(QuantNode{id, pd});
-        }
-      }
-      if (fr.qnext.size() > opts_.max_frontier) {
-        fr.truncated = true;
-        std::partial_sort(
-            fr.qnext.begin(),
-            fr.qnext.begin() + static_cast<std::ptrdiff_t>(opts_.max_frontier),
-            fr.qnext.end(), [](const QuantNode& x, const QuantNode& y2) {
-              return x.pd < y2.pd || (x.pd == y2.pd && x.id < y2.id);
-            });
-        stats.nodes_pruned += fr.qnext.size() - opts_.max_frontier;
-        fr.qnext.resize(opts_.max_frontier);
-      }
-      fr.qfrontier.swap(fr.qnext);
-      stats.peak_list_size = std::max<std::uint64_t>(stats.peak_list_size,
-                                                     fr.qfrontier.size());
-      col_off += f * static_cast<usize>(p);
-    }
-  }
-  const double fused_seconds = timer.elapsed_seconds();
-
-  // Harvest solved frames; peel off the rest.
-  for (usize i = 0; i < items.size(); ++i) {
-    FusedFrame& fr = *fused_[i];
-    if (!fr.active || fr.qfrontier.empty()) {
-      fr.restart = true;
-      continue;
-    }
-    const auto best_it = std::min_element(
-        fr.qfrontier.begin(), fr.qfrontier.end(),
-        [](const QuantNode& x, const QuantNode& y2) { return x.pd < y2.pd; });
-    fr.out->stats.leaves_reached += fr.qfrontier.size();
-    ++fr.out->stats.radius_updates;
-    fr.mst_storage->path_symbols(best_it->id, fr.best_path);
-    fr.layered.resize(static_cast<usize>(m));
-    for (index_t d = 0; d < m; ++d) {
-      fr.layered[static_cast<usize>(m - 1 - d)] =
-          fr.best_path[static_cast<usize>(d)];
-    }
-    to_antenna_order_into(fr.pre, fr.layered, fr.out->indices);
-    fr.out->metric = static_cast<double>(best_it->pd) *
-                     fr.chan->qprep.spec.inv_scale2;
-    fr.out->stats.search_seconds = fused_seconds;
-    materialize_symbols(*c_, *fr.out);
-  }
-
-  // Sequential fallback for peeled frames: the solo quant decode owns the
-  // radius-doubling retry and the float fallback, and resets the result
-  // before re-charging — exactly the sequential bits AND stats.
-  for (usize i = 0; i < items.size(); ++i) {
-    FusedFrame& fr = *fused_[i];
-    if (!fr.restart) continue;
-    decode_with(*fr.chan, items[i].y, items[i].sigma2, *items[i].out);
-    fr.truncated = truncated_;
-  }
-  truncated_ = fused_[items.size() - 1]->truncated;
 }
 
 }  // namespace sd

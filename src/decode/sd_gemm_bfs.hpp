@@ -11,10 +11,12 @@
 // feed the A100 timing model.
 #pragma once
 
-#include "decode/decode_scratch.hpp"
+#include <memory>
+#include <vector>
+
 #include "decode/detector.hpp"
-#include "decode/mst.hpp"
 #include "decode/sphere_common.hpp"
+#include "linalg/gemm.hpp"
 #include "quant/quant_gemm.hpp"
 
 namespace sd {
@@ -34,17 +36,15 @@ struct BfsOptions {
   bool quantized = false;
 };
 
-/// Quantized frontier entry: MST node id plus its exact int32 Q(2f) PD.
-struct QuantNode {
-  NodeId id;
-  std::int32_t pd;
-};
-
+/// Every decode entry point feeds one lockstep level engine. Its level
+/// products are single K-panel grouped GEMMs, so the detector supports at
+/// most kGemmKc (128) transmit antennas; a wider channel is rejected with
+/// sd::invalid_argument_error.
 class SdGemmBfsDetector final : public Detector {
  public:
   explicit SdGemmBfsDetector(const Constellation& constellation,
                              BfsOptions options = {});
-  ~SdGemmBfsDetector() override;  // FusedFrame is an incomplete type here
+  ~SdGemmBfsDetector() override;  // Frame is an incomplete type here
 
   [[nodiscard]] std::string_view name() const override {
     return opts_.quantized ? "SD-GEMM-BFS-i16" : "SD-GEMM-BFS";
@@ -55,8 +55,9 @@ class SdGemmBfsDetector final : public Detector {
   [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
                                     double sigma2) override;
 
-  /// Primary entry point: allocation-free in steady state (the scratch and
-  /// `out` reach their high-water capacity and are then recycled).
+  /// Primary entry point: allocation-free in steady state (the engine's
+  /// per-frame state and `out` reach their high-water capacity and are then
+  /// recycled).
   void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
                    DecodeResult& out) override;
 
@@ -74,72 +75,54 @@ class SdGemmBfsDetector final : public Detector {
   }
 
   /// Decode against a cached factorization; bit-identical to decode_into().
+  /// A width-1 decode_wide().
   void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
                    double sigma2, DecodeResult& out) override;
 
-  /// Fused multi-frame decode: B frames sharing one prepared channel run the
-  /// level-synchronous search in LOCKSTEP, stacking their frontier columns
-  /// into a single k x (sum_j f_j * p) level GEMM — the wide products the SoA
-  /// kernel rewards. Each frame's results AND stats are bit-identical to a
-  /// sequential decode_with() per frame (see DESIGN.md §12 for the
-  /// column-independence argument); frames that need a radius restart or
-  /// exceed the fused operand budget are peeled off and re-run sequentially.
-  /// Implemented as the shared-prep special case of decode_wide().
-  void decode_batch_with(const PreprocessedChannel& prep,
-                         std::span<BatchItem> items) override;
-
-  /// Cross-channel ("wide") fused decode: frames with DIFFERENT channels run
-  /// the lockstep level advance together, each level issuing ONE grouped
-  /// block-diagonal GEMM over the distinct R blocks (DESIGN.md §14). Frames
-  /// whose prep kind or dimension does not match are peeled to the
-  /// sequential path up front; empty-frontier restarts and operand-budget
-  /// demotions peel exactly as in decode_batch_with(). Per-frame results and
-  /// stats stay bit-identical to sequential decode_with() calls.
+  /// Fused multi-frame decode: the frames run the level-synchronous search
+  /// in LOCKSTEP, each level issuing ONE grouped block-diagonal product over
+  /// the distinct R blocks (DESIGN.md §14). Frames may share a prep (then
+  /// they share one block) or carry different channels. Frames whose prep
+  /// kind or dimension does not match are peeled up front; empty-frontier
+  /// restarts and operand-budget demotions finish alone at width 1.
+  /// Per-frame results and stats are bit-identical to sequential
+  /// decode_with() calls.
   void decode_wide(std::span<WideItem> items) override;
 
-  /// Tree search on an already-preprocessed system.
-  void search(const Preprocessed& pre, double sigma2, DecodeResult& result);
-
-  /// Fixed-point tree search: int16 level GEMMs against the prep's quantized
-  /// R planes, int32 partial distances with EXACT integer comparisons, and a
-  /// scale-aware integer radius. Reported PDs/metrics are dequantized. When
-  /// the integer radius saturates with an empty frontier, the frame falls
-  /// back to the float search() (counted in stats.quant_fallbacks).
-  void search_quant(const Preprocessed& pre,
-                    const quant::QuantChannelPrep& qprep, double sigma2,
-                    DecodeResult& result);
-
   /// True if the last decode had to truncate a frontier (BER no longer
-  /// guaranteed ML-optimal). After decode_batch_with() this reports the
-  /// LAST frame of the batch, matching a sequential loop over the frames.
+  /// guaranteed ML-optimal). After decode_wide() this reports the LAST frame
+  /// of the batch, matching a sequential loop over the frames.
   [[nodiscard]] bool last_truncated() const noexcept { return truncated_; }
 
  private:
-  struct FusedFrame;  // per-frame lockstep state (sd_gemm_bfs.cpp)
+  // The level engine (sd_gemm_bfs.cpp): one lockstep loop over a set of
+  // frames, templated on the arithmetic policy — fp32 (complex staging,
+  // gemm_grouped, real PDs) or int16 (I16 planes, qgemm_level_grouped,
+  // requantize, int32 PDs). A single-frame decode is width 1 of it.
+  struct Frame;      ///< per-frame inputs and search state
+  struct Fp32Arith;  ///< float arithmetic policy
+  struct I16Arith;   ///< fixed-point arithmetic policy
+  template <class Arith>
+  struct Engine;     ///< lockstep loop, retry driver and harvest
 
-  /// Cross-channel wide decode on the fixed-point datapath: one grouped
-  /// int16 level product per level, per-frame QuantSpecs (scales may differ
-  /// across channels), identical peeling rules to the float wide path.
-  void decode_wide_quant(std::span<WideItem> items);
+  /// Decodes bound frames with the configured arithmetic policy.
+  void solve(std::span<Frame* const> frames);
 
   const Constellation* c_;
   BfsOptions opts_;
-  DecodeScratch scratch_;
-  std::vector<std::unique_ptr<FusedFrame>> fused_;  ///< pooled across batches
-  std::vector<WideItem> wide_items_;           ///< decode_batch_with adapter
-  std::vector<GemmGroup> groups_;              ///< per-level grouped-GEMM map
-  std::vector<const PreprocessedChannel*> block_keys_;  ///< distinct preps
-  std::vector<const Preprocessed*> block_pres_;  ///< one R source per block
+  std::unique_ptr<Frame> solo_;                ///< decode_into
+  std::vector<std::unique_ptr<Frame>> pool_;   ///< decode_wide, one per item
+  std::vector<Frame*> frames_;                 ///< frames of the current solve
+  quant::QuantChannelPrep qlocal_;             ///< decode_into calibration
 
-  // Quantized-path scratch (recycled across decodes like DecodeScratch).
-  quant::QuantChannelPrep qlocal_;     ///< decode_into-path calibration
-  std::vector<std::int16_t> qsyms_;    ///< constellation, (re,im) Q(f) pairs
-  quant::I16Mat qa_re_, qa_im_;        ///< level A planes (possibly stacked)
-  quant::I16Mat qs_ri_;                ///< interleaved tree-state operand
-  quant::I32Mat qz_re_, qz_im_;        ///< exact Q(2f) level products
-  std::vector<QuantNode> qfrontier_;
-  std::vector<QuantNode> qnext_;
-  std::vector<const quant::QuantChannelPrep*> block_qpreps_;  ///< wide blocks
+  // Level staging, rebuilt per level and shared by all frames at that level.
+  std::vector<GemmGroup> groups_;  ///< one group per active frame
+  std::vector<Frame*> blocks_;     ///< R source of each distinct channel
+  CMat a_stack_, s_mat_, z_;       ///< fp32 R blocks, tree states, product
+  GemmWorkspace gemm_ws_;
+  quant::I16Mat qa_re_, qa_im_;    ///< int16 R planes
+  quant::I16Mat qs_ri_;            ///< interleaved int16 tree states
+  quant::I32Mat qz_re_, qz_im_;    ///< exact Q(2f) products
 
   bool truncated_ = false;
 };

@@ -1,5 +1,7 @@
 #include "decode/sphere_common.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "linalg/gemm.hpp"
@@ -95,6 +97,15 @@ double initial_radius_sq(const SdOptions& opts, double sigma2, index_t num_rx) {
       SD_CHECK(opts.radius_alpha > 0.0, "radius_alpha must be positive");
       return opts.radius_alpha * sigma2 * static_cast<double>(num_rx);
   }
+  return std::numeric_limits<double>::infinity();
+}
+
+double next_radius_sq(double radius_sq, int attempt, DecodeStats& stats) {
+  constexpr int kMaxDoublings = 64;
+  if (attempt < kMaxDoublings && radius_sq > 0.0 && std::isfinite(radius_sq)) {
+    return radius_sq * 2.0;
+  }
+  ++stats.radius_fallbacks;
   return std::numeric_limits<double>::infinity();
 }
 

@@ -102,6 +102,16 @@ void to_antenna_order_into(const Preprocessed& pre,
 [[nodiscard]] double initial_radius_sq(const SdOptions& opts, double sigma2,
                                        index_t num_rx);
 
+/// Radius for the next search attempt after attempt number `attempt`
+/// (0-based) found the sphere empty. Doubles the radius while that can help;
+/// switches to an unbounded radius when the radius is not finite and
+/// positive (zero or vanishing noise variance) or the doublings are used up,
+/// counting the switch in stats.radius_fallbacks. An unbounded sphere always
+/// reaches a leaf for finite inputs, so every search loop driven by this
+/// helper terminates.
+[[nodiscard]] double next_radius_sq(double radius_sq, int attempt,
+                                    DecodeStats& stats);
+
 /// The paper's tree-list structure (Fig. 3): an open list where each batch of
 /// children is inserted in PD-sorted order and nodes are popped LIFO, which
 /// yields depth-first descent that always follows the best child first

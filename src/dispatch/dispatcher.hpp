@@ -111,7 +111,7 @@ struct DispatchStats {
   /// decode runs, aggregated over the backend pool.
   std::uint64_t prep_hits = 0;
   std::uint64_t prep_misses = 0;
-  std::uint64_t fused_runs = 0;    ///< decode_batch_with calls covering >= 2 frames
+  std::uint64_t fused_runs = 0;    ///< decode_wide calls covering >= 2 frames
   std::uint64_t fused_frames = 0;  ///< frames decoded inside fused runs
   std::vector<std::uint64_t> fused_width_counts;  ///< index = frames per run
   /// Wide-batch former activity across the pool: pops the former widened

@@ -259,12 +259,10 @@ FpgaRunReport FpgaPipeline::run(const Preprocessed& pre,
         std::max<std::uint64_t>(result.stats.peak_list_size, open.peak_size());
     report.mst_peak_nodes = std::max(report.mst_peak_nodes, mst.peak_level_count());
 
-    if (found_leaf || result.stats.node_budget_hit ||
-        search_opts.radius_policy == RadiusPolicy::kInfinite) {
+    if (found_leaf || result.stats.node_budget_hit || std::isinf(radius_sq)) {
       break;
     }
-    radius_sq *= 2.0;
-    SD_ASSERT(attempt < 64);
+    radius_sq = next_radius_sq(radius_sq, attempt, result.stats);
   }
 
   if (!found_leaf) {

@@ -160,38 +160,41 @@ TEST_F(AllocFree, QuantBfsCachedPrepDecodeIsAllocationFreeAfterWarmup) {
 TEST_F(AllocFree, BfsWideDecodeIsAllocationFreeAfterWarmup) {
   // The cross-lane former's product (DESIGN.md §16) is a wide run over
   // DISTINCT channels; once warm, the block-diagonal wide engine must hold
-  // the same zero-allocation contract as the single-frame paths.
+  // the same zero-allocation contract as the single-frame paths, under both
+  // arithmetic policies (their per-frame state is pooled alike).
   constexpr usize kWidth = 4;
-  SdGemmBfsDetector det(Constellation::get(Modulation::kQam16));
-  std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
-  std::vector<CVec> ys;
-  std::vector<DecodeResult> results(kWidth);
-  for (usize i = 0; i < kWidth; ++i) {
-    preps.push_back(det.preprocess(
-        ChannelHandle(testing::random_cmat(kM, kM, 9100 + static_cast<int>(i)))));
-    ys.push_back(testing::random_cvec(kM, 9200 + static_cast<int>(i)));
-  }
-  std::vector<Detector::WideItem> items(kWidth);
-  const auto run = [&] {
+  for (const BfsOptions& opts : {BfsOptions{}, BfsOptions{.quantized = true}}) {
+    SdGemmBfsDetector det(Constellation::get(Modulation::kQam16), opts);
+    std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
+    std::vector<CVec> ys;
+    std::vector<DecodeResult> results(kWidth);
     for (usize i = 0; i < kWidth; ++i) {
-      items[i] = {preps[i].get(), ys[i], kSigma2, &results[i]};
+      preps.push_back(det.preprocess(ChannelHandle(
+          testing::random_cmat(kM, kM, 9100 + static_cast<int>(i)))));
+      ys.push_back(testing::random_cvec(kM, 9200 + static_cast<int>(i)));
     }
-    det.decode_wide(items);
-  };
-  for (int warm = 0; warm < 3; ++warm) run();
-  const std::vector<DecodeResult> warm_results = results;
+    std::vector<Detector::WideItem> items(kWidth);
+    const auto run = [&] {
+      for (usize i = 0; i < kWidth; ++i) {
+        items[i] = {preps[i].get(), ys[i], kSigma2, &results[i]};
+      }
+      det.decode_wide(items);
+    };
+    for (int warm = 0; warm < 3; ++warm) run();
+    const std::vector<DecodeResult> warm_results = results;
 
-  const obs::AllocCounts before = obs::alloc_counts();
-  for (int rep = 0; rep < 10; ++rep) run();
-  const obs::AllocCounts after = obs::alloc_counts();
+    const obs::AllocCounts before = obs::alloc_counts();
+    for (int rep = 0; rep < 10; ++rep) run();
+    const obs::AllocCounts after = obs::alloc_counts();
 
-  EXPECT_EQ(after.allocations, before.allocations)
-      << "SD-GEMM-BFS/decode_wide: steady-state wide decode allocated ("
-      << (after.allocations - before.allocations) << " allocations over 10 "
-      << "wide runs)";
-  for (usize i = 0; i < kWidth; ++i) {
-    EXPECT_EQ(results[i].indices, warm_results[i].indices);
-    EXPECT_EQ(results[i].metric, warm_results[i].metric);
+    EXPECT_EQ(after.allocations, before.allocations)
+        << det.name() << "/decode_wide: steady-state wide decode allocated ("
+        << (after.allocations - before.allocations) << " allocations over 10 "
+        << "wide runs)";
+    for (usize i = 0; i < kWidth; ++i) {
+      EXPECT_EQ(results[i].indices, warm_results[i].indices) << det.name();
+      EXPECT_EQ(results[i].metric, warm_results[i].metric) << det.name();
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 //  (1) decode_with(preprocess(H), y) == decode_into(H, y) for every detector
 //      with a cacheable channel phase — the cached factorization is the same
 //      code on the same bytes, so results AND work counters match exactly.
-//  (2) decode_batch_with(prep, items) == sequential decode_with() per frame —
+//  (2) decode_wide(items sharing prep) == sequential decode_with() per frame —
 //      the fused BFS stacks B frames' frontier columns into one level GEMM,
 //      and each output column depends only on A and its own B-column, so
 //      fusion cannot change any frame's numbers.
@@ -163,11 +163,11 @@ void run_fused_equivalence(const BfsOptions& options, GemmKernel kernel,
       seq_det.decode_with(*prep, ys[i], kSigma2, expect[i]);
     }
     std::vector<DecodeResult> got(width);
-    std::vector<Detector::BatchItem> items;
+    std::vector<Detector::WideItem> items;
     for (usize i = 0; i < width; ++i) {
-      items.push_back({ys[i], kSigma2, &got[i]});
+      items.push_back({prep.get(), ys[i], kSigma2, &got[i]});
     }
-    fused_det.decode_batch_with(*prep, items);
+    fused_det.decode_wide(items);
     for (usize i = 0; i < width; ++i) {
       expect_bit_identical(expect[i], got[i],
                            label + " B=" + std::to_string(width) + " frame " +
@@ -218,9 +218,11 @@ TEST(CoherentBatch, BaseBatchLoopsDecodeWith) {
   for (usize i = 0; i < 3; ++i) seq.decode_with(*prep, ys[i], kSigma2, expect[i]);
 
   std::vector<DecodeResult> got(3);
-  std::vector<Detector::BatchItem> items;
-  for (usize i = 0; i < 3; ++i) items.push_back({ys[i], kSigma2, &got[i]});
-  batched.decode_batch_with(*prep, items);
+  std::vector<Detector::WideItem> items;
+  for (usize i = 0; i < 3; ++i) {
+    items.push_back({prep.get(), ys[i], kSigma2, &got[i]});
+  }
+  batched.decode_wide(items);
   for (usize i = 0; i < 3; ++i) {
     expect_bit_identical(expect[i], got[i], "kbest batch frame " +
                                                 std::to_string(i));

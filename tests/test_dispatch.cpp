@@ -650,7 +650,7 @@ TEST(DispatchCoherent, FusedRunsAreBitIdenticalAndAccounted) {
   // Pre-fill one lane with 4 coherence blocks of 8 frames sharing a handle,
   // then start it: every pop is one maximal same-channel run of 8, so the
   // fused path executes deterministically — one factorization per block, one
-  // decode_batch_with per pop.
+  // decode_wide per pop.
   constexpr usize kBlock = 8;
   constexpr usize kBlocks = 4;
   constexpr usize kFrames = kBlock * kBlocks;

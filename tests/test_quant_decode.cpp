@@ -103,11 +103,11 @@ TEST(QuantDecode, BatchFusedMatchesSequentialBitIdentically) {
   }
 
   std::vector<DecodeResult> fused(kFrames);
-  std::vector<Detector::BatchItem> items;
+  std::vector<Detector::WideItem> items;
   for (usize f = 0; f < kFrames; ++f) {
-    items.push_back({ys[f], kSigma2, &fused[f]});
+    items.push_back({prep.get(), ys[f], kSigma2, &fused[f]});
   }
-  det.decode_batch_with(*prep, items);
+  det.decode_wide(items);
 
   for (usize f = 0; f < kFrames; ++f) {
     expect_same_decode(fused[f], seq[f], "fused batch frame");

@@ -9,6 +9,8 @@
 
 #include "common/error.hpp"
 #include "core/sphere_decoder.hpp"
+#include "decode/sd_gemm_bfs.hpp"
+#include "linalg/gemm.hpp"
 #include "mimo/scenario.hpp"
 
 namespace sd {
@@ -113,6 +115,24 @@ TEST(Rectangular, UnderdeterminedIsRejectedEverywhere) {
         (void)make_detector(SystemConfig{8, 4, Modulation::kQam4}, spec),
         invalid_argument_error)
         << strategy_name(strat);
+  }
+}
+
+TEST(Rectangular, BfsRejectsMoreTransmitAntennasThanOneGemmPanel) {
+  // The BFS level engine issues single K-panel grouped products, so it
+  // accepts at most kGemmKc transmit antennas and rejects a wider channel
+  // up front, on the one-shot and the cached path alike.
+  const SystemConfig sys{kGemmKc + 1, kGemmKc + 2, Modulation::kQam4};
+  const Trial t = make_trial(sys, 10.0, 3);
+  for (const BfsOptions& opts : {BfsOptions{}, BfsOptions{.quantized = true}}) {
+    SdGemmBfsDetector det(Constellation::get(sys.modulation), opts);
+    EXPECT_THROW((void)det.decode(t.h, t.y, t.sigma2), invalid_argument_error)
+        << det.name();
+    const auto prep = det.preprocess(ChannelHandle(t.h));
+    DecodeResult out;
+    EXPECT_THROW(det.decode_with(*prep, t.y, t.sigma2, out),
+                 invalid_argument_error)
+        << det.name();
   }
 }
 
