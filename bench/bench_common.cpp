@@ -72,7 +72,16 @@ void run_time_figure(const TimeFigureConfig& cfg) {
 
   DecoderSpec cpu_spec;
   cpu_spec.sd.max_nodes = cfg.max_nodes;
-  auto cpu = make_detector(sys, cpu_spec);
+  auto cpu_row0 = make_detector(sys, cpu_spec);
+
+  // The paper-comparison CPU column runs the paper's CPU decoder, which
+  // multiplies the whole trailing k x k block of R per expansion. The default
+  // decoder forms only row 0 of that product, the row the PD reads: several
+  // times faster, and enough to flip Fig. 6's CPU-versus-FPGA ordering
+  // against a CPU the paper never measured. It gets its own column.
+  DecoderSpec paper_cpu_spec = cpu_spec;
+  paper_cpu_spec.sd.level_gemm = LevelGemm::kFull;
+  auto cpu = make_detector(sys, paper_cpu_spec);
 
   DecoderSpec base_spec = cpu_spec;
   base_spec.device = TargetDevice::kFpgaBaseline;
@@ -84,15 +93,19 @@ void run_time_figure(const TimeFigureConfig& cfg) {
 
   const std::vector<double> snrs = paper_snr_axis();
 
-  Table table({"SNR (dB)", "CPU (ms)", "FPGA-base (ms)", "FPGA-opt (ms)",
-               "opt vs CPU", "opt vs base", "mean nodes", "real-time"});
+  Table table({"SNR (dB)", "CPU (ms)", "CPU row-0 (ms)", "FPGA-base (ms)",
+               "FPGA-opt (ms)", "opt vs CPU", "opt vs base", "mean nodes",
+               "real-time"});
   bool any_budget_hit = false;
   for (double snr : snrs) {
     const SweepPoint p_cpu = runner.run_point(*cpu, snr);
+    const SweepPoint p_row0 = runner.run_point(*cpu_row0, snr);
     const SweepPoint p_base = runner.run_point(*fpga_base, snr);
     const SweepPoint p_opt = runner.run_point(*fpga_opt, snr);
-    any_budget_hit |= p_cpu.budget_hit || p_base.budget_hit || p_opt.budget_hit;
+    any_budget_hit |= p_cpu.budget_hit || p_row0.budget_hit ||
+                      p_base.budget_hit || p_opt.budget_hit;
     table.add_row({fmt(snr, 0), fmt(p_cpu.mean_seconds * 1e3, 3),
+                   fmt(p_row0.mean_seconds * 1e3, 3),
                    fmt(p_base.mean_seconds * 1e3, 3),
                    fmt(p_opt.mean_seconds * 1e3, 3),
                    fmt_factor(p_cpu.mean_seconds / p_opt.mean_seconds),
@@ -104,6 +117,7 @@ void run_time_figure(const TimeFigureConfig& cfg) {
           "time_vs_snr",
           {{"snr_db", snr},
            {"cpu_s", p_cpu.mean_seconds},
+           {"cpu_row0_s", p_row0.mean_seconds},
            {"fpga_base_s", p_base.mean_seconds},
            {"fpga_opt_s", p_opt.mean_seconds},
            {"opt_vs_cpu", p_cpu.mean_seconds / p_opt.mean_seconds},
@@ -115,7 +129,10 @@ void run_time_figure(const TimeFigureConfig& cfg) {
   print_table(table, "time_vs_snr");
   std::printf(
       "CPU times are measured wall-clock on this host (single core); FPGA "
-      "times are the cycle-model latency of the simulated U280 designs.\n");
+      "times are the cycle-model latency of the simulated U280 designs.\n"
+      "CPU is the paper's full-block GEMM decoder (the comparison the paper "
+      "makes); CPU row-0 is the default decoder, which forms only the row "
+      "of each product the PD reads.\n");
   if (any_budget_hit) {
     std::printf("NOTE: some decodes hit the %llu-node budget; their times are "
                 "lower bounds.\n",

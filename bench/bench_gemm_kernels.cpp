@@ -1,10 +1,11 @@
-// CPU GEMM kernel A/B microbenchmark: scalar vs split-complex SoA, plus the
-// opt-in row-0 level product, over the shapes the GEMM decoders actually
-// issue. The BFS detector's level-wide evaluation product is k x (f*p) x k
-// (k = remaining levels, f = frontier width, p = constellation order); the
-// LevelGemm::kRow0 mode shrinks that to 1 x (f*p) x k because the PD loop
-// only reads row 0. Both packed kernels are entered directly (no small-shape
-// dispatch), so this measures exactly what gemm_packed resolves to.
+// CPU GEMM kernel A/B microbenchmark: scalar vs split-complex SoA, full
+// block vs row 0, over the shapes the GEMM decoders issue. The paper's
+// level-wide evaluation product is k x (f*p) x k (k = remaining levels,
+// f = frontier width, p = constellation order); the decoders run only its
+// row 0, a 1 x (f*p) x k product, because the PD loop reads nothing else.
+// The full shape remains the paper's CPU baseline and the flop accounting.
+// Both packed kernels are entered directly (no small-shape dispatch), so
+// this measures exactly what gemm_packed resolves to.
 //
 // Emits BENCH_gemm_kernels.json; tools/validate_bench_json.py gates on the
 // SoA kernel not regressing against scalar at the three largest shapes.

@@ -116,8 +116,9 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
       const index_t k = m - a;  // trailing block size
       // Operands live in detector-owned scratch (reshape keeps capacity;
       // a_block rows are rewritten in full, s_mat / z fully overwritten).
-      // LevelGemm::kRow0 forms only row 0 of the product — the row the PD
-      // loop reads — with bit-identical values; see sphere_common.hpp.
+      // By default only row 0 of the product — the row the PD loop reads —
+      // is formed, with bit-identical values; kFull runs the paper's whole
+      // block (sphere_common.hpp). Either way the charge is the full block.
       const index_t zr = row0 ? 1 : k;
       CMat& a_block = scratch_.a_block;
       a_block.reshape(zr, k);
@@ -140,12 +141,7 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
       z.reshape(zr, p);
       gemm(Op::kNone, cplx{1, 0}, a_block, s_mat, cplx{0, 0}, z,
            scratch_.gemm_ws);
-      ++result.stats.gemm_calls;
-      result.stats.flops += gemm_flops(zr, p, k);
-      result.stats.bytes_touched +=
-          sizeof(cplx) * (static_cast<std::uint64_t>(zr) * k +
-                          static_cast<std::uint64_t>(k) * p +
-                          static_cast<std::uint64_t>(zr) * p);
+      charge_level_gemm(result.stats, p, k, LevelOperands::kComplexFloat);
       const cplx target = pre.ybar[static_cast<usize>(a)];
       for (index_t col = 0; col < p; ++col) {
         children[static_cast<usize>(col)] = {

@@ -82,30 +82,18 @@ struct SdGemmBfsDetector::Fp32Arith {
   void start(Frame&) {}
   void begin_attempt(Frame&) {}
 
-  /// Rows of the level product: in LevelGemm::kRow0 mode only row 0 — the
-  /// one the PD recursion reads — is formed, bit-identical to row 0 of the
-  /// full product; flop/byte charges then reflect the smaller product.
-  [[nodiscard]] index_t rows(index_t k) const {
-    return d.opts_.base.level_gemm == LevelGemm::kRow0 ? 1 : k;
-  }
-
-  /// One zr x k R row-block per distinct channel, side by side (full rows
-  /// rewritten, including the explicit lower-triangle zeros), and a k x cols
-  /// tree-state operand.
+  /// One 1 x k row of R per distinct channel, side by side: the level
+  /// product forms only row 0, the one the PD recursion reads, bit-identical
+  /// to row 0 of the paper's full block product. And a k x cols tree-state
+  /// operand.
   void begin_level(index_t a, index_t k, usize cols) {
-    const index_t zr = rows(k);
     d.s_mat_.reshape(k, static_cast<index_t>(cols));
     CMat& a_stack = d.a_stack_;
-    a_stack.reshape(zr, static_cast<index_t>(d.blocks_.size()) * k);
+    a_stack.reshape(1, static_cast<index_t>(d.blocks_.size()) * k);
     for (usize g = 0; g < d.blocks_.size(); ++g) {
       const CMat& r = d.blocks_[g]->pre.r;
       const index_t base = static_cast<index_t>(g) * k;
-      for (index_t r2 = 0; r2 < zr; ++r2) {
-        for (index_t t = 0; t < r2; ++t) a_stack(r2, base + t) = cplx{0, 0};
-        for (index_t t = r2; t < k; ++t) {
-          a_stack(r2, base + t) = r(a + r2, a + t);
-        }
-      }
+      for (index_t t = 0; t < k; ++t) a_stack(0, base + t) = r(a, a + t);
     }
   }
 
@@ -123,18 +111,13 @@ struct SdGemmBfsDetector::Fp32Arith {
   }
 
   void product(index_t k, usize cols) {
-    d.z_.reshape(rows(k), static_cast<index_t>(cols));
+    d.z_.reshape(1, static_cast<index_t>(cols));
     gemm_grouped(cplx{1, 0}, d.a_stack_, k, d.s_mat_, cplx{0, 0}, d.z_,
                  d.groups_, d.gemm_ws_);
   }
 
-  void charge(DecodeStats& stats, index_t cols, index_t k) const {
-    const index_t zr = rows(k);
-    stats.flops += gemm_flops(zr, cols, k);
-    stats.bytes_touched +=
-        sizeof(cplx) * (static_cast<std::uint64_t>(zr) * k +
-                        static_cast<std::uint64_t>(k) * cols +
-                        static_cast<std::uint64_t>(zr) * cols);
+  static void charge(DecodeStats& stats, index_t cols, index_t k) {
+    charge_level_gemm(stats, cols, k, LevelOperands::kComplexFloat);
   }
 
   /// What a frame's PD loop reads at one level: its target and row 0 of
@@ -248,11 +231,10 @@ struct SdGemmBfsDetector::I16Arith {
                                d.qz_im_, d.groups_);
   }
 
-  // flops are charged MAC-equivalent (same complex MAC count as the float
-  // product of this shape); bytes reflect the narrow operands.
+  /// The same full-block volume as the float policy (MAC-equivalent
+  /// flops), with bytes at the narrow operand widths.
   static void charge(DecodeStats& stats, index_t cols, index_t k) {
-    stats.flops += gemm_flops(1, cols, k);
-    stats.bytes_touched += quant::qgemm_bytes(1, cols, k);
+    charge_level_gemm(stats, cols, k, LevelOperands::kInt16);
     stats.quant_requants += static_cast<std::uint64_t>(cols);
   }
 
@@ -452,8 +434,7 @@ struct SdGemmBfsDetector::Engine {
         auto& [cur, next] = Arith::levels(*fr);
         const usize f = cur.size();
         const index_t cols = static_cast<index_t>(f) * p;
-        ++stats.gemm_calls;
-        arith.charge(stats, cols, k);
+        Arith::charge(stats, cols, k);
         stats.nodes_expanded += f;
         stats.nodes_generated += static_cast<std::uint64_t>(cols);
 

@@ -7,8 +7,22 @@
 #include "linalg/gemm.hpp"
 #include "linalg/ordering.hpp"
 #include "obs/trace.hpp"
+#include "quant/quant_gemm.hpp"
 
 namespace sd {
+
+void charge_level_gemm(DecodeStats& stats, index_t cols, index_t k,
+                       LevelOperands operands) {
+  ++stats.gemm_calls;
+  stats.flops += gemm_flops(k, cols, k);
+  if (operands == LevelOperands::kInt16) {
+    stats.bytes_touched += quant::qgemm_bytes(k, cols, k);
+    return;
+  }
+  const auto k64 = static_cast<std::uint64_t>(k);
+  stats.bytes_touched +=
+      sizeof(cplx) * (k64 * k64 + 2 * k64 * static_cast<std::uint64_t>(cols));
+}
 
 Preprocessed preprocess(const CMat& h, std::span<const cplx> y,
                         bool sorted_qr) {

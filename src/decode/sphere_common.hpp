@@ -22,21 +22,38 @@ enum class RadiusPolicy : std::uint8_t {
                ///< the BFS/GPU variant, which needs a finite radius to prune)
 };
 
-/// Shape of the per-level / per-expansion evaluation GEMM.
+/// Shape of Best-FS's per-expansion evaluation GEMM.
 ///
 /// The paper's formulation multiplies the FULL trailing k x k block of R by
 /// the tree-state matrix even though only row 0 of the product carries new
 /// information (the PD increment); the redundant rows are the regularity that
-/// makes the kernel accelerator-friendly, and the flop counts they generate
-/// feed the device timing models. kRow0 computes just that row — a 1 x k by
-/// k x cols product — cutting the arithmetic by a factor of k while producing
-/// bit-identical PDs (each output element's reduction is unchanged; see
-/// DESIGN.md). It is an opt-in CPU fast path: default stays kFull so the
-/// paper-fidelity flop accounting and every golden constant are untouched.
+/// makes the kernel accelerator-friendly. The CPU decoders form just that
+/// row — a 1 x k by k x cols product — which gives bit-identical PDs (each
+/// output element keeps its single-K-panel reduction; see DESIGN.md §11).
+/// kFull survives only as the paper's CPU baseline for the figure benches,
+/// which compare against the paper's CPU numbers; no spec key, server option
+/// or environment variable selects it. The BFS engine always forms row 0.
+/// Neither shape changes DecodeStats: charge_level_gemm() accounts the
+/// paper's full-block volume whatever ran.
 enum class LevelGemm : std::uint8_t {
-  kFull,  ///< full k x k trailing block product (paper-faithful; default)
-  kRow0   ///< only row 0 of the product (CPU fast path, same PDs bit-for-bit)
+  kRow0,  ///< only row 0 of the product (default)
+  kFull   ///< full k x k trailing block product (paper CPU baseline)
 };
+
+/// Operand widths of a level product, for its byte accounting.
+enum class LevelOperands : std::uint8_t {
+  kComplexFloat,  ///< complex float A/S/Z (the fp32 decoders)
+  kInt16          ///< int16 A/S, int32 Z (the quantized BFS policy)
+};
+
+/// Charges one level product over `cols` tree-state columns at trailing
+/// block size k: one GEMM call, and the flops and bytes of the paper's
+/// full k x cols x k block product (§III-A2), whatever shape actually ran.
+/// The counters are model inputs — golden constants, the Fig. 11 GPU model,
+/// perfbench's linalg.gemm_mflop_per_frame — so they describe the
+/// algorithm's product rather than the executed one.
+void charge_level_gemm(DecodeStats& stats, index_t cols, index_t k,
+                       LevelOperands operands);
 
 /// Options common to all tree-search detectors.
 struct SdOptions {
@@ -47,7 +64,7 @@ struct SdOptions {
   bool sorted_qr = false;         ///< use SQRD layer ordering (ablation)
   bool gemm_eval = true;          ///< batched GEMM child evaluation (paper)
                                   ///< vs scalar incremental (ablation)
-  LevelGemm level_gemm = LevelGemm::kFull;  ///< evaluation GEMM shape
+  LevelGemm level_gemm = LevelGemm::kRow0;  ///< Best-FS product shape
 };
 
 /// Result of detection preprocessing: the triangular system ybar = R s.

@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -273,7 +274,10 @@ WireDecoder::Next WireDecoder::parse_frame(const std::uint8_t* p, usize n,
   frame.deadline_s = get_f64(p + 20);
   frame.sigma2 = get_f64(p + 28);
   frame.channel_fp = get_u64(p + 36);
-  if (!(frame.deadline_s >= 0.0) || !(frame.sigma2 >= 0.0))
+  // A detector needs a positive, finite noise variance: sigma2 = 0 sends a
+  // noise-scaled radius to zero and an unbounded search to its frontier cap.
+  if (!(frame.deadline_s >= 0.0) || !(frame.sigma2 > 0.0) ||
+      !std::isfinite(frame.sigma2))
     return fail(WireError::kBadField);  // also rejects NaN
 
   const usize h_bytes = frame.has_channel
@@ -288,7 +292,11 @@ WireDecoder::Next WireDecoder::parse_frame(const std::uint8_t* p, usize n,
     frame.h.reshape(rows, cols);
     for (index_t r = 0; r < rows; ++r) {
       for (index_t c = 0; c < cols; ++c) {
-        frame.h(r, c) = cplx(get_f32(q), get_f32(q + 4));
+        const float re = get_f32(q);
+        const float im = get_f32(q + 4);
+        if (!std::isfinite(re) || !std::isfinite(im))
+          return fail(WireError::kBadField);
+        frame.h(r, c) = cplx(re, im);
         q += 8;
       }
     }
@@ -302,7 +310,11 @@ WireDecoder::Next WireDecoder::parse_frame(const std::uint8_t* p, usize n,
   }
   frame.y.resize(rows);
   for (std::uint16_t r = 0; r < rows; ++r) {
-    frame.y[r] = cplx(get_f32(q), get_f32(q + 4));
+    const float re = get_f32(q);
+    const float im = get_f32(q + 4);
+    if (!std::isfinite(re) || !std::isfinite(im))
+      return fail(WireError::kBadField);
+    frame.y[r] = cplx(re, im);
     q += 8;
   }
   return Next::kFrame;

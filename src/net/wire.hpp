@@ -58,7 +58,9 @@ enum class WireError : std::uint8_t {
   kBadMagic,
   kBadVersion,
   kBadType,
-  kBadField,             ///< out-of-range qos / flags / dimensions
+  kBadField,             ///< out-of-range qos / flags / dimensions, a
+                         ///< sigma2 that is not finite and positive, or a
+                         ///< non-finite H or y entry
   kBadLength,            ///< length inconsistent with the declared payload
   kFingerprintMismatch,  ///< channel bytes do not hash to the declared fp
 };

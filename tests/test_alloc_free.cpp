@@ -86,11 +86,11 @@ TEST_F(AllocFree, BestFsDecodeIsAllocationFreeAfterWarmup) {
   expect_steady_state_alloc_free(det, "SD-GEMM-BestFS");
 }
 
-TEST_F(AllocFree, BestFsRow0DecodeIsAllocationFreeAfterWarmup) {
+TEST_F(AllocFree, BestFsFullDecodeIsAllocationFreeAfterWarmup) {
   SdOptions opts;
-  opts.level_gemm = LevelGemm::kRow0;
+  opts.level_gemm = LevelGemm::kFull;
   SdGemmDetector det(Constellation::get(Modulation::kQam16), opts);
-  expect_steady_state_alloc_free(det, "SD-GEMM-BestFS/row0");
+  expect_steady_state_alloc_free(det, "SD-GEMM-BestFS/full");
 }
 
 TEST_F(AllocFree, BfsDecodeIsAllocationFreeAfterWarmup) {

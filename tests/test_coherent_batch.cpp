@@ -30,14 +30,20 @@ namespace {
 constexpr index_t kM = 6;
 constexpr double kSigma2 = 0.08;
 
-void expect_bit_identical(const DecodeResult& a, const DecodeResult& b,
-                          const std::string& what) {
+/// Indices, symbols and metric.
+void expect_same_answer(const DecodeResult& a, const DecodeResult& b,
+                        const std::string& what) {
   EXPECT_EQ(a.indices, b.indices) << what;
   ASSERT_EQ(a.symbols.size(), b.symbols.size()) << what;
   for (usize i = 0; i < a.symbols.size(); ++i) {
     EXPECT_EQ(a.symbols[i], b.symbols[i]) << what << " symbol " << i;
   }
   EXPECT_EQ(a.metric, b.metric) << what;
+}
+
+void expect_bit_identical(const DecodeResult& a, const DecodeResult& b,
+                          const std::string& what) {
+  expect_same_answer(a, b, what);
   // Every work counter except the measured *_seconds wall times.
   EXPECT_EQ(a.stats.nodes_expanded, b.stats.nodes_expanded) << what;
   EXPECT_EQ(a.stats.nodes_generated, b.stats.nodes_generated) << what;
@@ -59,13 +65,16 @@ struct NamedDetector {
   std::string label;
   std::unique_ptr<Detector> det;      // drives decode_with (warm)
   std::unique_ptr<Detector> oneshot;  // drives decode_into (fresh)
+  // Several workers share one radius, so the pruning counters depend on
+  // thread timing; only the answer is deterministic.
+  bool timing_dependent_counters = false;
 };
 
 std::vector<NamedDetector> detector_zoo() {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   std::vector<NamedDetector> zoo;
-  auto add = [&zoo](std::string label, auto make) {
-    zoo.push_back({std::move(label), make(), make()});
+  auto add = [&zoo](std::string label, auto make, bool timing = false) {
+    zoo.push_back({std::move(label), make(), make(), timing});
   };
   add("bestfs", [&c] { return std::make_unique<SdGemmDetector>(c); });
   add("bestfs-sorted", [&c] {
@@ -78,26 +87,29 @@ std::vector<NamedDetector> detector_zoo() {
     o.gemm_eval = false;
     return std::make_unique<SdGemmDetector>(c, o);
   });
-  add("bestfs-row0", [&c] {
+  add("bestfs-full", [&c] {
     SdOptions o;
-    o.level_gemm = LevelGemm::kRow0;
+    o.level_gemm = LevelGemm::kFull;
     return std::make_unique<SdGemmDetector>(c, o);
   });
   add("bfs", [&c] { return std::make_unique<SdGemmBfsDetector>(c); });
-  add("bfs-row0", [&c] {
-    BfsOptions o;
-    o.base.level_gemm = LevelGemm::kRow0;
-    return std::make_unique<SdGemmBfsDetector>(c, o);
-  });
   add("kbest", [&c] { return std::make_unique<KBestDetector>(c); });
   add("zf", [&c] {
     return std::make_unique<LinearDetector>(LinearKind::kZf, c);
   });
   add("multipe", [&c] {
     ParallelSdOptions o;
-    o.num_threads = 2;
+    o.num_threads = 1;
     return std::make_unique<ParallelSdDetector>(c, o);
   });
+  add(
+      "multipe-2t",
+      [&c] {
+        ParallelSdOptions o;
+        o.num_threads = 2;
+        return std::make_unique<ParallelSdDetector>(c, o);
+      },
+      true);
   return zoo;
 }
 
@@ -113,8 +125,12 @@ TEST(CoherentBatch, CachedPrepMatchesOneShotForEveryDetector) {
       nd.oneshot->decode_into(channel.matrix(), y, kSigma2, expect);
       DecodeResult got;
       nd.det->decode_with(*prep, y, kSigma2, got);
-      expect_bit_identical(expect, got, nd.label + " frame " +
-                                            std::to_string(f));
+      const std::string what = nd.label + " frame " + std::to_string(f);
+      if (nd.timing_dependent_counters) {
+        expect_same_answer(expect, got, what);
+      } else {
+        expect_bit_identical(expect, got, what);
+      }
     }
   }
 }
@@ -179,12 +195,6 @@ void run_fused_equivalence(const BfsOptions& options, GemmKernel kernel,
 
 TEST(CoherentBatch, FusedBfsMatchesSequential) {
   run_fused_equivalence(BfsOptions{}, GemmKernel::kAuto, "bfs");
-}
-
-TEST(CoherentBatch, FusedBfsRow0MatchesSequential) {
-  BfsOptions o;
-  o.base.level_gemm = LevelGemm::kRow0;
-  run_fused_equivalence(o, GemmKernel::kAuto, "bfs-row0");
 }
 
 TEST(CoherentBatch, FusedBfsSortedQrMatchesSequential) {
@@ -275,12 +285,6 @@ void run_wide_equivalence(const BfsOptions& options, GemmKernel kernel,
 
 TEST(WideBatch, WideBfsMatchesSequentialAcrossChannels) {
   run_wide_equivalence(BfsOptions{}, GemmKernel::kAuto, "wide");
-}
-
-TEST(WideBatch, WideBfsRow0MatchesSequential) {
-  BfsOptions o;
-  o.base.level_gemm = LevelGemm::kRow0;
-  run_wide_equivalence(o, GemmKernel::kAuto, "wide-row0");
 }
 
 TEST(WideBatch, WideBfsSortedQrMatchesSequential) {
@@ -410,13 +414,8 @@ TEST(WideBatch, DefaultDecodeWideLoopsDecodeWithAcrossZoo) {
     nd.oneshot->decode_wide(items);
     for (usize i = 0; i < 3; ++i) {
       const std::string what = nd.label + " wide frame " + std::to_string(i);
-      if (nd.label == "multipe") {
-        EXPECT_EQ(expect[i].indices, got[i].indices) << what;
-        ASSERT_EQ(expect[i].symbols.size(), got[i].symbols.size()) << what;
-        for (usize s = 0; s < expect[i].symbols.size(); ++s) {
-          EXPECT_EQ(expect[i].symbols[s], got[i].symbols[s]) << what;
-        }
-        EXPECT_EQ(expect[i].metric, got[i].metric) << what;
+      if (nd.label.starts_with("multipe")) {
+        expect_same_answer(expect[i], got[i], what);
         EXPECT_EQ(expect[i].stats.tree_levels, got[i].stats.tree_levels)
             << what;
         continue;

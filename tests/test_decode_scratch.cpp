@@ -5,8 +5,9 @@
 // safe: (1) a warm detector produces bit-identical results to a fresh one —
 // on the same problem, on different problems in sequence, and across problem
 // SHAPE changes (which exercise the Mat::reshape and MST-rebuild paths);
-// (2) LevelGemm::kRow0 — the opt-in 1 x k evaluation product — matches the
-// full k x k product decode bit-for-bit while charging fewer flops.
+// (2) the default 1 x k evaluation product (row 0 only) matches the paper's
+// full k x k product decode bit-for-bit, and charges the same full-block
+// flops and bytes.
 //
 // The ScratchIsolation suite drives concurrent per-thread detector clones
 // and runs under the TSan CI job.
@@ -23,6 +24,10 @@ namespace sd {
 namespace {
 
 constexpr double kSigma2 = 0.08;
+// Sums of DecodeStats::flops / bytes_touched over Row0MatchesFullLevelGemmBfs's
+// 12 seeded decodes, as charged by the full k x k block product.
+constexpr std::uint64_t kBfsFullShapeFlops = 1613440;
+constexpr std::uint64_t kBfsFullShapeBytes = 670208;
 
 void expect_same_result(const DecodeResult& a, const DecodeResult& b,
                         const char* what) {
@@ -93,36 +98,47 @@ TEST(DecodeScratch, ShapeChangesRecycleCleanly) {
 
 TEST(DecodeScratch, Row0MatchesFullLevelGemmBestFs) {
   const Constellation& c = Constellation::get(Modulation::kQam16);
-  SdOptions row0_opts;
-  row0_opts.level_gemm = LevelGemm::kRow0;
-  SdGemmDetector full(c);
-  SdGemmDetector row0(c, row0_opts);
+  SdOptions full_opts;
+  full_opts.level_gemm = LevelGemm::kFull;
+  SdGemmDetector full(c, full_opts);
+  SdGemmDetector row0(c);
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
     const CMat h = testing::random_cmat(6, 6, 500 + trial);
     const CVec y = testing::random_cvec(6, 600 + trial);
     const DecodeResult rf = full.decode(h, y, kSigma2);
     const DecodeResult r0 = row0.decode(h, y, kSigma2);
     expect_same_result(rf, r0, "row0 Best-FS");
-    // Same GEMM count, strictly less arithmetic: only row 0 is formed.
-    EXPECT_LT(r0.stats.flops, rf.stats.flops);
-    EXPECT_LT(r0.stats.bytes_touched, rf.stats.bytes_touched);
+    // Both shapes charge the paper's full-block volume.
+    EXPECT_EQ(r0.stats.flops, rf.stats.flops);
+    EXPECT_EQ(r0.stats.bytes_touched, rf.stats.bytes_touched);
   }
 }
 
 TEST(DecodeScratch, Row0MatchesFullLevelGemmBfs) {
+  // The BFS engine forms only row 0. Its answer PD must equal the full-block
+  // Best-FS one bit for bit (both are the ML point inside the sphere, and
+  // each PD increment is the same single-panel reduction), and its charges
+  // must be the full-block volume: the sums below were recorded from the
+  // engine when it still formed the whole k x k block.
   const Constellation& c = Constellation::get(Modulation::kQam4);
-  BfsOptions row0_opts;
-  row0_opts.base.level_gemm = LevelGemm::kRow0;
-  SdGemmBfsDetector full(c);
-  SdGemmBfsDetector row0(c, row0_opts);
+  SdOptions full_opts;
+  full_opts.level_gemm = LevelGemm::kFull;
+  SdGemmDetector full_bestfs(c, full_opts);
+  SdGemmBfsDetector bfs(c);
+  std::uint64_t flops = 0;
+  std::uint64_t bytes = 0;
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
     const CMat h = testing::random_cmat(6, 6, 700 + trial);
     const CVec y = testing::random_cvec(6, 800 + trial);
-    const DecodeResult rf = full.decode(h, y, kSigma2);
-    const DecodeResult r0 = row0.decode(h, y, kSigma2);
-    expect_same_result(rf, r0, "row0 BFS");
-    EXPECT_LT(r0.stats.flops, rf.stats.flops);
+    const DecodeResult rf = full_bestfs.decode(h, y, kSigma2);
+    const DecodeResult r0 = bfs.decode(h, y, kSigma2);
+    EXPECT_EQ(rf.indices, r0.indices) << "trial " << trial;
+    EXPECT_EQ(rf.metric, r0.metric) << "trial " << trial;
+    flops += r0.stats.flops;
+    bytes += r0.stats.bytes_touched;
   }
+  EXPECT_EQ(flops, kBfsFullShapeFlops);
+  EXPECT_EQ(bytes, kBfsFullShapeBytes);
 }
 
 // Runs in the TSan CI job: per-thread detector clones share NOTHING, so

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "test_util.hpp"
 
@@ -164,6 +166,95 @@ TEST(GemmKernelSelection, ForcedSoaDegradesToScalarWhenUnavailable) {
     CMat c(2, 2);
     EXPECT_THROW(gemm_packed_soa(Op::kNone, cplx{1, 0}, a, b, cplx{0, 0}, c),
                  invalid_argument_error);
+  }
+}
+
+/// Upper-triangular k x k block, the shape of a trailing block of R.
+CMat random_r_block(index_t k, std::uint64_t seed) {
+  CMat r = testing::random_cmat(k, k, seed);
+  for (index_t i = 0; i < k; ++i) {
+    for (index_t j = 0; j < i; ++j) r(i, j) = cplx{0, 0};
+  }
+  return r;
+}
+
+CMat row0_of(const CMat& a) {
+  CMat row(1, a.cols());
+  for (index_t c = 0; c < a.cols(); ++c) row(0, c) = a(0, c);
+  return row;
+}
+
+/// The kernels a test can force on this build/CPU.
+std::vector<GemmKernel> forceable_kernels() {
+  std::vector<GemmKernel> kernels{GemmKernel::kScalar};
+  if (gemm_soa_available()) kernels.push_back(GemmKernel::kSoa);
+  return kernels;
+}
+
+// The decoders form only row 0 of each level product (DESIGN.md §11). That
+// is exact only if row 0 of a 1 x k product has the bits of row 0 of the
+// paper's full k x k product: each output element's reduction must not
+// depend on how many rows the product has. Pinned for both kernels, for the
+// grouped level kernel up to one K panel (its limit, and BFS's), and for
+// gemm() past one panel, which Best-FS reaches above 128 antennas.
+TEST(LevelRow0, OneRowProductMatchesRowZeroOfTheFullBlock) {
+  KernelGuard guard;
+  constexpr index_t kCols = 4 * 37;  // crosses kGemmNc and SIMD remainders
+  std::uint64_t seed = 8101;
+  for (const GemmKernel kernel : forceable_kernels()) {
+    set_gemm_kernel_override(kernel);
+    for (const index_t k : {1, 2, 10, 64, 128, 129, 200}) {
+      const CMat r = random_r_block(k, seed++);
+      const CMat s = testing::random_cmat(k, kCols, seed++);
+      CMat full(k, kCols);
+      gemm(Op::kNone, cplx{1, 0}, r, s, cplx{0, 0}, full);
+      CMat one(1, kCols);
+      gemm(Op::kNone, cplx{1, 0}, row0_of(r), s, cplx{0, 0}, one);
+      ASSERT_NO_FATAL_FAILURE(expect_bitwise_equal(row0_of(full), one, "gemm"))
+          << "k=" << k << " kernel=" << static_cast<int>(kernel);
+    }
+  }
+}
+
+TEST(LevelRow0, OneRowGroupedProductMatchesRowZeroOfEachFullBlock) {
+  KernelGuard guard;
+  const index_t cols[] = {4 * 3, 4 * 37};  // one narrow, one wide group
+  std::uint64_t seed = 8201;
+  for (const GemmKernel kernel : forceable_kernels()) {
+    set_gemm_kernel_override(kernel);
+    for (const index_t k : {1, 2, 10, 64, 128}) {
+      // Two channels side by side: a_stack = [R1 | R2], B = [S1 | S2].
+      const CMat r1 = random_r_block(k, seed++);
+      const CMat r2 = random_r_block(k, seed++);
+      const CMat s1 = testing::random_cmat(k, cols[0], seed++);
+      const CMat s2 = testing::random_cmat(k, cols[1], seed++);
+      CMat a_stack(1, 2 * k);
+      CMat b(k, cols[0] + cols[1]);
+      for (index_t t = 0; t < k; ++t) {
+        a_stack(0, t) = r1(0, t);
+        a_stack(0, k + t) = r2(0, t);
+        for (index_t c = 0; c < cols[0]; ++c) b(t, c) = s1(t, c);
+        for (index_t c = 0; c < cols[1]; ++c) b(t, cols[0] + c) = s2(t, c);
+      }
+      const GemmGroup groups[] = {{0, 0, cols[0]}, {k, cols[0], cols[1]}};
+      CMat z(1, cols[0] + cols[1]);
+      gemm_grouped(cplx{1, 0}, a_stack, k, b, cplx{0, 0}, z, groups);
+
+      CMat full1(k, cols[0]);
+      CMat full2(k, cols[1]);
+      gemm(Op::kNone, cplx{1, 0}, r1, s1, cplx{0, 0}, full1);
+      gemm(Op::kNone, cplx{1, 0}, r2, s2, cplx{0, 0}, full2);
+      for (index_t c = 0; c < cols[0]; ++c) {
+        ASSERT_EQ(z(0, c), full1(0, c))
+            << "group 0 col " << c << " k=" << k
+            << " kernel=" << static_cast<int>(kernel);
+      }
+      for (index_t c = 0; c < cols[1]; ++c) {
+        ASSERT_EQ(z(0, cols[0] + c), full2(0, c))
+            << "group 1 col " << c << " k=" << k
+            << " kernel=" << static_cast<int>(kernel);
+      }
+    }
   }
 }
 

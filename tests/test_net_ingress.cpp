@@ -12,10 +12,12 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/spec_parse.hpp"
@@ -209,6 +211,69 @@ TEST(NetIngress, MalformedBytesDropTheConnectionNotTheServer) {
   EXPECT_GE(ns.protocol_errors, 1u);
   EXPECT_GE(ns.connections_dropped, 1u);
   EXPECT_EQ(ns.responses_tx, kFrames);
+}
+
+// A frame no detector can answer in bounded work (sigma2 = 0, a NaN sample,
+// an infinite channel entry) is refused at the wire and drops only its own
+// connection. A well-formed client that stays connected throughout keeps
+// getting answers bit-identical to direct decodes.
+TEST(NetIngress, HostileFrameDropsOnlyItsOwnConnection) {
+  const std::string uds = test_uds_path("hostile");
+  IngressOptions io;
+  io.uds_path = uds;
+  Harness h(default_shards(1), io);
+  constexpr usize kFrames = 32;
+  const std::vector<Trial> trials = make_trials(2 * kFrames, 1, 43);
+  const auto reference =
+      make_detector(test_system(), parse_decoder_spec("sphere"));
+  NetClient good = NetClient::connect_uds(uds);
+
+  auto serve_half = [&](usize first) {
+    const std::vector<Trial> half(
+        trials.begin() + static_cast<std::ptrdiff_t>(first),
+        trials.begin() + static_cast<std::ptrdiff_t>(first + kFrames));
+    const auto responses = stream_frames(good, half, 1);
+    ASSERT_EQ(responses.size(), kFrames);
+    for (usize i = 0; i < kFrames; ++i) {
+      const Trial& t = half[i];
+      const DecodeResult expect = reference->decode(t.h, t.y, t.sigma2);
+      const WireResponse& r = responses.at(i);
+      ASSERT_EQ(r.status, WireFrameStatus::kCompleted) << "frame " << first + i;
+      EXPECT_EQ(r.indices, expect.indices) << "frame " << first + i;
+      EXPECT_EQ(r.metric, expect.metric) << "frame " << first + i;
+    }
+  };
+  serve_half(0);
+
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::pair<const char*, void (*)(WireFrame&)> hostile[] = {
+      {"sigma2 = 0", [](WireFrame& f) { f.sigma2 = 0.0; }},
+      {"NaN y", [](WireFrame& f) { f.y[2] = cplx{0, nan}; }},
+      {"inf H", [](WireFrame& f) { f.h(1, 1) = cplx{inf, 0}; }},
+  };
+  for (const auto& [what, spoil] : hostile) {
+    NetClient bad = NetClient::connect_uds(uds);
+    WireFrame wf;
+    wf.sigma2 = trials[0].sigma2;
+    wf.y = trials[0].y;
+    wf.has_channel = true;
+    wf.h = trials[0].h;
+    spoil(wf);
+    wf.channel_fp = channel_fingerprint(wf.h);
+    ASSERT_TRUE(bad.send(wf)) << what;
+    WireResponse resp;
+    EXPECT_FALSE(bad.recv(resp)) << what;  // server answers by closing
+  }
+
+  serve_half(kFrames);
+  h.ingress.stop();
+  h.shards.drain();
+  const NetStats ns = h.ingress.stats();
+  EXPECT_EQ(ns.protocol_errors, 3u);
+  EXPECT_EQ(ns.connections_dropped, 3u);
+  EXPECT_EQ(ns.responses_tx, 2 * kFrames);
+  EXPECT_EQ(h.shards.global_metrics().completed, 2 * kFrames);
 }
 
 // Referencing a fingerprint never sent on this connection is a protocol

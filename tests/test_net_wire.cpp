@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "decode/channel_prep.hpp"
@@ -297,6 +298,63 @@ TEST(NetWire, NaNDeadlineIsBadField) {
   WireResponse resp;
   ASSERT_EQ(decode_one(bytes, frame, resp, dec), WireDecoder::Next::kError);
   EXPECT_EQ(dec.error(), WireError::kBadField);
+}
+
+/// Encodes `f` and expects the decoder to poison itself with kBadField.
+void expect_bad_field(const WireFrame& f, const char* what) {
+  WireDecoder dec;
+  WireFrame frame;
+  WireResponse resp;
+  ASSERT_EQ(decode_one(encode(f), frame, resp, dec), WireDecoder::Next::kError)
+      << what;
+  EXPECT_EQ(dec.error(), WireError::kBadField) << what;
+}
+
+TEST(NetWire, Sigma2ThatIsNotFiniteAndPositiveIsBadField) {
+  const Trial t = make_trial();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double s2 : {0.0, -0.0, -1.0, -inf, inf,
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    WireFrame f = make_frame(t);
+    f.sigma2 = s2;
+    expect_bad_field(f, std::to_string(s2).c_str());
+  }
+  // The smallest positive variance is still a valid frame.
+  WireFrame f = make_frame(t);
+  f.sigma2 = std::numeric_limits<double>::denorm_min();
+  WireDecoder dec;
+  WireFrame got;
+  WireResponse resp;
+  ASSERT_EQ(decode_one(encode(f), got, resp, dec), WireDecoder::Next::kFrame);
+  EXPECT_EQ(got.sigma2, f.sigma2);
+}
+
+TEST(NetWire, NonFiniteChannelEntryIsBadField) {
+  const Trial t = make_trial();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const cplx bad : {cplx{nan, 0}, cplx{0, nan}, cplx{inf, 0},
+                         cplx{0, -inf}}) {
+    WireFrame f = make_frame(t);
+    f.h(kM - 1, 2) = bad;
+    // An honest fingerprint: the value, not the hash, is what is wrong.
+    f.channel_fp = channel_fingerprint(f.h);
+    expect_bad_field(f, "H");
+  }
+}
+
+TEST(NetWire, NonFiniteReceivedSampleIsBadField) {
+  const Trial t = make_trial();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const bool with_channel : {true, false}) {
+    for (const cplx bad : {cplx{nan, 0}, cplx{0, inf}, cplx{-inf, 0}}) {
+      WireFrame f = make_frame(t, with_channel);
+      if (!with_channel) f.h = t.h;  // gives the encoder the real cols
+      f.y[1] = bad;
+      expect_bad_field(f, with_channel ? "y with H" : "y, H elided");
+    }
+  }
 }
 
 TEST(NetWire, LengthInconsistentWithDimensionsIsBadLength) {

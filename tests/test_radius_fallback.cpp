@@ -24,8 +24,11 @@ namespace {
 
 constexpr index_t kM = 6;
 
+// The spec is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, and ctest's discovered test names would then
+// change on every build.
 class RadiusFallback
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(RadiusFallback, DegenerateNoiseVarianceStillAnswers) {
   const auto [spec, sigma2] = GetParam();
@@ -50,10 +53,13 @@ TEST_P(RadiusFallback, DegenerateNoiseVarianceStillAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(
     Detectors, RadiusFallback,
-    ::testing::Combine(::testing::Values("bfs", "bfs:precision=int16",
-                                         "sphere:alpha=2", "dfs:alpha=2",
-                                         "sphere@fpga:alpha=2"),
-                       ::testing::Values(0.0, 1e-300)));
+    ::testing::Combine(
+        ::testing::Values(std::string("bfs"),
+                          std::string("bfs:precision=int16"),
+                          std::string("sphere:alpha=2"),
+                          std::string("dfs:alpha=2"),
+                          std::string("sphere@fpga:alpha=2")),
+        ::testing::Values(0.0, 1e-300)));
 
 TEST(RadiusFallbackWide, ZeroNoiseFrameIsAnsweredAndOthersStayExact) {
   // One sigma2 = 0 frame among three good ones, each on its own channel:
