@@ -1,0 +1,219 @@
+// Pinned decode fingerprints for the level-product paths.
+//
+// Each case decodes a seeded frame set and folds every output bit that the
+// search determines into one 64-bit FNV-1a hash: the detected indices, the
+// metric's bits and every DecodeStats counter (the *_seconds timings are
+// measurements and stay out). The expected hashes were recorded from the
+// staged-GEMM implementation of the level product, so any change to how the
+// level product is formed must reproduce that implementation bit for bit —
+// PDs, prune decisions, NodeIds, truncation cuts and the accounting alike.
+//
+// Every case runs twice over the same frames: solo decode_with() calls and
+// width-8 decode_wide() runs. Both must give the pinned hash. The "coherent"
+// variant points each group of four frames at one shared prep, so the fused
+// BFS also sees frames that share a channel.
+//
+// To re-derive a constant after an intentional behaviour change, run the
+// suite and copy the "got" values from the failure messages.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cctype>
+#include <cstdint>
+#include <ostream>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/spec_parse.hpp"
+#include "core/sphere_decoder.hpp"
+#include "mimo/scenario.hpp"
+
+namespace sd {
+namespace {
+
+/// FNV-1a over the bytes of 64-bit words.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+void fold(Fnv& f, const DecodeResult& r) {
+  f.add(r.indices.size());
+  for (index_t idx : r.indices) f.add(static_cast<std::uint64_t>(idx));
+  f.add(std::bit_cast<std::uint64_t>(r.metric));
+  const DecodeStats& s = r.stats;
+  for (std::uint64_t v :
+       {s.nodes_expanded, s.nodes_generated, s.nodes_pruned, s.leaves_reached,
+        s.radius_updates, s.gemm_calls, s.flops, s.sort_ops, s.bytes_touched,
+        s.tree_levels, s.peak_list_size, s.quant_saturations,
+        s.quant_overflows, s.quant_requants, s.quant_fallbacks,
+        s.radius_fallbacks, s.neumann_terms, s.neumann_exact_solves,
+        s.neumann_fallbacks}) {
+    f.add(v);
+  }
+  f.add(s.node_budget_hit ? 1u : 0u);
+}
+
+struct Case {
+  std::string spec;
+  Modulation mod;
+  index_t m;
+  double snr_db;
+  bool zero_sigma2;      ///< decode with sigma2 = 0 (radius fallback)
+  std::uint64_t iid;     ///< pinned hash, one channel per frame
+  std::uint64_t coh;     ///< pinned hash, four frames per channel
+};
+
+constexpr usize kFrames = 16;
+constexpr usize kWidth = 8;
+constexpr usize kCoherence = 4;
+
+struct Hashes {
+  std::uint64_t solo;
+  std::uint64_t wide;
+};
+
+/// Decodes the frames solo and in width-kWidth runs; frame f uses prep
+/// `prep_of[f]` and its own y.
+Hashes decode_both(const Case& cs, const std::vector<Trial>& trials,
+                   const std::vector<usize>& prep_of) {
+  const SystemConfig sys{cs.m, cs.m, cs.mod};
+  const DecoderSpec spec = parse_decoder_spec(cs.spec);
+  auto solo = make_detector(sys, spec);
+  auto wide = make_detector(sys, spec);
+  std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
+  for (const Trial& t : trials) {
+    preps.push_back(solo->preprocess(ChannelHandle(t.h)));
+  }
+  auto sigma2_of = [&](usize f) {
+    return cs.zero_sigma2 ? 0.0 : trials[f].sigma2;
+  };
+
+  Fnv solo_hash;
+  DecodeResult r;
+  for (usize f = 0; f < trials.size(); ++f) {
+    solo->decode_with(*preps[prep_of[f]], trials[f].y, sigma2_of(f), r);
+    fold(solo_hash, r);
+  }
+
+  Fnv wide_hash;
+  std::vector<DecodeResult> outs(kWidth);
+  std::vector<Detector::WideItem> items;
+  for (usize base = 0; base < trials.size(); base += kWidth) {
+    items.clear();
+    for (usize j = 0; j < kWidth; ++j) {
+      const usize f = base + j;
+      items.push_back({preps[prep_of[f]].get(), trials[f].y, sigma2_of(f),
+                       &outs[j]});
+    }
+    wide->decode_wide(items);
+    for (const DecodeResult& o : outs) fold(wide_hash, o);
+  }
+  return {solo_hash.h, wide_hash.h};
+}
+
+class DecodePinned : public ::testing::TestWithParam<Case> {};
+
+TEST_P(DecodePinned, SoloAndWideMatchPinnedHash) {
+  const Case& cs = GetParam();
+  ScenarioConfig sc;
+  sc.num_tx = cs.m;
+  sc.num_rx = cs.m;
+  sc.modulation = cs.mod;
+  sc.snr_db = cs.snr_db;
+  sc.seed = 20260 + static_cast<std::uint64_t>(cs.m);
+  Scenario scenario(sc);
+  std::vector<Trial> trials;
+  for (usize f = 0; f < kFrames; ++f) trials.push_back(scenario.next());
+
+  std::vector<usize> iid(kFrames);
+  std::vector<usize> coh(kFrames);
+  for (usize f = 0; f < kFrames; ++f) {
+    iid[f] = f;
+    coh[f] = f - f % kCoherence;
+  }
+
+  const Hashes got_iid = decode_both(cs, trials, iid);
+  EXPECT_EQ(got_iid.solo, cs.iid) << "solo i.i.d. got 0x" << std::hex
+                                  << got_iid.solo;
+  EXPECT_EQ(got_iid.wide, cs.iid) << "wide i.i.d. got 0x" << std::hex
+                                  << got_iid.wide;
+  const Hashes got_coh = decode_both(cs, trials, coh);
+  EXPECT_EQ(got_coh.solo, cs.coh) << "solo coherent got 0x" << std::hex
+                                  << got_coh.solo;
+  EXPECT_EQ(got_coh.wide, cs.coh) << "wide coherent got 0x" << std::hex
+                                  << got_coh.wide;
+}
+
+std::string case_label(const Case& cs) {
+  std::string name = cs.spec + "_" + std::string(modulation_name(cs.mod)) +
+                     "_m" + std::to_string(cs.m) + "_" +
+                     std::to_string(static_cast<int>(cs.snr_db)) + "dB";
+  if (cs.zero_sigma2) name += "_sigma0";
+  for (char& ch : name) {
+    if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+  }
+  return name;
+}
+
+// gtest prints a failing parameter with this instead of its raw bytes.
+void PrintTo(const Case& cs, std::ostream* os) { *os << case_label(cs); }
+
+std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+  return case_label(info.param);
+}
+
+// clang-format off
+const Case kCases[] = {
+    {"sphere", Modulation::kQam4, 8, 4.0, false, 0xc6d48f1d666478b9ull, 0xaa1a79a8d4576e46ull},
+    {"sphere", Modulation::kQam4, 8, 8.0, false, 0xdc0847eff87b81c0ull, 0x8f72ce598d107dcull},
+    {"sphere", Modulation::kQam4, 8, 14.0, false, 0x6f29d91b14bcc4bfull, 0x69a71aced43a4732ull},
+    {"sphere", Modulation::kQam16, 4, 4.0, false, 0x2ad31794c6a5e92cull, 0xedd92562215e8b37ull},
+    {"sphere", Modulation::kQam16, 4, 8.0, false, 0xabdd3e2327c5455dull, 0x8c7c507e7f3263beull},
+    {"sphere", Modulation::kQam16, 4, 14.0, false, 0xf3a8860cc34fdebaull, 0xcceaab01e960a6adull},
+    {"sphere", Modulation::kQam64, 3, 4.0, false, 0x2b4af74a53b415b5ull, 0xc0b6e7f5b2e5d1b5ull},
+    {"sphere", Modulation::kQam64, 3, 8.0, false, 0x28a189d189d77c24ull, 0x55ce8e68235956eeull},
+    {"sphere", Modulation::kQam64, 3, 14.0, false, 0x4fe634cfb6543758ull, 0xc09c3b352759bc8aull},
+    {"bfs", Modulation::kQam4, 8, 4.0, false, 0x580557baaf398366ull, 0x24e2f8cd8c4d8855ull},
+    {"bfs", Modulation::kQam4, 8, 8.0, false, 0x8a473b307f0c1491ull, 0x85360f3de9b39313ull},
+    {"bfs", Modulation::kQam4, 8, 14.0, false, 0xeeac31b509012fddull, 0xd9fe98e6a6045f35ull},
+    {"bfs", Modulation::kQam16, 4, 4.0, false, 0xfd28ddc38920d66aull, 0x82ee42fe0a8c935cull},
+    {"bfs", Modulation::kQam16, 4, 8.0, false, 0x9c3e0fbd96ab0d06ull, 0x1302ec875ee95330ull},
+    {"bfs", Modulation::kQam16, 4, 14.0, false, 0x8a7dbba4c3c0e518ull, 0x102ae21dcc01523dull},
+    {"bfs", Modulation::kQam64, 3, 4.0, false, 0x347136c00cbb676aull, 0x8c6f0dc20b357dedull},
+    {"bfs", Modulation::kQam64, 3, 8.0, false, 0x5d3f2ee340ee9222ull, 0x9b4ed88c31205ecfull},
+    {"bfs", Modulation::kQam64, 3, 14.0, false, 0x78479e13bd096334ull, 0xcd375193eee79becull},
+    {"bfs:precision=int16", Modulation::kQam4, 8, 4.0, false, 0xd391236af89b0623ull, 0x1b13d37b2a5fcbc4ull},
+    {"bfs:precision=int16", Modulation::kQam4, 8, 8.0, false, 0x3df136c7979b7c3bull, 0xa4792b0214816985ull},
+    {"bfs:precision=int16", Modulation::kQam4, 8, 14.0, false, 0x402df20cbd78f06aull, 0x9099b457b07a2b70ull},
+    {"bfs:precision=int16", Modulation::kQam16, 4, 4.0, false, 0x938d9b31ff18b156ull, 0xe16914236992fe58ull},
+    {"bfs:precision=int16", Modulation::kQam16, 4, 8.0, false, 0x446303c2e552ccccull, 0xec125db6f87bf85aull},
+    {"bfs:precision=int16", Modulation::kQam16, 4, 14.0, false, 0xabf5d27d54e0497aull, 0x3acc80a91501f989ull},
+    {"bfs:precision=int16", Modulation::kQam64, 3, 4.0, false, 0x71024bbb6d65ce44ull, 0x4d1d96c2a6141d28ull},
+    {"bfs:precision=int16", Modulation::kQam64, 3, 8.0, false, 0x2ae45f23e02c0705ull, 0x8e93b37a08480bf0ull},
+    {"bfs:precision=int16", Modulation::kQam64, 3, 14.0, false, 0x512a4a1cfc6714aull, 0x4f260a14fd1f6ff6ull},
+    {"sphere", Modulation::kQam4, 16, 8.0, false, 0x33289899c88596beull, 0xef2817c871f3d1d6ull},
+    {"bfs", Modulation::kQam4, 12, 14.0, false, 0x3a79044baad86febull, 0x24ef5b9ae5c0f576ull},
+    {"bfs:precision=int16", Modulation::kQam4, 12, 14.0, false, 0x20da96fc3fdd8055ull, 0x62b65c73cc0bb7fcull},
+    {"bfs:frontier=16", Modulation::kQam4, 8, 4.0, false, 0xdd4ca14c780bea9cull, 0x5f0c0c33b4b16a1eull},
+    {"bfs:frontier=16", Modulation::kQam16, 4, 8.0, false, 0xdd4ba1fc23a86dd3ull, 0xe5f1828fe4f9dc86ull},
+    {"bfs:precision=int16,frontier=16", Modulation::kQam4, 8, 4.0, false, 0xf5bc390d064144a1ull, 0x3be9ead23c484327ull},
+    {"sphere:max-nodes=4", Modulation::kQam4, 8, 4.0, false, 0x4ccd8198e64d640dull, 0x3e90464775ea5166ull},
+    {"sphere:max-nodes=4", Modulation::kQam16, 4, 4.0, false, 0xfd9a1eeb7a62a838ull, 0xb38a2617fae39b30ull},
+    {"sphere:alpha=2", Modulation::kQam4, 8, 14.0, true, 0x71b5a72b3be0def0ull, 0x71ad3a2a7ed5a76cull},
+    {"bfs", Modulation::kQam4, 8, 14.0, true, 0x9f4da2d2c923356full, 0x39b2083921a2a660ull},
+    {"bfs:precision=int16", Modulation::kQam4, 8, 14.0, true, 0x8ed38dbf705e6886ull, 0xa0f9f14764582704ull},
+};
+// clang-format on
+
+INSTANTIATE_TEST_SUITE_P(Seeded, DecodePinned, ::testing::ValuesIn(kCases),
+                         case_name);
+
+}  // namespace
+}  // namespace sd
