@@ -17,7 +17,7 @@
 #include "decode/detector.hpp"
 #include "decode/sphere_common.hpp"
 #include "linalg/gemm.hpp"
-#include "quant/quant_gemm.hpp"
+#include "quant/quant_spec.hpp"
 
 namespace sd {
 
@@ -36,9 +36,9 @@ struct BfsOptions {
   bool quantized = false;
 };
 
-/// Every decode entry point feeds one lockstep level engine. Its level
-/// products are single K-panel grouped GEMMs, so the detector supports at
-/// most kGemmKc (128) transmit antennas; a wider channel is rejected with
+/// Every decode entry point feeds one level engine. The detector supports at
+/// most kGemmKc (128) transmit antennas, the depth of one K panel of the
+/// level GEMM it reproduces; a wider channel is rejected with
 /// sd::invalid_argument_error.
 class SdGemmBfsDetector final : public Detector {
  public:
@@ -75,54 +75,34 @@ class SdGemmBfsDetector final : public Detector {
   }
 
   /// Decode against a cached factorization; bit-identical to decode_into().
-  /// A width-1 decode_wide().
+  /// Multi-frame batches take the base decode_wide(), one frame after the
+  /// other: each frame's level products come from its own paths, so frames
+  /// share no work (DESIGN.md §14).
   void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
                    double sigma2, DecodeResult& out) override;
 
-  /// Fused multi-frame decode: the frames run the level-synchronous search
-  /// in LOCKSTEP, each level issuing ONE grouped block-diagonal product over
-  /// the distinct R blocks (DESIGN.md §14). Frames may share a prep (then
-  /// they share one block) or carry different channels. Frames whose prep
-  /// kind or dimension does not match are peeled up front; empty-frontier
-  /// restarts and operand-budget demotions finish alone at width 1.
-  /// Per-frame results and stats are bit-identical to sequential
-  /// decode_with() calls.
-  void decode_wide(std::span<WideItem> items) override;
-
   /// True if the last decode had to truncate a frontier (BER no longer
   /// guaranteed ML-optimal). After decode_wide() this reports the LAST frame
-  /// of the batch, matching a sequential loop over the frames.
+  /// of the batch.
   [[nodiscard]] bool last_truncated() const noexcept { return truncated_; }
 
  private:
-  // The level engine (sd_gemm_bfs.cpp): one lockstep loop over a set of
-  // frames, templated on the arithmetic policy — fp32 (complex staging,
-  // gemm_grouped, real PDs) or int16 (I16 planes, qgemm_level_grouped,
-  // requantize, int32 PDs). A single-frame decode is width 1 of it.
+  // The level engine (sd_gemm_bfs.cpp), templated on the arithmetic policy —
+  // fp32 (level_row0, real PDs) or int16 (exact int32 products, requantize,
+  // int32 PDs).
   struct Frame;      ///< per-frame inputs and search state
   struct Fp32Arith;  ///< float arithmetic policy
   struct I16Arith;   ///< fixed-point arithmetic policy
   template <class Arith>
-  struct Engine;     ///< lockstep loop, retry driver and harvest
+  struct Engine;     ///< level loop, retry driver and harvest
 
-  /// Decodes bound frames with the configured arithmetic policy.
-  void solve(std::span<Frame* const> frames);
+  /// Decodes the bound frame with the configured arithmetic policy.
+  void solve(Frame& frame);
 
   const Constellation* c_;
   BfsOptions opts_;
-  std::unique_ptr<Frame> solo_;                ///< decode_into
-  std::vector<std::unique_ptr<Frame>> pool_;   ///< decode_wide, one per item
-  std::vector<Frame*> frames_;                 ///< frames of the current solve
-  quant::QuantChannelPrep qlocal_;             ///< decode_into calibration
-
-  // Level staging, rebuilt per level and shared by all frames at that level.
-  std::vector<GemmGroup> groups_;  ///< one group per active frame
-  std::vector<Frame*> blocks_;     ///< R source of each distinct channel
-  CMat a_stack_, s_mat_, z_;       ///< fp32 R blocks, tree states, product
-  GemmWorkspace gemm_ws_;
-  quant::I16Mat qa_re_, qa_im_;    ///< int16 R planes
-  quant::I16Mat qs_ri_;            ///< interleaved int16 tree states
-  quant::I32Mat qz_re_, qz_im_;    ///< exact Q(2f) products
+  std::unique_ptr<Frame> frame_;
+  quant::QuantChannelPrep qlocal_;  ///< decode_into calibration
 
   bool truncated_ = false;
 };

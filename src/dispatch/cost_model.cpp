@@ -24,7 +24,12 @@ FrameFeatures FrameFeatures::extract(const CMat& h, double sigma2,
   double max_norm = 0.0;
   for (index_t c = 0; c < h.cols(); ++c) {
     double norm2 = 0.0;
-    for (index_t r = 0; r < h.rows(); ++r) norm2 += std::norm(h(r, c));
+    for (index_t r = 0; r < h.rows(); ++r) {
+      const double re = h(r, c).real();
+      const double im = h(r, c).imag();
+      norm2 += re * re + im * im;
+    }
+    f.finite_h = f.finite_h && std::isfinite(norm2);
     min_norm = std::min(min_norm, norm2);
     max_norm = std::max(max_norm, norm2);
   }

@@ -44,6 +44,10 @@ struct FrameFeatures {
   double sigma2 = 0.0;
   double snr_db = 0.0;      ///< derived from sigma2 and num_tx
   double cond_proxy = 1.0;  ///< max/min channel column norm, >= 1
+  /// Every H entry is finite. The column norms are summed in double from
+  /// exact squares of the float entries, so a norm is finite exactly when
+  /// its whole column is.
+  bool finite_h = true;
 
   /// O(N*M) scan of the channel estimate; no QR is performed.
   [[nodiscard]] static FrameFeatures extract(const CMat& h, double sigma2,

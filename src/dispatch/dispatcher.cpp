@@ -58,6 +58,7 @@ void DispatchStats::export_counters(obs::CounterRegistry& registry,
   registry.set(p + "former.runs", former_runs);
   registry.set(p + "former.gathered", former_gathered);
   registry.set(p + "former.empty", former_empty);
+  registry.set(p + "rejected.invalid", rejected_invalid);
 }
 
 namespace {
@@ -272,6 +273,16 @@ serve::SubmitStatus Dispatcher::submit(serve::FrameRequest frame) {
 
   const FrameFeatures f =
       FrameFeatures::extract(frame.h(), frame.sigma2, mod_order_);
+  const bool finite_y =
+      std::all_of(frame.y.begin(), frame.y.end(), [](const cplx& v) {
+        return std::isfinite(v.real()) && std::isfinite(v.imag());
+      });
+  if (!(frame.sigma2 > 0.0 && std::isfinite(frame.sigma2)) || !f.finite_h ||
+      !finite_y) {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    ++rejected_invalid_;
+    return serve::SubmitStatus::kInvalid;
+  }
   Placement p;
   {
     std::lock_guard<std::mutex> lock(place_mu_);
@@ -568,6 +579,7 @@ DispatchStats Dispatcher::stats() const {
   s.degraded_kbest = degraded_kbest_;
   s.degraded_mmse = degraded_mmse_;
   s.degraded_linear = degraded_linear_;
+  s.rejected_invalid = rejected_invalid_;
   s.predictions = predictions_;
   s.prediction_samples = prediction_samples_;
   s.mean_rel_error = prediction_samples_ > 0

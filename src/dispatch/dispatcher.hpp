@@ -121,6 +121,9 @@ struct DispatchStats {
   std::uint64_t former_runs = 0;
   std::uint64_t former_gathered = 0;
   std::uint64_t former_empty = 0;
+  /// Frames refused at submit as kInvalid (sigma2 not finite and positive, a
+  /// non-finite H or y entry). They never count as submitted.
+  std::uint64_t rejected_invalid = 0;
 
   /// Pours the stats into the unified counter registry under "<prefix>.*",
   /// e.g. "dispatch.prediction.mean_rel_error".
@@ -143,7 +146,10 @@ class Dispatcher final : public LaneSink {
 
   /// Places one frame. Stamps frame.submit_time if unset; deadline defaults
   /// are the caller's business (DetectionServer applies its own). Blocks iff
-  /// the chosen lane queue is full under kBlock. Thread-safe.
+  /// the chosen lane queue is full under kBlock. Refuses a frame no detector
+  /// can answer in bounded work — sigma2 not finite and positive, a
+  /// non-finite H or y entry — with kInvalid, the in-process twin of the
+  /// wire decoder's kBadField. Thread-safe.
   serve::SubmitStatus submit(serve::FrameRequest frame);
 
   /// Closes every backend, drains all lane queues, joins all lanes.
@@ -223,6 +229,7 @@ class Dispatcher final : public LaneSink {
                 expired_dropped_ = 0, evicted_ = 0, rejected_ = 0,
                 deadline_misses_ = 0;
   std::uint64_t degraded_kbest_ = 0, degraded_mmse_ = 0, degraded_linear_ = 0;
+  std::uint64_t rejected_invalid_ = 0;
   std::uint64_t predictions_ = 0, prediction_samples_ = 0;
   double prediction_abs_rel_err_sum_ = 0.0;
   std::uint64_t prediction_samples_hit_ = 0, prediction_samples_miss_ = 0;

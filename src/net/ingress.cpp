@@ -245,6 +245,8 @@ bool IngressServer::handle_frame(const std::shared_ptr<Connection>& conn,
   resp.frame_id = wf.frame_id;
   resp.cell_id = wf.cell_id;
   resp.qos = wf.qos;
+  // kInvalid cannot reach here from the wire (parse_frame refuses the same
+  // contents with kBadField); any refusal but a shed reads as rejected.
   resp.status = st == ShardSubmit::kShed ? WireFrameStatus::kShed
                                          : WireFrameStatus::kRejected;
   shed_tx_.fetch_add(1, kRelaxed);

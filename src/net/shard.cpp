@@ -64,25 +64,20 @@ ShardSubmit ShardedServer::submit(std::uint32_t cell_id,
   frame.start_tier = d.tier;
   frame.deadline_s = d.budget_s;  // class default now binds server-side too
   const serve::SubmitStatus st = sh.server->submit(std::move(frame));
+  if (st == serve::SubmitStatus::kAccepted) return ShardSubmit::kAccepted;
+  // No completion callback fires for a synchronous refusal; settle the
+  // admission ledger here so `outstanding` stays truthful.
+  serve::FrameResult r;
+  r.status = serve::FrameStatus::kEvicted;
+  sh.admission->on_complete(r);
   switch (st) {
-    case serve::SubmitStatus::kAccepted:
-      return ShardSubmit::kAccepted;
-    case serve::SubmitStatus::kRejected: {
-      // No completion callback fires for a synchronous rejection; settle the
-      // admission ledger here so `outstanding` stays truthful.
-      serve::FrameResult r;
-      r.status = serve::FrameStatus::kEvicted;
-      sh.admission->on_complete(r);
+    case serve::SubmitStatus::kRejected:
       return ShardSubmit::kRejected;
-    }
-    case serve::SubmitStatus::kClosed: {
-      serve::FrameResult r;
-      r.status = serve::FrameStatus::kEvicted;
-      sh.admission->on_complete(r);
+    case serve::SubmitStatus::kInvalid:
+      return ShardSubmit::kInvalid;
+    default:
       return ShardSubmit::kClosed;
-    }
   }
-  return ShardSubmit::kClosed;
 }
 
 void ShardedServer::drain() {

@@ -56,6 +56,7 @@ enum class ShardSubmit : std::uint8_t {
   kShed,      ///< admission refused (shed-before-miss)
   kRejected,  ///< backpressure refused at the shard queue
   kClosed,
+  kInvalid,   ///< the dispatcher refused the frame's contents (kInvalid)
 };
 
 class ShardedServer {

@@ -22,6 +22,7 @@
 // Inputs respecting the calibration can never wrap. See DESIGN.md §15.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "linalg/gemm.hpp"
@@ -67,6 +68,56 @@ void qgemm_level_avx2(const I16Mat& a_re, const I16Mat& a_im,
 void qgemm_level_grouped(const I16Mat& a_re, const I16Mat& a_im, index_t k,
                          const I16Mat& s_ri, I32Mat& z_re, I32Mat& z_im,
                          std::span<const GemmGroup> groups);
+
+/// Row 0 of one parent's quantized level product, split the way the BFS
+/// engine evaluates it (DESIGN.md §15). In row 0 of A * S the t = 0 term
+/// belongs to the child (R(a,a)·q(c_i)) and the t >= 1 terms to the parent's
+/// path, so
+///
+///   z_i = term_i + dot,  term_i = qrow0_child_terms(...)[i],
+///                        dot    = qrow0_parent_dot(...).
+///
+/// Every term uses qgemm_block_scalar's integer ops, and integer sums are
+/// exact, so z equals row 0 of qgemm_level / qgemm_level_grouped under both
+/// kernels.
+struct QDot {
+  std::int32_t re = 0;
+  std::int32_t im = 0;
+};
+
+/// The children's own terms: `sym_ri` interleaves their (re, im) pairs,
+/// (ar, ai) is R(a,a); term_re/term_im receive one value per child.
+inline void qrow0_child_terms(std::int16_t ar, std::int16_t ai,
+                              std::span<const std::int16_t> sym_ri,
+                              std::span<std::int32_t> term_re,
+                              std::span<std::int32_t> term_im) noexcept {
+  const std::int32_t a_re = ar;
+  const std::int32_t a_im = ai;
+  for (usize i = 0; i < term_re.size(); ++i) {
+    const std::int32_t br = sym_ri[2 * i];
+    const std::int32_t bi = sym_ri[2 * i + 1];
+    term_re[i] = br * a_re + bi * -a_im;
+    term_im[i] = br * a_im + bi * a_re;
+  }
+}
+
+/// The parent's share: sum over t of R(a,a+t)·s_t, with a_re/a_im the row
+/// from column a+1 on and `s_ri` interleaving the path's (re, im) pairs in
+/// ascending t.
+[[nodiscard]] inline QDot qrow0_parent_dot(
+    std::span<const std::int16_t> a_re, std::span<const std::int16_t> a_im,
+    std::span<const std::int16_t> s_ri) noexcept {
+  QDot d;
+  for (usize t = 0; t < a_re.size(); ++t) {
+    const std::int32_t ar = a_re[t];
+    const std::int32_t ai = a_im[t];
+    const std::int32_t br = s_ri[2 * t];
+    const std::int32_t bi = s_ri[2 * t + 1];
+    d.re += br * ar + bi * -ai;
+    d.im += br * ai + bi * ar;
+  }
+  return d;
+}
 
 /// Bytes touched by one zr x n x k quantized level product (int16 operands,
 /// int32 outputs) — the cost-model/bandwidth analogue of the float path's

@@ -77,6 +77,8 @@ enum class SubmitStatus : std::uint8_t {
   kAccepted,  ///< enqueued (a drop-oldest displacement still accepts)
   kRejected,  ///< refused: reject policy with a full queue
   kClosed,    ///< server already drained
+  kInvalid,   ///< refused: sigma2 not finite and positive, or a non-finite
+              ///< H or y entry (counted as dispatch.rejected.invalid)
 };
 
 /// Completion record delivered to the server's callback. `result` holds the

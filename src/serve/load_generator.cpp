@@ -116,6 +116,9 @@ LoadReport LoadGenerator::run(const CompletionFn& observer,
       const SubmitStatus st = server->submit(make_frame(i));
       std::lock_guard<std::mutex> lock(sh.mu);
       ++sh.submitted;
+      // kRejected, kClosed and kInvalid all refuse synchronously: no
+      // completion will fire. (An invalid frame is also counted in
+      // report.dispatch.rejected_invalid.)
       if (st != SubmitStatus::kAccepted) {
         ++sh.rejected;
         ++sh.terminal;
@@ -178,6 +181,9 @@ LoadReport LoadGenerator::run(const CompletionFn& observer,
       const SubmitStatus st = server->submit(make_frame(i));
       std::lock_guard<std::mutex> lock(sh.mu);
       ++sh.submitted;
+      // kRejected, kClosed and kInvalid all refuse synchronously: no
+      // completion will fire. (An invalid frame is also counted in
+      // report.dispatch.rejected_invalid.)
       if (st != SubmitStatus::kAccepted) {
         ++sh.rejected;
         ++sh.terminal;

@@ -62,7 +62,7 @@ struct LoadOptions {
 /// scenario's ground truth for every frame that produced symbols.
 struct LoadReport {
   usize submitted = 0;          ///< submit() calls made
-  usize rejected_at_submit = 0; ///< synchronous rejections observed
+  usize rejected_at_submit = 0; ///< synchronous refusals observed
   std::uint64_t symbol_errors = 0;  ///< vs ground truth (completed + fallback)
   std::uint64_t symbols_checked = 0;
   ServerMetrics metrics;        ///< snapshot after drain

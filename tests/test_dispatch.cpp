@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <condition_variable>
 #include <mutex>
 #include <tuple>
@@ -18,6 +21,7 @@
 #include "dispatch/backend.hpp"
 #include "dispatch/cost_model.hpp"
 #include "mimo/scenario.hpp"
+#include "obs/counters.hpp"
 #include "serve/server.hpp"
 
 namespace sd::dispatch {
@@ -495,6 +499,89 @@ TEST(DispatchPlacement, MixedPoolConservesEveryFrameUnderOverload) {
   EXPECT_EQ(acc, kFrames);
   EXPECT_EQ(bms[1].kind, BackendKind::kFpga);
 }
+
+// ---------------------------------------------------------------------------
+// Trust boundary: a frame no detector can answer in bounded work is refused
+// at submit with kInvalid, counted, and leaves the dispatcher serving.
+
+enum class Hostile {
+  kZeroSigma2,
+  kNegativeSigma2,
+  kNanSigma2,
+  kInfSigma2,
+  kNanH,
+  kInfH,
+  kNanY,
+  kInfY
+};
+
+std::string hostile_name(const ::testing::TestParamInfo<Hostile>& info) {
+  static const char* const kNames[] = {"ZeroSigma2", "NegativeSigma2",
+                                       "NanSigma2",  "InfSigma2",
+                                       "NanH",       "InfH",
+                                       "NanY",       "InfY"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+class DispatchTrust : public ::testing::TestWithParam<Hostile> {};
+
+TEST_P(DispatchTrust, RefusedAsInvalidAndTheNextFrameIsAnswered) {
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const real inf = std::numeric_limits<real>::infinity();
+  const std::vector<Trial> trials = seeded_trials(2, 10.0);
+  Trial bad = trials[0];
+  switch (GetParam()) {
+    case Hostile::kZeroSigma2: bad.sigma2 = 0.0; break;
+    case Hostile::kNegativeSigma2: bad.sigma2 = -0.1; break;
+    case Hostile::kNanSigma2: bad.sigma2 = std::nan(""); break;
+    case Hostile::kInfSigma2:
+      bad.sigma2 = std::numeric_limits<double>::infinity();
+      break;
+    case Hostile::kNanH: bad.h(3, 2) = cplx{0.5F, nan}; break;
+    case Hostile::kInfH: bad.h(0, kM - 1) = cplx{-inf, 0.0F}; break;
+    case Hostile::kNanY: bad.y[4] = cplx{nan, 0.0F}; break;
+    case Hostile::kInfY: bad.y[0] = cplx{1.0F, inf}; break;
+  }
+
+  Recorder rec;
+  DispatcherOptions dopts;
+  PoolDefaults pd;
+  pd.primary = parse_decoder_spec("bfs");
+  Dispatcher d(test_system(), parse_backend_pool("cpu:1", pd), dopts,
+               [&rec](const serve::FrameResult& r) { rec.add(r); });
+  EXPECT_EQ(d.submit(make_frame(bad, 0)), serve::SubmitStatus::kInvalid);
+  EXPECT_EQ(d.submit(make_frame(trials[1], 1)),
+            serve::SubmitStatus::kAccepted);
+  rec.wait_for(1);
+  d.drain();
+
+  const std::vector<serve::FrameResult> results = rec.take();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, 1u);
+  EXPECT_EQ(results[0].status, serve::FrameStatus::kCompleted);
+  auto det = make_detector(test_system(), parse_decoder_spec("bfs"));
+  const DecodeResult expect =
+      det->decode(trials[1].h, trials[1].y, trials[1].sigma2);
+  EXPECT_EQ(results[0].result.indices, expect.indices);
+  EXPECT_EQ(results[0].result.metric, expect.metric);
+
+  // The refused frame is never submitted, so conservation still holds.
+  const serve::ServerMetrics m = d.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.accounted(), 1u);
+  EXPECT_EQ(d.stats().rejected_invalid, 1u);
+  obs::CounterRegistry registry;
+  d.stats().export_counters(registry);
+  EXPECT_EQ(registry.get_or("dispatch.rejected.invalid"), 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, DispatchTrust,
+    ::testing::Values(Hostile::kZeroSigma2, Hostile::kNegativeSigma2,
+                      Hostile::kNanSigma2, Hostile::kInfSigma2,
+                      Hostile::kNanH, Hostile::kInfH, Hostile::kNanY,
+                      Hostile::kInfY),
+    hostile_name);
 
 // ---------------------------------------------------------------------------
 // Overload ladder
