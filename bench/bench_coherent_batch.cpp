@@ -4,10 +4,10 @@
 // Under block fading a base station decodes many frames against one channel
 // estimate. The runtime exploits that twice: the backend's ChannelPrepCache
 // pays the QR factorization once per block instead of once per frame, and a
-// lane that pops B consecutive frames sharing a channel decodes them through
-// one fused multi-frame level GEMM (decode_wide) — bit-identical per
-// frame to the sequential path by construction. This bench sweeps L x B on a
-// single lane so the speedup is pure reuse + fusion, not parallelism.
+// lane that pops B consecutive frames sharing a channel decodes them as one
+// run (decode_wide) — bit-identical per frame to the sequential path. This
+// bench sweeps L x B on a single lane so the speedup is pure reuse + fusion,
+// not parallelism.
 //
 //   SD_TRIALS=256 ./bench_coherent_batch [--m=10] [--mod=4qam] [--snr=14]
 //
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
 
   // Cross-channel fusion ablation at L=1: every frame carries a distinct
   // channel, so the classic same-channel-only runtime cannot fuse anything
-  // — the wide block-diagonal decode is the only fusion available. Both
+  // — the wide cross-channel run is the only fusion available. Both
   // sides are best-of-3 (closed-loop e2e throughput is scheduler-noisy;
   // the max is the least contended run of each configuration).
   Table tx({"batch B", "same-only fps", "cross-fuse fps", "speedup",

@@ -144,9 +144,8 @@ class Detector {
   };
 
   /// Decodes B frames with per-frame channels. The base implementation loops
-  /// decode_with(); the BFS detector overrides it to pack the frames'
-  /// frontier columns — across DIFFERENT channels — into one block-diagonal
-  /// level product (DESIGN.md §14). Every override is REQUIRED to produce
+  /// decode_with(); ParallelSdDetector overrides it to spread the frames
+  /// over its workers (DESIGN.md §16). Every override is REQUIRED to produce
   /// per-frame results bit-identical to sequential decode_with() calls
   /// (pinned by tests/test_coherent_batch.cpp).
   virtual void decode_wide(std::span<WideItem> items);

@@ -320,12 +320,12 @@ void Backend::lane_main(unsigned lane) {
     SD_TRACE_SPAN("dispatch.batch");
     Timer busy;
     // Split the popped batch into maximal runs of CONSECUTIVE frames that
-    // share a tier. Channels may differ within a run — the wide-BFS fused
-    // path resolves each distinct fingerprint once and decodes them together
-    // — so interleaved cells (A,B,A,B,...) fuse at full width instead of
-    // collapsing to width-1 runs. Consecutive-only grouping never reorders
-    // frames, so batch_size=1 (the default) behaves exactly as before and
-    // completion order is preserved within the pop.
+    // share a tier. Channels may differ within a run — the fused path
+    // resolves each distinct fingerprint once and decodes the run in one
+    // decode_wide call — so interleaved cells (A,B,A,B,...) fuse at full
+    // width instead of collapsing to width-1 runs. Consecutive-only grouping
+    // never reorders frames, so batch_size=1 (the default) behaves exactly
+    // as before and completion order is preserved within the pop.
     usize i = 0;
     while (i < batch.size()) {
       usize j = i + 1;

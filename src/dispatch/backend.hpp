@@ -50,7 +50,7 @@ struct BackendConfig {
   serve::BackpressurePolicy policy = serve::BackpressurePolicy::kBlock;
   usize batch_size = 1;            ///< max frames per own-queue pop
   /// Fuse popped same-tier frames with *different* channels into one wide
-  /// block-diagonal decode (decode_wide). Off = classic behavior: only
+  /// run (one decode_wide call). Off = classic behavior: only
   /// consecutive frames sharing a channel fuse. The bit-exact result is the
   /// same either way; this is a perf/ablation knob.
   bool fuse_cross_channel = true;

@@ -47,7 +47,7 @@ struct ServerOptions {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   double default_deadline_s = 0.0; ///< applied when a frame carries none; 0 = none
   /// Fuse popped same-tier frames with different channels into one wide
-  /// block-diagonal decode. Off restores the classic same-channel-only
+  /// run (one decode_wide call). Off restores the classic same-channel-only
   /// fusion (ablation baseline); results are bit-identical either way.
   bool fuse_cross_channel = true;
   /// Wide-batch former: lanes extend their pops with compatible frames from

@@ -159,9 +159,8 @@ TEST_F(AllocFree, QuantBfsCachedPrepDecodeIsAllocationFreeAfterWarmup) {
 
 TEST_F(AllocFree, BfsWideDecodeIsAllocationFreeAfterWarmup) {
   // The cross-lane former's product (DESIGN.md §16) is a wide run over
-  // DISTINCT channels; once warm, the block-diagonal wide engine must hold
-  // the same zero-allocation contract as the single-frame paths, under both
-  // arithmetic policies (their per-frame state is pooled alike).
+  // DISTINCT channels; once warm, it must hold the same zero-allocation
+  // contract as the single-frame paths, under both arithmetic policies.
   constexpr usize kWidth = 4;
   for (const BfsOptions& opts : {BfsOptions{}, BfsOptions{.quantized = true}}) {
     SdGemmBfsDetector det(Constellation::get(Modulation::kQam16), opts);

@@ -241,9 +241,9 @@ TEST(CoherentBatch, BaseBatchLoopsDecodeWith) {
 
 // ---- (3) wide (cross-channel) fused == sequential -------------------------
 
-// decode_wide packs frames with DIFFERENT channels into one block-diagonal
-// level GEMM; every frame must still match its own sequential decode_with()
-// bit for bit, whatever the batch width or kernel.
+// decode_wide takes frames with DIFFERENT channels in one call; every frame
+// must still match its own sequential decode_with() bit for bit, whatever
+// the batch width or kernel.
 void run_wide_equivalence(const BfsOptions& options, GemmKernel kernel,
                           const std::string& label) {
   const Constellation& c = Constellation::get(Modulation::kQam4);
@@ -305,10 +305,9 @@ TEST(WideBatch, WideBfsSoaKernelMatchesSequential) {
 }
 
 TEST(WideBatch, SharedChannelsAndBudgetPeelStayBitIdentical) {
-  // Frames sharing a channel inside a mixed batch reuse one R block of the
-  // stacked operand, and a tiny frontier cap forces the operand-budget peel
-  // to demote frames MID-BATCH to the sequential path — none of which may
-  // change a single bit.
+  // Frames sharing a channel inside a mixed batch, and a frontier cap tiny
+  // enough to truncate every frame's levels — none of which may change a
+  // single bit against sequential decodes.
   const Constellation& c = Constellation::get(Modulation::kQam4);
   BfsOptions o;
   o.max_frontier = 8;  // small enough that 8 fused frames blow the budget

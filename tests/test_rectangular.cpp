@@ -119,7 +119,7 @@ TEST(Rectangular, UnderdeterminedIsRejectedEverywhere) {
 }
 
 TEST(Rectangular, BfsRejectsMoreTransmitAntennasThanOneGemmPanel) {
-  // The BFS level engine issues single K-panel grouped products, so it
+  // The BFS level engine reproduces single K-panel level products, so it
   // accepts at most kGemmKc transmit antennas and rejects a wider channel
   // up front, on the one-shot and the cached path alike.
   const SystemConfig sys{kGemmKc + 1, kGemmKc + 2, Modulation::kQam4};
