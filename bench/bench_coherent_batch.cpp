@@ -21,6 +21,7 @@
 // fused-run counters; at full trial counts the config flag gate_speedup
 // turns on the validator's perf gate (fused L=64/B=8 vs L=1/B=1).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -58,6 +59,25 @@ int main(int argc, char** argv) {
   // (SD_TRIALS=1) measures nothing.
   const bool gate = frames >= 128;
   bench::report().config("gate_speedup", gate);
+  const usize reps = gate ? 3 : 1;
+
+  // With the gate on, every cell runs for at least kMinCellSeconds: at
+  // 50-100k frames/s a cell of 1024 frames lasts 10-20 ms, too short for its
+  // ratio to stand out from scheduler noise. A cell that finishes early is
+  // rerun with its frame count scaled up from the measured duration.
+  constexpr double kMinCellSeconds = 0.25;
+  const auto run_cell = [&](const ServerOptions& so, LoadOptions lo) {
+    lo.num_frames = frames;
+    LoadReport rep =
+        LoadGenerator(sys, parse_decoder_spec("bfs"), so, lo).run();
+    const double wall = rep.metrics.wall_seconds;
+    if (gate && wall > 0.0 && wall < kMinCellSeconds) {
+      lo.num_frames = static_cast<usize>(
+          std::ceil(1.2 * kMinCellSeconds / wall * static_cast<double>(frames)));
+      rep = LoadGenerator(sys, parse_decoder_spec("bfs"), so, lo).run();
+    }
+    return rep;
+  };
 
   Table t({"coherence L", "batch B", "frames/s", "speedup", "p99 (ms)",
            "prep hit", "fused runs", "fused frames"},
@@ -92,13 +112,11 @@ int main(int argc, char** argv) {
       so.queue_capacity = 64;
       LoadOptions lo;
       lo.mode = ArrivalMode::kClosedLoop;
-      lo.num_frames = frames;
       lo.window = std::min<usize>(std::max<usize>(2 * batch, 4), 32);
       lo.snr_db = snr;
       lo.seed = 7;
       lo.coherence = coherence;
-      LoadGenerator gen(sys, parse_decoder_spec("bfs"), so, lo);
-      const LoadReport rep = gen.run();
+      const LoadReport rep = run_cell(so, lo);
       const ServerMetrics& mx = rep.metrics;
       const dispatch::DispatchStats& ds = rep.dispatch;
       if (coherence == 1 && batch == 1) base_fps = mx.throughput_fps;
@@ -117,6 +135,7 @@ int main(int argc, char** argv) {
       bench::report().row("coherent_batch",
                           {{"coherence", coherence},
                            {"batch", batch},
+                           {"frames", rep.submitted},
                            {"frames_per_s", mx.throughput_fps},
                            {"speedup", speedup},
                            {"e2e_p99_s", mx.e2e.p99_s},
@@ -136,55 +155,6 @@ int main(int argc, char** argv) {
   }
   bench::print_table(t, "coherent_batch");
 
-  // Cross-channel fusion ablation at L=1: every frame carries a distinct
-  // channel, so the classic same-channel-only runtime cannot fuse anything
-  // — the wide cross-channel run is the only fusion available. Both
-  // sides are best-of-3 (closed-loop e2e throughput is scheduler-noisy;
-  // the max is the least contended run of each configuration).
-  Table tx({"batch B", "same-only fps", "cross-fuse fps", "speedup",
-            "fused frames"},
-           {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
-            Align::kRight});
-  const usize reps = frames >= 128 ? 3 : 1;
-  for (usize batch : batches) {
-    if (batch == 1) continue;  // identical paths when nothing can batch
-    std::uint64_t fused_frames = 0;
-    const auto best_fps = [&](bool cross) {
-      double best = 0.0;
-      for (usize r = 0; r < reps; ++r) {
-        ServerOptions so;
-        so.num_workers = 1;
-        so.batch_size = batch;
-        so.queue_capacity = 64;
-        so.fuse_cross_channel = cross;
-        LoadOptions lo;
-        lo.mode = ArrivalMode::kClosedLoop;
-        lo.num_frames = frames;
-        lo.window = std::min<usize>(std::max<usize>(2 * batch, 4), 32);
-        lo.snr_db = snr;
-        lo.seed = 7;
-        lo.coherence = 1;
-        LoadGenerator gen(sys, parse_decoder_spec("bfs"), so, lo);
-        const LoadReport rep = gen.run();
-        best = std::max(best, rep.metrics.throughput_fps);
-        if (cross) fused_frames = rep.dispatch.fused_frames;
-      }
-      return best;
-    };
-    const double same_fps = best_fps(false);
-    const double cross_fps = best_fps(true);
-    const double speedup = same_fps > 0.0 ? cross_fps / same_fps : 0.0;
-    tx.add_row({std::to_string(batch), fmt(same_fps, 0), fmt(cross_fps, 0),
-                fmt_factor(speedup, 2), std::to_string(fused_frames)});
-    bench::report().row("cross_channel",
-                        {{"batch", batch},
-                         {"same_frames_per_s", same_fps},
-                         {"cross_frames_per_s", cross_fps},
-                         {"speedup", speedup},
-                         {"fused_frames", fused_frames}});
-  }
-  bench::print_table(tx, "cross_channel (L=1)");
-
   // Cross-lane former ablation: a multi-lane pool serving interleaved
   // multi-cell traffic (cells = lanes) at batch B = 1 — the adversarial
   // shape for per-lane batching, because each lane's own pop yields exactly
@@ -196,8 +166,8 @@ int main(int argc, char** argv) {
   // Little's law roughly half the outstanding frames are in service at
   // saturation, so window = 2 * lanes * offered is what sustains pops of
   // `offered` width; window / lanes would only offer that width to a cold
-  // backlog. Best-of-reps like the cross_channel series, for the same
-  // reason.
+  // backlog. Both sides are best-of-3: closed-loop e2e throughput is
+  // scheduler-noisy, and the max is the least contended run of each.
   Table tl({"lanes", "former", "frames/s", "speedup", "width p50", "offered",
             "former runs", "gathered", "empty"},
            {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
@@ -237,18 +207,15 @@ int main(int argc, char** argv) {
         so.num_workers = static_cast<unsigned>(lanes);
         so.batch_size = 1;
         so.queue_capacity = std::max<usize>(window, 64);
-        so.fuse_cross_channel = true;
         so.cross_lane_former = former;
         LoadOptions lo;
         lo.mode = ArrivalMode::kClosedLoop;
-        lo.num_frames = frames;
         lo.window = window;
         lo.snr_db = snr;
         lo.seed = 7;
         lo.coherence = 1;
         lo.cells = lanes;
-        LoadGenerator gen(sys, parse_decoder_spec("bfs"), so, lo);
-        const LoadReport rep = gen.run();
+        const LoadReport rep = run_cell(so, lo);
         if (rep.metrics.throughput_fps > best) {
           best = rep.metrics.throughput_fps;
           ds = rep.dispatch;

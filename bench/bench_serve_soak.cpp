@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   struct Backend {
     std::string label;
     std::string spec;
-    bool emulate_device;
-    double rtt_s;
+    std::string rtt_ms;  ///< non-empty: paced `cpu:<workers>:rtt-ms=` lanes
   };
   const std::string precision = cli.get_or("precision", "");
   const std::vector<Backend> backends =
@@ -67,15 +66,15 @@ int main(int argc, char** argv) {
           // Fixed-point soak: same traversal on the float and the quantized
           // datapaths, so any throughput/latency delta is the datapath's.
           ? std::vector<Backend>{
-                {"bfs (fp32)", "bfs", false, 0.0},
-                {"bfs (int16)", "bfs:precision=int16", false, 0.0},
+                {"bfs (fp32)", "bfs", ""},
+                {"bfs (int16)", "bfs:precision=int16", ""},
             }
           : std::vector<Backend>{
-                {"sphere (cpu)", "sphere", false, 0.0},
-                {"multipe:threads=2", "multipe:threads=2", false, 0.0},
-                {"kbest:k=16", "kbest:k=16", false, 0.0},
-                {"sphere@fpga (model)", "sphere@fpga", false, 0.0},
-                {"sphere@fpga (offload, 1ms rtt)", "sphere@fpga", true, 1e-3},
+                {"sphere (cpu)", "sphere", ""},
+                {"multipe:threads=2", "multipe:threads=2", ""},
+                {"kbest:k=16", "kbest:k=16", ""},
+                {"sphere@fpga (model)", "sphere@fpga", ""},
+                {"sphere@fpga (offload, 1ms rtt)", "sphere@fpga", "1"},
             };
   const std::string pool = cli.get_or("backends", "");
 
@@ -164,8 +163,10 @@ int main(int argc, char** argv) {
       so.num_workers = workers;
       so.batch_size = 4;
       so.queue_capacity = 64;
-      so.emulate_device_latency = backend.emulate_device;
-      so.emulated_rtt_s = backend.rtt_s;
+      if (!backend.rtt_ms.empty()) {
+        so.backends = "cpu:" + std::to_string(workers) + ":rtt-ms=";
+        so.backends += backend.rtt_ms;
+      }
       LoadOptions lo;
       lo.mode = ArrivalMode::kClosedLoop;
       lo.num_frames = frames;

@@ -120,14 +120,28 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     }
   }
 
+  // The tree-search options live in the SdOptions the chosen detector
+  // reads; detectors that read none reject them.
+  SdOptions* sd = nullptr;
+  if (spec.device != TargetDevice::kCpu ||
+      spec.strategy == Strategy::kBestFsGemm ||
+      spec.strategy == Strategy::kBestFsScalar ||
+      spec.strategy == Strategy::kDfs) {
+    sd = &spec.sd;
+  } else if (spec.strategy == Strategy::kGemmBfs) {
+    sd = &spec.bfs.base;
+  } else if (spec.strategy == Strategy::kMultiPe) {
+    sd = &spec.multi_pe.base;
+  }
+
   for (const SpecOption& opt : parse_spec_options(options_text)) {
-    if (opt.key == "sorted") {
-      spec.sd.sorted_qr = true;
+    if (opt.key == "sorted" && sd != nullptr) {
+      sd->sorted_qr = true;
     } else if (opt.key == "scalar" &&
                spec.strategy == Strategy::kBestFsGemm) {
       spec.strategy = Strategy::kBestFsScalar;
-    } else if (opt.key == "max-nodes") {
-      spec.sd.max_nodes = static_cast<std::uint64_t>(spec_option_int(opt));
+    } else if (opt.key == "max-nodes" && sd != nullptr) {
+      sd->max_nodes = static_cast<std::uint64_t>(spec_option_int(opt));
     } else if (opt.key == "fp16") {
       spec.fpga_precision = Precision::kFp16;
     } else if (opt.key == "int16" && opt.value.empty()) {
@@ -149,9 +163,9 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     } else if (opt.key == "precision" &&
                spec.strategy == Strategy::kGemmBfs) {
       apply_precision(spec, opt.value);
-    } else if (opt.key == "alpha") {
-      spec.sd.radius_policy = RadiusPolicy::kNoiseScaled;
-      spec.sd.radius_alpha = static_cast<double>(spec_option_int(opt));
+    } else if (opt.key == "alpha" && sd != nullptr) {
+      sd->radius_policy = RadiusPolicy::kNoiseScaled;
+      sd->radius_alpha = spec_option_double(opt);
     } else {
       unknown_option(name, opt);
     }

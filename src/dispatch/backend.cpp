@@ -53,13 +53,21 @@ Backend::Backend(SystemConfig system, BackendConfig config)
   SD_CHECK(cfg_.batch_size >= 1, "batch size must be positive");
   SD_CHECK(cfg_.rtt_s >= 0.0, "backend RTT must be non-negative");
   SD_CHECK(cfg_.max_wide_width >= 1, "max wide width must be positive");
+  if (cfg_.kind == BackendKind::kFpga) {
+    SD_CHECK(cfg_.decoder.device != TargetDevice::kCpu,
+             "an fpga backend needs an @fpga decoder spec");
+    cfg_.pace_to_charged = true;  // simulated device lanes always pace
+  }
+  SD_CHECK(cfg_.kind != BackendKind::kParallelSd ||
+               cfg_.decoder.strategy == Strategy::kMultiPe,
+           "a parallel-sd backend needs a multipe decoder spec");
   // Fail fast on an unbuildable spec in the constructing thread instead of
   // from inside a lane: build (and discard) one detector eagerly. The probe
   // also tells us whether the primary has a cacheable prep phase — without
-  // one there is nothing to fuse, so the cross-lane former stays off.
-  const PrepKind probe_kind = make_lane_detector()->prep_kind();
-  former_enabled_ = cfg_.cross_lane_former && cfg_.fuse_cross_channel &&
-                    cfg_.lanes > 1 && probe_kind != PrepKind::kNone;
+  // one a lane's runs are single frames, so the cross-lane former stays off.
+  const PrepKind probe_kind = make_detector(system_, cfg_.decoder)->prep_kind();
+  former_enabled_ = cfg_.cross_lane_former && cfg_.lanes > 1 &&
+                    probe_kind != PrepKind::kNone;
   // Which overload-ladder rungs this substrate can serve. A linear primary
   // has nothing cheaper to degrade to; fixed-complexity searches skip the
   // K-Best rung (they already are one); an MMSE-Neumann primary skips its
@@ -82,10 +90,6 @@ Backend::Backend(SystemConfig system, BackendConfig config)
 Backend::~Backend() {
   close();
   join();
-}
-
-std::unique_ptr<Detector> Backend::make_lane_detector() const {
-  return make_detector(system_, cfg_.decoder);
 }
 
 void Backend::start(LaneSink& sink) {
@@ -302,160 +306,161 @@ bool Backend::next_batch(unsigned lane, std::vector<PlacedFrame>& out) {
   return true;
 }
 
-void Backend::lane_main(unsigned lane) {
-  // Each lane owns a private detector ladder, so decodes never share mutable
-  // state across threads. The K-Best rung keeps a small fixed width: it
-  // exists to bound work under overload, not to chase BER.
-  std::unique_ptr<Detector> primary = make_lane_detector();
-  const Constellation& constellation = Constellation::get(system_.modulation);
-  KBestOptions kb;
-  kb.k = 8;
-  KBestDetector kbest(constellation, kb);
-  MmseNeumannDetector mmse(MmseNeumannOptions{}, constellation);
-  LinearDetector linear(LinearKind::kZf, constellation);
+/// One lane's private detector ladder plus the scratch of its runs. Decodes
+/// never share mutable state across threads, and the run vectors keep their
+/// capacity, so a warm lane allocates no per-run scratch. The K-Best rung
+/// keeps a small fixed width: it exists to bound work under overload, not
+/// to chase BER.
+struct Backend::Lane {
+  Lane(const SystemConfig& system, const DecoderSpec& decoder, unsigned lane)
+      : id(lane),
+        primary(make_detector(system, decoder)),
+        kbest(Constellation::get(system.modulation), KBestOptions{8}),
+        mmse(MmseNeumannOptions{}, Constellation::get(system.modulation)),
+        linear(LinearKind::kZf, Constellation::get(system.modulation)) {}
 
+  [[nodiscard]] Detector& detector(serve::DecodeTier tier) {
+    switch (tier) {
+      case serve::DecodeTier::kPrimary: return *primary;
+      case serve::DecodeTier::kKBest: return kbest;
+      case serve::DecodeTier::kMmseApprox: return mmse;
+      case serve::DecodeTier::kLinear: break;
+    }
+    return linear;
+  }
+
+  unsigned id;
+  std::unique_ptr<Detector> primary;
+  KBestDetector kbest;
+  MmseNeumannDetector mmse;
+  LinearDetector linear;
+  // Run scratch, indexed parallel to the run's frames (`live` and `items`
+  // hold the frames that did not expire).
+  std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
+  std::vector<serve::FrameResult> results;
+  std::vector<Detector::WideItem> items;
+  std::vector<usize> live;
+};
+
+void Backend::lane_main(unsigned lane_id) {
+  Lane lane(system_, cfg_.decoder, lane_id);
   std::vector<PlacedFrame> batch;
   batch.reserve(cfg_.batch_size);
-  while (next_batch(lane, batch)) {
+  while (next_batch(lane_id, batch)) {
     SD_TRACE_SPAN("dispatch.batch");
     Timer busy;
     // Split the popped batch into maximal runs of CONSECUTIVE frames that
-    // share a tier. Channels may differ within a run — the fused path
-    // resolves each distinct fingerprint once and decodes the run in one
-    // decode_wide call — so interleaved cells (A,B,A,B,...) fuse at full
-    // width instead of collapsing to width-1 runs. Consecutive-only grouping
-    // never reorders frames, so batch_size=1 (the default) behaves exactly
-    // as before and completion order is preserved within the pop.
+    // share a tier. Channels may differ within a run — run() resolves each
+    // distinct channel once — so interleaved cells (A,B,A,B,...) decode at
+    // full width. A rung without a cacheable channel phase has nothing to
+    // share, so its runs break after every frame and each frame is paced on
+    // its own. Consecutive-only grouping never reorders frames, so
+    // completion order is preserved within the pop.
     usize i = 0;
     while (i < batch.size()) {
+      const serve::DecodeTier tier = batch[i].tier;
       usize j = i + 1;
-      while (j < batch.size() && batch[j].tier == batch[i].tier &&
-             (cfg_.fuse_cross_channel ||
-              batch[j].frame.channel.same_storage(batch[i].frame.channel))) {
-        ++j;
+      if (lane.detector(tier).prep_kind() != PrepKind::kNone) {
+        while (j < batch.size() && batch[j].tier == tier) ++j;
       }
-      process_run(lane, *primary, kbest, mmse, linear, batch, i, j);
+      run(lane, std::span<PlacedFrame>(batch).subspan(i, j - i));
       i = j;
     }
     std::lock_guard<std::mutex> lock(acct_mu_);
-    serve::WorkerStats& ws = acct_.lanes[lane];
+    serve::WorkerStats& ws = acct_.lanes[lane_id];
     ws.frames += batch.size();
     ws.batches += 1;
     ws.busy_seconds += busy.elapsed_seconds();
   }
 }
 
-void Backend::process_run(unsigned lane, Detector& primary, Detector& kbest,
-                          Detector& mmse, Detector& linear,
-                          std::vector<PlacedFrame>& batch, usize begin,
-                          usize end) {
-  Detector& chosen =
-      batch[begin].tier == serve::DecodeTier::kPrimary      ? primary
-      : batch[begin].tier == serve::DecodeTier::kKBest      ? kbest
-      : batch[begin].tier == serve::DecodeTier::kMmseApprox ? mmse
-                                                            : linear;
-  const PrepKind kind = chosen.prep_kind();
-  // Detectors without a cacheable channel phase have nothing to share, so
-  // their runs decode per frame. Paced (device) backends with a cacheable
-  // phase DO fuse: a gathered run ships as one device round trip, and
-  // process_fused paces to the run's summed charged time plus one RTT.
-  if (kind == PrepKind::kNone) {
-    for (usize i = begin; i < end; ++i) {
-      process(lane, primary, kbest, mmse, linear, batch[i]);
-    }
-    return;
-  }
-
-  // Resolve each DISTINCT channel of the run once. The first frame carrying
-  // a channel pays (or reuses) the cache lookup; later frames with the same
-  // storage — consecutive or interleaved — reuse the run-local resolution
-  // and count as hits by construction.
-  std::vector<std::shared_ptr<const PreprocessedChannel>> preps(end - begin);
-  usize misses = 0;
-  for (usize i = begin; i < end; ++i) {
-    usize j = begin;
-    while (j < i && !batch[j].frame.channel.same_storage(batch[i].frame.channel)) {
-      ++j;
-    }
-    if (j < i) {
-      preps[i - begin] = preps[j - begin];
-      batch[i].prep_hit = true;
-      continue;
-    }
-    bool cache_hit = false;
-    preps[i - begin] =
-        prep_cache_.get_or_build(batch[i].frame.channel, kind, &cache_hit);
-    batch[i].prep_hit = cache_hit;
-    if (!cache_hit) ++misses;
-  }
-  {
-    std::lock_guard<std::mutex> lock(acct_mu_);
-    acct_.prep_hits += (end - begin) - misses;
-    acct_.prep_misses += misses;
-  }
-
-  if (end - begin == 1) {
-    process(lane, primary, kbest, mmse, linear, batch[begin], preps[0].get());
-    return;
-  }
-  process_fused(lane, chosen, linear, batch, begin, end, preps);
-}
-
-void Backend::process_fused(
-    unsigned lane, Detector& chosen, Detector& linear,
-    std::vector<PlacedFrame>& batch, usize begin, usize end,
-    const std::vector<std::shared_ptr<const PreprocessedChannel>>& preps) {
-  SD_TRACE_SPAN("dispatch.fused");
+void Backend::run(Lane& lane, std::span<PlacedFrame> frames) {
+  SD_TRACE_SPAN("dispatch.run");
+  // Dequeue time is stamped before any channel is resolved, so a prep miss's
+  // factorization is booked as service, not as queue wait.
   const serve::Clock::time_point dequeued = serve::Clock::now();
-  const usize n = end - begin;
-  std::vector<serve::FrameResult> results(n);
-  std::vector<Detector::WideItem> items;
-  items.reserve(n);
-  std::vector<usize> live;
-  live.reserve(n);
+  Detector& chosen = lane.detector(frames.front().tier);
+  const PrepKind kind = chosen.prep_kind();
+  const usize n = frames.size();
+  lane.results.clear();
+  lane.results.resize(n);
+  lane.preps.assign(kind == PrepKind::kNone ? 0 : n, nullptr);
+  lane.items.clear();
+  lane.live.clear();
 
+  usize misses = 0;
   for (usize i = 0; i < n; ++i) {
-    PlacedFrame& pf = batch[begin + i];
+    PlacedFrame& pf = frames[i];
     serve::FrameRequest& frame = pf.frame;
-    serve::FrameResult& r = results[i];
+    serve::FrameResult& r = lane.results[i];
     r.id = frame.id;
     r.worker_id = pf.global_worker;
     r.backend_id = pf.backend_id;
-    r.lane_id = lane;
+    r.lane_id = lane.id;
     r.tier = pf.tier;
     r.stolen = pf.stolen;
     r.queue_wait_s = seconds_between(frame.submit_time, dequeued);
-    const bool has_deadline = frame.deadline_s > 0.0;
-    if (has_deadline && r.queue_wait_s > frame.deadline_s) {
+    if (kind != PrepKind::kNone) {
+      // Resolve each DISTINCT channel of the run once: the first frame
+      // carrying a channel pays (or reuses) the cache lookup; later frames
+      // with the same storage reuse the run-local resolution and count as
+      // hits. Expired frames resolve too, so the counters do not depend on
+      // which frames expire.
+      usize j = 0;
+      while (j < i && !frames[j].frame.channel.same_storage(frame.channel)) {
+        ++j;
+      }
+      if (j < i) {
+        lane.preps[i] = lane.preps[j];
+        pf.prep_hit = true;
+      } else {
+        bool cache_hit = false;
+        lane.preps[i] = prep_cache_.get_or_build(frame.channel, kind, &cache_hit);
+        pf.prep_hit = cache_hit;
+        if (!cache_hit) ++misses;
+      }
+    }
+    if (frame.deadline_s > 0.0 && r.queue_wait_s > frame.deadline_s) {
       if (cfg_.zf_fallback_on_expiry) {
         SD_TRACE_SPAN("dispatch.zf_fallback");
         r.status = serve::FrameStatus::kExpiredFallback;
         r.tier = serve::DecodeTier::kLinear;
-        linear.decode_into(frame.h(), frame.y, frame.sigma2, r.result);
+        lane.linear.decode_into(frame.h(), frame.y, frame.sigma2, r.result);
       } else {
         r.status = serve::FrameStatus::kExpiredDropped;
       }
-    } else {
-      r.status = serve::FrameStatus::kCompleted;
-      items.push_back(Detector::WideItem{preps[i].get(), frame.y,
-                                         frame.sigma2, &r.result});
-      live.push_back(i);
+      continue;
+    }
+    r.status = serve::FrameStatus::kCompleted;
+    lane.live.push_back(i);
+    if (kind != PrepKind::kNone) {
+      lane.items.push_back(Detector::WideItem{lane.preps[i].get(), frame.y,
+                                              frame.sigma2, &r.result});
     }
   }
 
-  if (!live.empty()) {
+  if (!lane.live.empty()) {
     SD_TRACE_SPAN("dispatch.decode");
-    chosen.decode_wide(items);
+    if (kind == PrepKind::kNone) {
+      for (const usize i : lane.live) {
+        const serve::FrameRequest& frame = frames[i].frame;
+        chosen.decode_into(frame.h(), frame.y, frame.sigma2,
+                           lane.results[i].result);
+      }
+    } else {
+      chosen.decode_wide(lane.items);
+    }
   }
 
   double charged_total = 0.0;
-  if (cfg_.pace_to_charged && !live.empty()) {
-    // Former-aware pacing: the gathered run ships as ONE device round trip.
-    // Charged device time sums over the run's frames, the RTT is paid once —
-    // this amortization is why the former stays on for paced backends.
+  if (cfg_.pace_to_charged && !lane.live.empty()) {
+    // Pace the lane to the charged device time plus the transfer RTT: the
+    // run ships as ONE device round trip, so its frames' charged times add
+    // up and the RTT is paid once — which is how a paced lane amortizes its
+    // RTT over a gathered run.
     charged_total = cfg_.rtt_s;
-    for (usize i : live) {
-      charged_total += results[i].result.stats.search_seconds;
+    for (const usize i : lane.live) {
+      charged_total += lane.results[i].result.stats.search_seconds;
     }
     const double spent = seconds_between(dequeued, serve::Clock::now());
     if (charged_total > spent) {
@@ -466,56 +471,54 @@ void Backend::process_fused(
 
   const serve::Clock::time_point done = serve::Clock::now();
   const double service = seconds_between(dequeued, done);
-  // Each frame's service spans the whole fused run (they finished together);
-  // the lane occupancy the cost model calibrates against is the amortized
-  // share, which is the entire point of fusing. Paced backends charge the
-  // simulated device occupancy instead of host wall time.
+  // Every frame's service spans the whole run (they finish together). What
+  // a completed frame cost the lane — the occupancy the cost model
+  // calibrates against — is its even share of the run: simulated device
+  // occupancy for paced backends, measured wall time otherwise.
+  const usize width = lane.live.size();
   const double charged_share =
-      live.empty()
-          ? 0.0
-          : (cfg_.pace_to_charged ? charged_total : service) /
-                static_cast<double>(live.size());
+      width == 0 ? 0.0
+                 : (cfg_.pace_to_charged ? charged_total : service) /
+                       static_cast<double>(width);
   {
     std::lock_guard<std::mutex> lock(acct_mu_);
-    if (live.size() >= 2) {
+    if (kind != PrepKind::kNone) {
+      acct_.prep_hits += n - misses;
+      acct_.prep_misses += misses;
+    }
+    if (width >= 2) {
       ++acct_.fused_runs;
-      acct_.fused_frames += live.size();
-      if (acct_.fused_width_counts.size() <= live.size()) {
-        acct_.fused_width_counts.resize(live.size() + 1, 0);
+      acct_.fused_frames += width;
+      if (acct_.fused_width_counts.size() <= width) {
+        acct_.fused_width_counts.resize(width + 1, 0);
       }
-      ++acct_.fused_width_counts[live.size()];
+      ++acct_.fused_width_counts[width];
     }
     for (usize i = 0; i < n; ++i) {
       ++acct_.frames;
-      switch (results[i].status) {
+      const serve::DecodeTier tier = frames[i].tier;
+      switch (lane.results[i].status) {
         case serve::FrameStatus::kCompleted:
           ++acct_.completed;
-          if (batch[begin + i].tier == serve::DecodeTier::kKBest) {
-            ++acct_.degraded_kbest;
-          }
-          if (batch[begin + i].tier == serve::DecodeTier::kMmseApprox &&
+          if (tier == serve::DecodeTier::kKBest) ++acct_.degraded_kbest;
+          if (tier == serve::DecodeTier::kMmseApprox &&
               cfg_.decoder.strategy != Strategy::kMmseNeumann) {
             ++acct_.degraded_mmse;
           }
-          if (batch[begin + i].tier == serve::DecodeTier::kLinear &&
+          if (tier == serve::DecodeTier::kLinear &&
               !is_linear_strategy(cfg_.decoder.strategy)) {
             ++acct_.degraded_linear;
           }
           break;
-        case serve::FrameStatus::kExpiredFallback:
-          ++acct_.expired_fallback;
-          break;
-        case serve::FrameStatus::kExpiredDropped:
-          ++acct_.expired_dropped;
-          break;
-        case serve::FrameStatus::kEvicted:
-          break;
+        case serve::FrameStatus::kExpiredFallback: ++acct_.expired_fallback; break;
+        case serve::FrameStatus::kExpiredDropped: ++acct_.expired_dropped; break;
+        case serve::FrameStatus::kEvicted: break;  // accounted by the dispatcher
       }
     }
   }
   for (usize i = 0; i < n; ++i) {
-    PlacedFrame& pf = batch[begin + i];
-    serve::FrameResult& r = results[i];
+    PlacedFrame& pf = frames[i];
+    serve::FrameResult& r = lane.results[i];
     r.service_s = service;
     r.e2e_s = seconds_between(pf.frame.submit_time, done);
     r.deadline_missed = pf.frame.deadline_s > 0.0 && r.e2e_s > pf.frame.deadline_s;
@@ -523,132 +526,12 @@ void Backend::process_fused(
         r.status == serve::FrameStatus::kCompleted ? charged_share : service;
     if (sink_ != nullptr) sink_->frame_retired(pf, std::move(r));
   }
+  lane.preps.clear();  // release the run's channel references
 }
-
-void Backend::process(unsigned lane, Detector& primary, Detector& kbest,
-                      Detector& mmse, Detector& linear, PlacedFrame& pf,
-                      const PreprocessedChannel* prep) {
-  SD_TRACE_SPAN("dispatch.frame");
-  const serve::Clock::time_point dequeued = serve::Clock::now();
-  serve::FrameRequest& frame = pf.frame;
-
-  serve::FrameResult r;
-  r.id = frame.id;
-  r.worker_id = pf.global_worker;
-  r.backend_id = pf.backend_id;
-  r.lane_id = lane;
-  r.tier = pf.tier;
-  r.stolen = pf.stolen;
-  r.queue_wait_s = seconds_between(frame.submit_time, dequeued);
-
-  const bool has_deadline = frame.deadline_s > 0.0;
-  const bool expired_in_queue =
-      has_deadline && r.queue_wait_s > frame.deadline_s;
-  if (expired_in_queue) {
-    if (cfg_.zf_fallback_on_expiry) {
-      SD_TRACE_SPAN("dispatch.zf_fallback");
-      r.status = serve::FrameStatus::kExpiredFallback;
-      r.tier = serve::DecodeTier::kLinear;
-      linear.decode_into(frame.h(), frame.y, frame.sigma2, r.result);
-    } else {
-      r.status = serve::FrameStatus::kExpiredDropped;
-    }
-  } else {
-    r.status = serve::FrameStatus::kCompleted;
-    Detector& chosen = pf.tier == serve::DecodeTier::kPrimary      ? primary
-                       : pf.tier == serve::DecodeTier::kKBest      ? kbest
-                       : pf.tier == serve::DecodeTier::kMmseApprox ? mmse
-                                                                   : linear;
-    {
-      SD_TRACE_SPAN("dispatch.decode");
-      if (prep != nullptr && chosen.prep_kind() == prep->kind) {
-        chosen.decode_with(*prep, frame.y, frame.sigma2, r.result);
-      } else {
-        chosen.decode_into(frame.h(), frame.y, frame.sigma2, r.result);
-      }
-    }
-    if (cfg_.pace_to_charged) {
-      // Pace the lane to the charged device time plus the transfer RTT: the
-      // remainder of the simulated accelerator round trip beyond what the
-      // model evaluation itself consumed on the host.
-      const double charged = r.result.stats.search_seconds + cfg_.rtt_s;
-      const double spent = seconds_between(dequeued, serve::Clock::now());
-      if (charged > spent) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(charged - spent));
-      }
-    }
-  }
-
-  const serve::Clock::time_point done = serve::Clock::now();
-  r.service_s = seconds_between(dequeued, done);
-  r.e2e_s = seconds_between(frame.submit_time, done);
-  r.deadline_missed = has_deadline && r.e2e_s > frame.deadline_s;
-  // What this frame cost the lane: simulated device occupancy for paced
-  // backends, measured wall time otherwise. The cost model calibrates
-  // against this.
-  pf.charged_seconds = cfg_.pace_to_charged
-                           ? r.result.stats.search_seconds + cfg_.rtt_s
-                           : r.service_s;
-
-  {
-    std::lock_guard<std::mutex> lock(acct_mu_);
-    ++acct_.frames;
-    switch (r.status) {
-      case serve::FrameStatus::kCompleted:
-        ++acct_.completed;
-        if (pf.tier == serve::DecodeTier::kKBest) ++acct_.degraded_kbest;
-        if (pf.tier == serve::DecodeTier::kMmseApprox &&
-            cfg_.decoder.strategy != Strategy::kMmseNeumann) {
-          ++acct_.degraded_mmse;
-        }
-        if (pf.tier == serve::DecodeTier::kLinear &&
-            !is_linear_strategy(cfg_.decoder.strategy)) {
-          ++acct_.degraded_linear;
-        }
-        break;
-      case serve::FrameStatus::kExpiredFallback: ++acct_.expired_fallback; break;
-      case serve::FrameStatus::kExpiredDropped: ++acct_.expired_dropped; break;
-      case serve::FrameStatus::kEvicted: break;  // accounted by the dispatcher
-    }
-  }
-  if (sink_ != nullptr) sink_->frame_retired(pf, std::move(r));
-}
-
-CpuBackend::CpuBackend(SystemConfig system, BackendConfig config)
-    : Backend(system, [&] {
-        config.kind = BackendKind::kCpu;
-        return std::move(config);
-      }()) {}
-
-FpgaBackend::FpgaBackend(SystemConfig system, BackendConfig config)
-    : Backend(system, [&] {
-        config.kind = BackendKind::kFpga;
-        SD_CHECK(config.decoder.device != TargetDevice::kCpu,
-                 "FpgaBackend needs an @fpga decoder spec");
-        config.pace_to_charged = true;
-        return std::move(config);
-      }()) {}
-
-ParallelSdBackend::ParallelSdBackend(SystemConfig system, BackendConfig config)
-    : Backend(system, [&] {
-        config.kind = BackendKind::kParallelSd;
-        SD_CHECK(config.decoder.strategy == Strategy::kMultiPe,
-                 "ParallelSdBackend needs a multipe decoder spec");
-        return std::move(config);
-      }()) {}
 
 std::unique_ptr<Backend> make_backend(const SystemConfig& system,
                                       BackendConfig config) {
-  switch (config.kind) {
-    case BackendKind::kCpu:
-      return std::make_unique<CpuBackend>(system, std::move(config));
-    case BackendKind::kFpga:
-      return std::make_unique<FpgaBackend>(system, std::move(config));
-    case BackendKind::kParallelSd:
-      return std::make_unique<ParallelSdBackend>(system, std::move(config));
-  }
-  throw invalid_argument_error("unknown backend kind");
+  return std::make_unique<Backend>(system, std::move(config));
 }
 
 namespace {
@@ -730,7 +613,6 @@ BackendConfig parse_pool_entry(std::string_view entry,
   cfg.lane_queue_capacity = defaults.lane_queue_capacity;
   cfg.policy = defaults.policy;
   cfg.batch_size = defaults.batch_size;
-  cfg.fuse_cross_channel = defaults.fuse_cross_channel;
   cfg.cross_lane_former = defaults.cross_lane_former;
   cfg.max_wide_width = defaults.max_wide_width;
   cfg.zf_fallback_on_expiry = defaults.zf_fallback_on_expiry;

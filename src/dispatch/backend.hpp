@@ -8,13 +8,14 @@
 // enabled backend (CPU lanes) take work from their most-backlogged sibling,
 // so a mispredicted placement costs occupancy, not latency.
 //
-// Three substrates:
-//   - CpuBackend: one detector per lane built from an arbitrary DecoderSpec.
-//   - FpgaBackend: each lane drives a simulated FpgaPipeline design point and
-//     is paced to the *charged* device time (cycle model) plus a configurable
+// BackendKind names the substrate; the lane machinery is the same for all:
+//   - kCpu: one detector per lane built from an arbitrary DecoderSpec.
+//   - kFpga: each lane drives a simulated FpgaPipeline design point and is
+//     paced to the *charged* device time (cycle model) plus a configurable
 //     host<->device RTT — the accelerator round trip a host thread blocks on.
-//     This subsumes the serve layer's old emulate_device_latency hack.
-//   - ParallelSdBackend: lanes own multi-threaded sub-tree SD detectors.
+//   - kParallelSd: lanes own multi-threaded sub-tree SD detectors.
+// Any kind can be paced (pace_to_charged, the `rtt-ms=` pool field); kFpga
+// always is.
 #pragma once
 
 #include <condition_variable>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,19 +51,15 @@ struct BackendConfig {
   usize lane_queue_capacity = 64;  ///< bounded depth per lane
   serve::BackpressurePolicy policy = serve::BackpressurePolicy::kBlock;
   usize batch_size = 1;            ///< max frames per own-queue pop
-  /// Fuse popped same-tier frames with *different* channels into one wide
-  /// run (one decode_wide call). Off = classic behavior: only
-  /// consecutive frames sharing a channel fuse. The bit-exact result is the
-  /// same either way; this is a perf/ablation knob.
-  bool fuse_cross_channel = true;
   /// Wide-batch former (DESIGN.md §16): when a lane pops work, it also drains
   /// compatible frames (same tier, fusable prep) from its SIBLING lanes'
-  /// queues — up to a fair share of the backend's ready work — so the fused
+  /// queues — up to a fair share of the backend's ready work — so the run
   /// width tracks system load instead of one lane's queue depth. Claims
   /// happen under the same queue mutex as work stealing, so a claimed frame
-  /// can never be stolen or decoded twice. Requires fuse_cross_channel; no-op
-  /// for single-lane backends. Paced backends gather too — the run pays one
-  /// RTT and sleeps to its summed charged time (see process_fused).
+  /// can never be stolen or decoded twice. No-op for single-lane backends
+  /// and for decoders without a cacheable prep phase (their runs are single
+  /// frames). Paced lanes of a prep-capable decoder gather too — the run pays
+  /// one RTT and sleeps to its summed charged time (see Backend::run).
   bool cross_lane_former = true;
   /// Hard cap on frames per formed wide run (own pop + cross-lane gather).
   usize max_wide_width = 32;
@@ -155,10 +153,12 @@ class Backend {
     std::vector<serve::WorkerStats> lanes;  ///< utilization filled by caller
   };
 
-  /// Validates the config and eagerly builds (and discards) one detector so
-  /// an unbuildable spec fails in the constructing thread, not in a lane.
+  /// Validates the config (an fpga kind needs an @fpga decoder and is always
+  /// paced; a parallel-sd kind needs a multipe decoder) and eagerly builds
+  /// (and discards) one detector so an unbuildable spec fails in the
+  /// constructing thread, not in a lane.
   Backend(SystemConfig system, BackendConfig config);
-  virtual ~Backend();
+  ~Backend();
 
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
@@ -196,37 +196,24 @@ class Backend {
     return ladder_;
   }
 
- protected:
-  /// Builds one lane's primary detector. Overridable for tests.
-  [[nodiscard]] virtual std::unique_ptr<Detector> make_lane_detector() const;
-
  private:
+  struct Lane;  ///< one lane's detector ladder and reusable run scratch
+
   void lane_main(unsigned lane);
   /// Blocks for work: fills `out` from the lane's own queue (up to
   /// batch_size), or steals one frame from the most-backlogged sibling when
   /// the own queue is empty. Returns false when closed and fully drained.
   bool next_batch(unsigned lane, std::vector<PlacedFrame>& out);
-  /// A maximal run of consecutive frames from one popped batch that share a
-  /// tier — channels may differ (interleaved cells fuse too). Resolves each
-  /// DISTINCT channel in the run once through prep_cache_, then decodes the
-  /// run fused (decode_wide) or falls back to per-frame process() when the
-  /// detector has no cacheable phase.
-  void process_run(unsigned lane, Detector& primary, Detector& kbest,
-                   Detector& mmse, Detector& linear,
-                   std::vector<PlacedFrame>& batch, usize begin, usize end);
-  /// Fused path: expired frames peel off to their usual fallback; the live
-  /// remainder decodes through one decode_wide call, each frame against its
-  /// own prep — bit-identical per frame to the sequential path. `preps` is
-  /// indexed parallel to [begin, end). Paced backends sleep to the run's
-  /// summed charged device time plus ONE round trip — the former's
-  /// amortization.
-  void process_fused(
-      unsigned lane, Detector& chosen, Detector& linear,
-      std::vector<PlacedFrame>& batch, usize begin, usize end,
-      const std::vector<std::shared_ptr<const PreprocessedChannel>>& preps);
-  void process(unsigned lane, Detector& primary, Detector& kbest,
-               Detector& mmse, Detector& linear, PlacedFrame& pf,
-               const PreprocessedChannel* prep = nullptr);
+  /// Decodes and retires one run: consecutive frames of one popped batch
+  /// that share a tier (channels may differ). Expired frames peel off to
+  /// the ZF fallback or are dropped; each distinct channel is resolved once,
+  /// from the run and then from prep_cache_; the live frames decode in one
+  /// decode_wide call (decode_into for a rung without a cacheable phase,
+  /// whose runs are single frames), each against its own prep and
+  /// bit-identical to a one-shot decode. Paced backends sleep to the run's
+  /// summed charged device time plus ONE round trip. A width-1 run is just
+  /// a run.
+  void run(Lane& lane, std::span<PlacedFrame> frames);
 
   SystemConfig system_;
   BackendConfig cfg_;
@@ -240,8 +227,9 @@ class Backend {
   /// True when this backend's lanes may form cross-lane wide runs: the
   /// config enables it, there are siblings to gather from, and the primary
   /// detector has a cacheable prep phase (probed once at construction).
-  /// Paced backends qualify too: a gathered run pays ONE host<->device round
-  /// trip, so forming wide runs is exactly how a device amortizes its RTT.
+  /// Paced lanes of a prep-capable decoder qualify too: a gathered run pays
+  /// ONE host<->device round trip. `fpga` lanes never gather (the FPGA model
+  /// has no prep phase) and pay one RTT per frame.
   bool former_enabled_ = false;
 
   mutable std::mutex mu_;
@@ -261,25 +249,7 @@ class Backend {
   std::vector<std::thread> threads_;
 };
 
-/// One detector per lane, any DecoderSpec.
-class CpuBackend final : public Backend {
- public:
-  CpuBackend(SystemConfig system, BackendConfig config);
-};
-
-/// Simulated U280 pipeline lanes paced to charged device time + host RTT.
-class FpgaBackend final : public Backend {
- public:
-  FpgaBackend(SystemConfig system, BackendConfig config);
-};
-
-/// Multi-threaded sub-tree SD lanes.
-class ParallelSdBackend final : public Backend {
- public:
-  ParallelSdBackend(SystemConfig system, BackendConfig config);
-};
-
-/// Builds the subclass matching config.kind.
+/// Heap-allocates the Backend for config.
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const SystemConfig& system,
                                                     BackendConfig config);
 
@@ -294,7 +264,6 @@ struct PoolDefaults {
   usize lane_queue_capacity = 64;
   serve::BackpressurePolicy policy = serve::BackpressurePolicy::kBlock;
   usize batch_size = 1;
-  bool fuse_cross_channel = true;
   bool cross_lane_former = true;
   usize max_wide_width = 32;
   bool zf_fallback_on_expiry = true;
@@ -305,7 +274,7 @@ struct PoolDefaults {
 /// `kind[:lanes][:rtt-ms=X][:opt=val...]`, e.g. "cpu:4,fpga:2:rtt-ms=1".
 /// Kinds: `cpu` (the server's primary decoder), `fpga` / `fpga-base`
 /// (simulated design points), `multipe` (parallel sub-tree SD), or any
-/// decoder-spec name (`kbest:2:k=8`, `zf`, ...) for a CpuBackend of that
+/// decoder-spec name (`kbest:2:k=8`, `zf`, ...) for a CPU backend of that
 /// decoder. Bare integer fields set the lane count; remaining `key=val`
 /// fields become decoder options. Throws sd::invalid_argument_error on
 /// malformed specs.

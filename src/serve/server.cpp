@@ -1,10 +1,10 @@
 #include "serve/server.hpp"
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "core/spec_parse.hpp"
 #include "dispatch/backend.hpp"
 #include "obs/trace.hpp"
@@ -27,10 +27,6 @@ ServerOptions parse_server_options(std::string_view text, ServerOptions base) {
       base.zf_fallback_on_expiry = false;
     } else if (opt.key == "fallback") {
       base.zf_fallback_on_expiry = true;
-    } else if (opt.key == "no-cross-fuse") {
-      base.fuse_cross_channel = false;
-    } else if (opt.key == "cross-fuse") {
-      base.fuse_cross_channel = true;
     } else if (opt.key == "no-cross-lane-fuse") {
       base.cross_lane_former = false;
     } else if (opt.key == "cross-lane-fuse") {
@@ -47,18 +43,12 @@ ServerOptions parse_server_options(std::string_view text, ServerOptions base) {
       base.degrade_on_deadline = true;
     } else if (opt.key == "deterministic-cost") {
       base.deterministic_cost = true;
-    } else if (opt.key == "emulate-device") {
-      base.emulate_device_latency = true;
-    } else if (opt.key == "rtt-ms") {
-      base.emulated_rtt_s = spec_option_double(opt) * 1e-3;
-      base.emulate_device_latency = true;
     } else {
       throw invalid_argument_error(
           "unknown server option '" + opt.key +
           "' (workers, batch, queue, policy, deadline-ms, no-fallback, "
-          "no-cross-fuse, no-cross-lane-fuse, wide-width, placement, "
-          "fpga-rtt-ms, no-degrade, "
-          "deterministic-cost, emulate-device, rtt-ms)");
+          "no-cross-lane-fuse, wide-width, placement, fpga-rtt-ms, "
+          "no-degrade, deterministic-cost)");
     }
   }
   return base;
@@ -72,49 +62,25 @@ DetectionServer::DetectionServer(SystemConfig system, DecoderSpec spec,
   SD_CHECK(opts_.queue_capacity >= 1, "queue capacity must be positive");
   SD_CHECK(opts_.max_wide_width >= 1, "wide width must be positive");
   SD_CHECK(opts_.default_deadline_s >= 0.0, "deadline must be non-negative");
-  SD_CHECK(opts_.emulated_rtt_s >= 0.0, "emulated RTT must be non-negative");
   SD_CHECK(opts_.fpga_rtt_s >= 0.0, "FPGA RTT must be non-negative");
 
-  if (opts_.emulate_device_latency || opts_.emulated_rtt_s > 0.0) {
-    SD_LOG_WARN << "ServerOptions::emulate_device_latency/emulated_rtt_s are "
-                   "deprecated; use a backends pool spec with an fpga entry "
-                   "(or an rtt-ms= backend field) instead";
-  }
-
-  std::vector<dispatch::BackendConfig> configs;
-  if (opts_.backends.empty()) {
-    // Degenerate pool: one CPU backend whose lanes are the classic worker
-    // pool. Each lane gets the full configured queue depth so closed-loop
-    // producers sized against queue_capacity never deadlock on a lane.
-    dispatch::BackendConfig cfg;
-    cfg.kind = dispatch::BackendKind::kCpu;
-    cfg.label = "cpu";
-    cfg.lanes = opts_.num_workers;
-    cfg.decoder = spec_;
-    cfg.pace_to_charged = opts_.emulate_device_latency;
-    cfg.rtt_s = opts_.emulated_rtt_s;
-    cfg.lane_queue_capacity = opts_.queue_capacity;
-    cfg.policy = opts_.policy;
-    cfg.batch_size = opts_.batch_size;
-    cfg.fuse_cross_channel = opts_.fuse_cross_channel;
-    cfg.cross_lane_former = opts_.cross_lane_former;
-    cfg.max_wide_width = opts_.max_wide_width;
-    cfg.zf_fallback_on_expiry = opts_.zf_fallback_on_expiry;
-    dispatch::apply_rate_priors(cfg);
-    configs.push_back(std::move(cfg));
-  } else {
-    dispatch::PoolDefaults defaults;
-    defaults.primary = spec_;
-    defaults.lane_queue_capacity = opts_.queue_capacity;
-    defaults.policy = opts_.policy;
-    defaults.batch_size = opts_.batch_size;
-    defaults.fuse_cross_channel = opts_.fuse_cross_channel;
-    defaults.cross_lane_former = opts_.cross_lane_former;
-    defaults.max_wide_width = opts_.max_wide_width;
-    defaults.zf_fallback_on_expiry = opts_.zf_fallback_on_expiry;
-    defaults.fpga_rtt_s = opts_.fpga_rtt_s;
-    configs = dispatch::parse_backend_pool(opts_.backends, defaults);
-  }
+  // With no pool spec the server runs the classic worker pool: one CPU
+  // backend of the primary decoder with num_workers lanes. Each lane gets
+  // the full configured queue depth so closed-loop producers sized against
+  // queue_capacity never deadlock on a lane.
+  dispatch::PoolDefaults defaults;
+  defaults.primary = spec_;
+  defaults.lane_queue_capacity = opts_.queue_capacity;
+  defaults.policy = opts_.policy;
+  defaults.batch_size = opts_.batch_size;
+  defaults.cross_lane_former = opts_.cross_lane_former;
+  defaults.max_wide_width = opts_.max_wide_width;
+  defaults.zf_fallback_on_expiry = opts_.zf_fallback_on_expiry;
+  defaults.fpga_rtt_s = opts_.fpga_rtt_s;
+  std::vector<dispatch::BackendConfig> configs = dispatch::parse_backend_pool(
+      opts_.backends.empty() ? "cpu:" + std::to_string(opts_.num_workers)
+                             : opts_.backends,
+      defaults);
 
   dispatch::DispatcherOptions dopts;
   dopts.policy = opts_.placement;

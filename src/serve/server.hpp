@@ -46,10 +46,6 @@ struct ServerOptions {
   usize queue_capacity = 64;       ///< bounded queue depth per lane (>= 1)
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   double default_deadline_s = 0.0; ///< applied when a frame carries none; 0 = none
-  /// Fuse popped same-tier frames with different channels into one wide
-  /// run (one decode_wide call). Off restores the classic same-channel-only
-  /// fusion (ablation baseline); results are bit-identical either way.
-  bool fuse_cross_channel = true;
   /// Wide-batch former: lanes extend their pops with compatible frames from
   /// sibling lanes' queues, so fused width tracks system load (DESIGN.md
   /// §16). Results are bit-identical either way; off = per-lane fusion only.
@@ -57,14 +53,6 @@ struct ServerOptions {
   /// Hard cap on frames per formed wide run.
   usize max_wide_width = 32;
   bool zf_fallback_on_expiry = true;
-  /// DEPRECATED: use a `backends` pool spec with an fpga entry (or an
-  /// `rtt-ms=` backend field) instead; FpgaBackend paces itself. Still
-  /// honored on the degenerate pool — the server logs a one-line warning and
-  /// paces its CPU lanes to the charged device time.
-  bool emulate_device_latency = false;
-  /// DEPRECATED alongside emulate_device_latency: the fixed host<->device
-  /// round trip added to the charged time when emulating.
-  double emulated_rtt_s = 0.0;
   /// Heterogeneous pool spec for parse_backend_pool, e.g.
   /// "cpu:4,fpga:2:rtt-ms=1". Empty = degenerate single-CPU-backend pool
   /// with num_workers lanes.
@@ -87,8 +75,7 @@ struct ServerOptions {
 
 /// Parses "workers=4,batch=8,queue=64,policy=drop-oldest,deadline-ms=10,
 /// no-fallback,no-cross-lane-fuse,wide-width=32,placement=cost-aware,
-/// fpga-rtt-ms=1,no-degrade,
-/// deterministic-cost,emulate-device,rtt-ms=1" (any subset, any order) on
+/// fpga-rtt-ms=1,no-degrade,deterministic-cost" (any subset, any order) on
 /// top of `base`. The `backends` pool spec is itself comma-separated, so it
 /// cannot ride in this option string — set it directly or via a dedicated
 /// CLI flag. Throws sd::invalid_argument_error on unknown keys or bad values.

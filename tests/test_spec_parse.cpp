@@ -72,6 +72,40 @@ TEST(SpecParse, Options) {
 
   const DecoderSpec alpha = parse_decoder_spec("sphere:alpha=2");
   EXPECT_EQ(alpha.sd.radius_policy, RadiusPolicy::kNoiseScaled);
+
+  // alpha is a real multiplier.
+  const DecoderSpec real_alpha = parse_decoder_spec("sphere:alpha=2.5");
+  EXPECT_EQ(real_alpha.sd.radius_policy, RadiusPolicy::kNoiseScaled);
+  EXPECT_DOUBLE_EQ(real_alpha.sd.radius_alpha, 2.5);
+}
+
+TEST(SpecParse, TreeSearchOptionsReachTheDetectorsOptions) {
+  // sorted / alpha= / max-nodes= land in the SdOptions the chosen detector
+  // reads: spec.sd for Best-FS, DFS and the FPGA model, the base options of
+  // BFS and of the parallel sub-tree SD.
+  const DecoderSpec bfs = parse_decoder_spec("bfs:sorted,alpha=2.5,max-nodes=100");
+  EXPECT_TRUE(bfs.bfs.base.sorted_qr);
+  EXPECT_EQ(bfs.bfs.base.radius_policy, RadiusPolicy::kNoiseScaled);
+  EXPECT_DOUBLE_EQ(bfs.bfs.base.radius_alpha, 2.5);
+  EXPECT_EQ(bfs.bfs.base.max_nodes, 100u);
+  EXPECT_FALSE(bfs.sd.sorted_qr);  // untouched: BFS never reads spec.sd
+
+  const DecoderSpec mp = parse_decoder_spec("multipe:sorted");
+  EXPECT_TRUE(mp.multi_pe.base.sorted_qr);
+  EXPECT_FALSE(mp.sd.sorted_qr);
+
+  EXPECT_TRUE(parse_decoder_spec("sphere-scalar:sorted").sd.sorted_qr);
+  EXPECT_EQ(parse_decoder_spec("dfs:max-nodes=7").sd.max_nodes, 7u);
+  EXPECT_DOUBLE_EQ(parse_decoder_spec("sphere@fpga:alpha=3").sd.radius_alpha,
+                   3.0);
+
+  // Detectors that read no SdOptions reject the keys instead of ignoring
+  // them.
+  for (const char* spec : {"zf:sorted", "mmse:alpha=2", "kbest:max-nodes=9",
+                           "fsd:sorted", "ml:sorted", "mmse-neumann:sorted"}) {
+    EXPECT_THROW((void)parse_decoder_spec(spec), invalid_argument_error)
+        << spec;
+  }
 }
 
 TEST(SpecParse, QuantPrecisionOption) {

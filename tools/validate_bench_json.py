@@ -32,12 +32,7 @@ The coherent_batch artifact (name == "coherent_batch") is checked for a
 "frames_per_s", "prep_hit_rate" and "fused_frames", and — when
 config.gate_speedup is true — gated on the fused L=64/B=8 cell being at
 least 1.3x the L=1/B=1 baseline with a >= 90% prep-cache hit rate. It must
-also carry a "cross_channel" series ("batch", "same_frames_per_s",
-"cross_frames_per_s", "speedup", "fused_frames"); under the same gate the
-B=8 row must have decoded fused frames (every frame has a distinct channel
-at L=1, so fusion there is the wide cross-channel engine) and show a
->= 1.25x speedup over the same-channel-only runtime. It must also carry a
-"cross_lane" series ("lanes", "former", "frames_per_s", "fused_width_p50",
+also carry a "cross_lane" series ("lanes", "former", "frames_per_s", "fused_width_p50",
 "offered_batch", "former_gathered"); under the same gate the 4-lane
 former-on row must have gathered frames, a fused-width p50 >= 0.75x the
 offered per-lane batch, and >= 1.15x the former-off pool's throughput.
@@ -368,49 +363,6 @@ def check_coherent_batch(problems, path, doc):
     if fused["fused_frames"] <= 0:
         problems.report(
             path, "coherent_batch: fused L=64/B=8 cell decoded no fused frames")
-
-    # Cross-channel fusion gate: at L=1 every frame carries a distinct
-    # channel, so any fused frame proves the wide block-diagonal engine ran,
-    # and its best-of-3 throughput must beat the same-channel-only runtime
-    # by >= 1.25x at B=8 — catches the wide path silently falling back to
-    # sequential decode as much as a performance regression.
-    cross = None
-    if isinstance(series, list):
-        for entry in series:
-            if isinstance(entry, dict) and entry.get("label") == "cross_channel":
-                cross = entry
-    if cross is None:
-        problems.report(path, "coherent_batch: missing 'cross_channel' series")
-        return
-    by_batch = {}
-    for j, row in enumerate(cross.get("rows") or []):
-        if not isinstance(row, dict):
-            continue
-        missing = [c for c in ("batch", "same_frames_per_s",
-                               "cross_frames_per_s", "speedup", "fused_frames")
-                   if c not in row]
-        if missing:
-            problems.report(
-                path, f"coherent_batch: cross_channel.rows[{j}] missing {missing}")
-            continue
-        by_batch[row["batch"]] = row
-    wide = by_batch.get(8)
-    if wide is None:
-        problems.report(
-            path, "coherent_batch: gate_speedup set but cross_channel has no "
-            "B=8 row")
-        return
-    if wide["fused_frames"] <= 0:
-        problems.report(
-            path, "coherent_batch: cross_channel B=8 decoded no fused frames "
-            "(wide cross-channel fusion never engaged)")
-    if wide["speedup"] < 1.25:
-        problems.report(
-            path,
-            f"coherent_batch: cross-channel fused B=8 speedup "
-            f"{wide['speedup']:.2f}x < 1.25x over same-channel-only "
-            f"({wide['cross_frames_per_s']:.0f} vs "
-            f"{wide['same_frames_per_s']:.0f} frames/s)")
 
     # Cross-lane former gate: interleaved multi-cell traffic at B=1 means
     # every lane's own pop is a single frame, so wide runs only exist if the
