@@ -35,6 +35,9 @@ real mul_im(cplx x, cplx y) noexcept {
   return x.real() * y.imag() + x.imag() * y.real();
 }
 
+// Children are accumulated four at a time, one accumulator pair each.
+constexpr usize kRow0Block = 4;
+
 }  // namespace
 
 void level_row0(std::span<const cplx> r_row, std::span<const cplx> above,
@@ -54,35 +57,34 @@ void level_row0(std::span<const cplx> r_row, std::span<const cplx> above,
     prod_im[t] = mul_im(r_row[t], above[t - 1]);
   }
 
-  // Children four at a time, one accumulator pair each; a short last
-  // block pads with zero candidates whose lanes it never stores.
-  constexpr usize kBlock = 4;
+  // Children in blocks of kRow0Block; a short last block pads with zero
+  // candidates whose lanes it never stores.
   const real r0_re = r_row[0].real();
   const real r0_im = r_row[0].imag();
-  for (usize i0 = 0; i0 < points.size(); i0 += kBlock) {
-    const usize nb = std::min(kBlock, points.size() - i0);
-    real c_re[kBlock] = {};
-    real c_im[kBlock] = {};
+  for (usize i0 = 0; i0 < points.size(); i0 += kRow0Block) {
+    const usize nb = std::min(kRow0Block, points.size() - i0);
+    real c_re[kRow0Block] = {};
+    real c_im[kRow0Block] = {};
     for (usize j = 0; j < nb; ++j) {
       c_re[j] = points[i0 + j].real();
       c_im[j] = points[i0 + j].imag();
     }
-    real acc_re[kBlock];
-    real acc_im[kBlock];
-    for (usize j = 0; j < kBlock; ++j) {
+    real acc_re[kRow0Block];
+    real acc_im[kRow0Block];
+    for (usize j = 0; j < kRow0Block; ++j) {
       acc_re[j] = real{0} + (r0_re * c_re[j] - r0_im * c_im[j]);
       acc_im[j] = real{0} + (r0_re * c_im[j] + r0_im * c_re[j]);
     }
     for (usize t = 1; t < first_panel; ++t) {
-      for (usize j = 0; j < kBlock; ++j) {
+      for (usize j = 0; j < kRow0Block; ++j) {
         acc_re[j] += prod_re[t];
         acc_im[j] += prod_im[t];
       }
     }
     // Epilogue c += alpha * acc onto the beta = 0 cleared output.
-    real out_re[kBlock];
-    real out_im[kBlock];
-    for (usize j = 0; j < kBlock; ++j) {
+    real out_re[kRow0Block];
+    real out_im[kRow0Block];
+    for (usize j = 0; j < kRow0Block; ++j) {
       out_re[j] = real{0} + (real{1} * acc_re[j] - real{0} * acc_im[j]);
       out_im[j] = real{0} + (real{1} * acc_im[j] + real{0} * acc_re[j]);
     }
@@ -102,6 +104,74 @@ void level_row0(std::span<const cplx> r_row, std::span<const cplx> above,
     const real out_re = real{1} * sum_re - real{0} * sum_im;
     const real out_im = real{1} * sum_im + real{0} * sum_re;
     for (cplx& v : z) v = cplx{v.real() + out_re, v.imag() + out_im};
+  }
+}
+
+void build_row0_table(std::span<const cplx> r_row,
+                      std::span<const cplx> points, Row0Table& table) {
+  const usize k = r_row.size();
+  const usize p = points.size();
+  SD_CHECK(k >= 1 && k <= static_cast<usize>(kGemmKc),
+           "build_row0_table covers one K panel");
+  table.k = k;
+  table.p = p;
+  // Padded children are never stored; their starts are left at 0.
+  const usize padded = (p + kRow0Block - 1) / kRow0Block * kRow0Block;
+  table.start_re.assign(padded, real{0});
+  table.start_im.assign(padded, real{0});
+  const real r0_re = r_row[0].real();
+  const real r0_im = r_row[0].imag();
+  for (usize i = 0; i < p; ++i) {
+    const real c_re = points[i].real();
+    const real c_im = points[i].imag();
+    table.start_re[i] = real{0} + (r0_re * c_re - r0_im * c_im);
+    table.start_im[i] = real{0} + (r0_re * c_im + r0_im * c_re);
+  }
+  table.term.resize((k - 1) * p);
+  for (usize t = 1; t < k; ++t) {
+    for (usize s = 0; s < p; ++s) {
+      table.term[(t - 1) * p + s] =
+          cplx{mul_re(r_row[t], points[s]), mul_im(r_row[t], points[s])};
+    }
+  }
+}
+
+void level_row0_from_table(const Row0Table& table,
+                           std::span<const std::uint8_t> path,
+                           std::span<cplx> z) {
+  const usize k = table.k;
+  const usize p = table.p;
+  SD_CHECK(path.size() + 1 == k && z.size() == p,
+           "level_row0_from_table needs the parent's k-1 symbols, p outputs");
+  real prod_re[kGemmKc];
+  real prod_im[kGemmKc];
+  for (usize t = 1; t < k; ++t) {
+    const cplx v = table.term[(t - 1) * p + path[k - 1 - t]];
+    prod_re[t] = v.real();
+    prod_im[t] = v.imag();
+  }
+  // level_row0's block loop from the tabled starts on.
+  for (usize i0 = 0; i0 < p; i0 += kRow0Block) {
+    const usize nb = std::min(kRow0Block, p - i0);
+    real acc_re[kRow0Block];
+    real acc_im[kRow0Block];
+    for (usize j = 0; j < kRow0Block; ++j) {
+      acc_re[j] = table.start_re[i0 + j];
+      acc_im[j] = table.start_im[i0 + j];
+    }
+    for (usize t = 1; t < k; ++t) {
+      for (usize j = 0; j < kRow0Block; ++j) {
+        acc_re[j] += prod_re[t];
+        acc_im[j] += prod_im[t];
+      }
+    }
+    real out_re[kRow0Block];
+    real out_im[kRow0Block];
+    for (usize j = 0; j < kRow0Block; ++j) {
+      out_re[j] = real{0} + (real{1} * acc_re[j] - real{0} * acc_im[j]);
+      out_im[j] = real{0} + (real{1} * acc_im[j] + real{0} * acc_re[j]);
+    }
+    for (usize j = 0; j < nb; ++j) z[i0 + j] = cplx{out_re[j], out_im[j]};
   }
 }
 

@@ -1,10 +1,12 @@
 // The tree searches evaluate each parent's level product straight from its
-// path (level_row0 for fp32, qrow0_child_terms + qrow0_parent_dot for int16)
-// instead of staging a tree-state matrix and calling the level GEMM. That is
-// only a speed change if the helpers reproduce row 0 of the GEMM bit for
-// bit: pinned here against every kernel that can form that row — gemm()'s
-// small-shape path, the scalar and SoA packed kernels and the grouped level
-// kernel — across K depths up to one panel (and past it for gemm()), the
+// path instead of staging a tree-state matrix and calling the level GEMM:
+// Best-FS with level_row0, the BFS engine with a per-level table
+// (build_row0_table + level_row0_from_table for fp32, qrow0_child_terms +
+// qrow0_parent_table + qrow0_table_dot for int16). That is only a speed
+// change if the helpers reproduce row 0 of the GEMM bit for bit: pinned here
+// against every kernel that can form that row — gemm()'s small-shape path,
+// the scalar and SoA packed kernels and the grouped level kernel — across K
+// depths up to one panel (and past it for gemm() and level_row0), the
 // alphabet sizes the decoders use, and non-finite R entries.
 #include <gtest/gtest.h>
 
@@ -222,12 +224,119 @@ TEST(Row0Helper, NonFiniteREntries) {
   }
 }
 
+
+/// A parent's path as the BFS engine stores it (path[d] = symbol decided at
+/// depth d, k-1 entries) and level_row0's `above` for the same parent.
+struct TablePath {
+  std::vector<std::uint8_t> path;
+  CVec above;
+};
+
+TablePath random_path(const CVec& points, usize k, std::uint64_t seed) {
+  Xoshiro256 u(seed);
+  TablePath tp;
+  for (usize d = 0; d + 1 < k; ++d) {
+    tp.path.push_back(static_cast<std::uint8_t>(
+        std::min(points.size() - 1,
+                 static_cast<usize>(uniform01(u) *
+                                    static_cast<double>(points.size())))));
+  }
+  // Column a+t of R holds the symbol decided at depth (k-1) - t.
+  for (usize t = 1; t < k; ++t) tp.above.push_back(points[tp.path[k - 1 - t]]);
+  return tp;
+}
+
+CVec from_table(const Row0Table& table, const TablePath& tp) {
+  CVec z(table.p);
+  level_row0_from_table(table, tp.path, z);
+  return z;
+}
+
+void expect_same(const CVec& got, const CVec& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (usize c = 0; c < got.size(); ++c) {
+    ASSERT_TRUE(same_bits(got[c].real(), want[c].real()) &&
+                same_bits(got[c].imag(), want[c].imag()))
+        << what << " col " << c << ": table " << got[c] << " vs " << want[c];
+  }
+}
+
+TEST(Row0Helper, TableMatchesLevelRow0AndEveryKernelBitForBit) {
+  // One table per level serves every parent: three paths per table.
+  KernelGuard guard;
+  std::uint64_t seed = 9900;
+  Row0Table table;
+  for (const GemmKernel kernel : kernels()) {
+    set_gemm_kernel_override(kernel);
+    const std::string kname = kernel == GemmKernel::kSoa ? "soa" : "scalar";
+    for (const index_t k : {1, 2, 10, 64, 128}) {
+      for (const index_t p : {2, 4, 16, 64}) {
+        const CVec r_row = testing::random_cvec(k, seed);
+        const CVec points = testing::random_cvec(p, seed + 1);
+        build_row0_table(r_row, points, table);
+        for (int parent = 0; parent < 3; ++parent) {
+          const TablePath tp =
+              random_path(points, static_cast<usize>(k), seed + 2 + parent);
+          const Operands op{r_row, tp.above, points};
+          const CVec got = from_table(table, tp);
+          const std::string what = kname + " k=" + std::to_string(k) +
+                                   " p=" + std::to_string(p) + " parent " +
+                                   std::to_string(parent);
+          expect_same(got, helper(op), "level_row0 " + what);
+          const Rows rows = gemm_rows(op, true);
+          expect_bits(got, rows.gemm_row, "gemm " + what);
+          expect_bits(got, rows.packed_row, "packed " + what);
+          expect_bits(got, rows.grouped_row, "grouped " + what);
+        }
+        seed += 5;
+      }
+    }
+  }
+}
+
+TEST(Row0Helper, TableNonFiniteREntries) {
+  // The same poisons as NonFiniteREntries: the table path performs
+  // level_row0's float operations, so the two agree bit for bit, NaNs and
+  // infinities included, and so do the SoA kernels.
+  KernelGuard guard;
+  const real inf = std::numeric_limits<real>::infinity();
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const std::pair<usize, cplx> poisons[] = {
+      {0, cplx{inf, 0.5F}},   // the children's own term
+      {3, cplx{nan, -1.0F}},  // a parent term
+      {7, cplx{-inf, inf}}};
+  std::uint64_t seed = 9950;
+  Row0Table table;
+  for (const auto& [t, bad] : poisons) {
+    for (const index_t p : {4, 16}) {
+      CVec r_row = testing::random_cvec(10, seed);
+      r_row[t] = bad;
+      const CVec points = testing::random_cvec(p, seed + 1);
+      build_row0_table(r_row, points, table);
+      const TablePath tp = random_path(points, 10, seed + 2);
+      seed += 3;
+      const Operands op{r_row, tp.above, points};
+      const CVec got = from_table(table, tp);
+      const std::string what = "R entry " + std::to_string(t) +
+                               " p=" + std::to_string(p);
+      expect_same(got, helper(op), "level_row0 " + what);
+      if (gemm_soa_available()) {
+        set_gemm_kernel_override(GemmKernel::kSoa);
+        const Rows rows = gemm_rows(op, true);
+        expect_bits(got, rows.packed_row, "packed soa " + what);
+        expect_bits(got, rows.grouped_row, "grouped soa " + what);
+      }
+    }
+  }
+}
+
 // ---- int16 ------------------------------------------------------------------
 
 struct QOperands {
   std::vector<std::int16_t> a_re;    // k
   std::vector<std::int16_t> a_im;    // k
-  std::vector<std::int16_t> sym_ri;  // 2p, children's (re, im)
+  std::vector<std::int16_t> sym_ri;  // 2p, the alphabet's (re, im)
+  std::vector<std::uint8_t> path;    // k-1, parent's symbol by depth
   std::vector<std::int16_t> path_ri; // 2(k-1), parent's (re, im) by t
 };
 
@@ -250,10 +359,32 @@ QOperands random_qoperands(index_t k, index_t p, std::uint64_t seed) {
   op.a_re[0] = 32767;  // the extremes themselves
   op.a_im[0] = -32767;
   for (index_t i = 0; i < 2 * p; ++i) op.sym_ri.push_back(draw(u, s_bound));
-  for (index_t i = 0; i < 2 * (k - 1); ++i) {
-    op.path_ri.push_back(draw(u, s_bound));
+  for (index_t d = 0; d + 1 < k; ++d) {
+    op.path.push_back(static_cast<std::uint8_t>(
+        std::min<double>(static_cast<double>(p - 1),
+                         uniform01(u) * static_cast<double>(p))));
+  }
+  // Column a+t holds the symbol decided at depth (k-1) - t.
+  for (index_t t = 1; t < k; ++t) {
+    const usize s = op.path[static_cast<usize>(k - 1 - t)];
+    op.path_ri.push_back(op.sym_ri[2 * s]);
+    op.path_ri.push_back(op.sym_ri[2 * s + 1]);
   }
   return op;
+}
+
+/// The parent's share multiplied out term by term, in ascending t.
+quant::QDot reference_dot(const QOperands& op) {
+  quant::QDot d;
+  for (usize t = 1; t < op.a_re.size(); ++t) {
+    const std::int32_t ar = op.a_re[t];
+    const std::int32_t ai = op.a_im[t];
+    const std::int32_t br = op.path_ri[2 * (t - 1)];
+    const std::int32_t bi = op.path_ri[2 * (t - 1) + 1];
+    d.re += br * ar + bi * -ai;
+    d.im += br * ai + bi * ar;
+  }
+  return d;
 }
 
 TEST(QuantRow0Helper, MatchesRowZeroOfTheInt16Kernels) {
@@ -266,9 +397,15 @@ TEST(QuantRow0Helper, MatchesRowZeroOfTheInt16Kernels) {
       std::vector<std::int32_t> term_im(static_cast<usize>(p));
       quant::qrow0_child_terms(op.a_re[0], op.a_im[0], op.sym_ri, term_re,
                                term_im);
-      const quant::QDot dot = quant::qrow0_parent_dot(
-          std::span(op.a_re).subspan(1), std::span(op.a_im).subspan(1),
-          op.path_ri);
+      std::vector<quant::QDot> table(static_cast<usize>((k - 1) * p));
+      quant::qrow0_parent_table(std::span(op.a_re).subspan(1),
+                                std::span(op.a_im).subspan(1), op.sym_ri,
+                                table);
+      const quant::QDot dot =
+          quant::qrow0_table_dot(table, static_cast<usize>(p), op.path);
+      const quant::QDot want = reference_dot(op);
+      ASSERT_EQ(dot.re, want.re) << "k=" << k << " p=" << p;
+      ASSERT_EQ(dot.im, want.im) << "k=" << k << " p=" << p;
 
       // Staged operands: A = R's row, S = children on row 0, path below;
       // behind a decoy group as in a multi-frame level.
