@@ -137,6 +137,9 @@ class Backend {
     /// Coherence-block reuse: frames whose channel factorization was reused
     /// (cache or same popped run) vs rebuilt, fused multi-frame decode runs,
     /// and the distribution of fused-run widths (index = frames per run).
+    /// Hits and misses count only live frames on a rung with a cacheable
+    /// channel phase: an expired frame is answered by ZF from H or dropped,
+    /// resolves no channel and counts as neither.
     std::uint64_t prep_hits = 0;
     std::uint64_t prep_misses = 0;
     std::uint64_t fused_runs = 0;

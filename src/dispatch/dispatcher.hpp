@@ -108,7 +108,8 @@ struct DispatchStats {
   std::uint64_t cost_observations = 0;   ///< decodes fed back into the model
   std::uint64_t cost_buckets = 0;        ///< calibrated (backend, scenario) buckets
   /// Coherence-block reuse: preprocessing cache traffic and fused multi-frame
-  /// decode runs, aggregated over the backend pool.
+  /// decode runs, aggregated over the backend pool (Backend::Snapshot: an
+  /// expired frame counts as neither a prep hit nor a miss).
   std::uint64_t prep_hits = 0;
   std::uint64_t prep_misses = 0;
   std::uint64_t fused_runs = 0;    ///< decode_wide calls covering >= 2 frames

@@ -1049,8 +1049,8 @@ TEST(DispatchCoherent, PrepMissIsBookedAsServiceNotQueueWait) {
 TEST(DispatchCoherent, ExpiredFrameMidRunPeelsOffTheFusedRun) {
   // One coherence block of 8 BFS frames popped as one run; frame 3 carries
   // an already-spent deadline. It leaves the run for the ZF fallback (or is
-  // dropped), still resolves its channel like the rest of the run, and the
-  // remaining 7 frames decode as one fused run.
+  // dropped) without resolving its channel, and the remaining 7 frames
+  // decode as one fused run.
   constexpr usize kBlock = 8;
   constexpr usize kExpired = 3;
   const SystemConfig sys = test_system();
@@ -1097,7 +1097,7 @@ TEST(DispatchCoherent, ExpiredFrameMidRunPeelsOffTheFusedRun) {
     EXPECT_EQ(snap.degraded_kbest + snap.degraded_mmse + snap.degraded_linear,
               0u);
     EXPECT_EQ(snap.prep_misses, 1u);
-    EXPECT_EQ(snap.prep_hits, kBlock - 1);
+    EXPECT_EQ(snap.prep_hits, kBlock - 2);  // the expired frame counts in neither
     EXPECT_EQ(snap.fused_runs, 1u);
     EXPECT_EQ(snap.fused_frames, kBlock - 1);
     ASSERT_EQ(snap.fused_width_counts.size(), kBlock);
@@ -1109,7 +1109,7 @@ TEST(DispatchCoherent, ExpiredFrameMidRunPeelsOffTheFusedRun) {
     for (usize i = 0; i < kBlock; ++i) {
       const auto& [placed, result] = retired[i];
       EXPECT_EQ(result.id, i);
-      EXPECT_EQ(placed.prep_hit, i != 0) << "frame " << i;
+      EXPECT_EQ(placed.prep_hit, i != 0 && i != kExpired) << "frame " << i;
       // The run finishes together: one service time for all its frames.
       EXPECT_EQ(result.service_s, retired[0].second.service_s);
       if (i == kExpired) {

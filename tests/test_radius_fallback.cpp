@@ -5,9 +5,13 @@
 // (next_radius_sq) then switches the search to an unbounded radius exactly
 // once, counted in DecodeStats::radius_fallbacks, and the detector answers.
 // Inside a fused BFS batch the degenerate frame must not disturb the others.
+// A NaN sample makes every PD NaN: the BFS prunes it like a PD outside the
+// sphere, so the search ends in a handful of expansions instead of filling
+// the frontier.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -113,6 +117,33 @@ TEST(RadiusFallbackWide, ZeroNoiseFrameIsAnsweredAndOthersStayExact) {
     for (usize i : {usize{0}, usize{2}, usize{3}}) {
       EXPECT_EQ(got[i].stats.radius_fallbacks, 0u) << wide.name();
     }
+  }
+}
+
+TEST(RadiusFallbackNaN, NanSampleIsAnsweredInBoundedWork) {
+  // 10x10 4-QAM, one NaN receive sample. Every level-0 PD is NaN, so each
+  // radius doubling expands only the root, then the unbounded sphere comes
+  // up empty too and the answer is all symbol 0. Without the NaN prune the
+  // search kept every node: 349,525 expansions up to the frontier cap.
+  constexpr index_t kN = 10;
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  const CMat h = testing::random_cmat(kN, kN, 81);
+  CVec y = testing::random_cvec(kN, 82);
+  y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  for (const BfsOptions& opts : {BfsOptions{}, BfsOptions{.quantized = true}}) {
+    SdGemmBfsDetector det(c, opts);
+    const auto prep = det.preprocess(ChannelHandle(h));
+    DecodeResult r;
+    det.decode_with(*prep, y, 0.1, r);
+    const std::string what(det.name());
+    ASSERT_EQ(r.indices.size(), static_cast<usize>(kN)) << what;
+    for (index_t idx : r.indices) EXPECT_EQ(idx, 0) << what;
+    EXPECT_EQ(r.stats.radius_fallbacks, 1u) << what;
+    EXPECT_EQ(r.stats.leaves_reached, 0u) << what;
+    EXPECT_LE(r.stats.nodes_expanded, 100u) << what;
+    // The int16 search quantizes the NaN to a saturated target, exhausts
+    // its integer sphere and reruns on the float policy.
+    EXPECT_EQ(r.stats.quant_fallbacks, opts.quantized ? 1u : 0u) << what;
   }
 }
 

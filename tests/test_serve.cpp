@@ -302,10 +302,11 @@ TEST(ServeDeadlines, ExpiredFramesFallBackToZf) {
   EXPECT_EQ(m.deadline_misses, kFrames);
   EXPECT_EQ(m.submitted, m.accounted());
   // No placement can meet the budget, so every frame is placed on the
-  // linear rung; expired frames still resolve their (i.i.d.) channels, and
-  // nothing fuses.
+  // linear rung; expired frames are answered from H without resolving their
+  // channels, so they count as neither prep hits nor misses, and nothing
+  // fuses.
   EXPECT_EQ(rep.dispatch.degraded_linear, kFrames);
-  EXPECT_EQ(rep.dispatch.prep_misses, kFrames);
+  EXPECT_EQ(rep.dispatch.prep_misses, 0u);
   EXPECT_EQ(rep.dispatch.prep_hits, 0u);
   EXPECT_EQ(rep.dispatch.fused_runs, 0u);
 
@@ -341,7 +342,8 @@ TEST(ServeDeadlines, NoFallbackDropsExpiredFrames) {
   EXPECT_EQ(m.completed, 0u);
   EXPECT_EQ(m.submitted, m.accounted());
   EXPECT_EQ(rep.dispatch.degraded_linear, kFrames);
-  EXPECT_EQ(rep.dispatch.prep_misses, kFrames);
+  // Dropped frames resolve no channel either.
+  EXPECT_EQ(rep.dispatch.prep_misses, 0u);
   EXPECT_EQ(rep.dispatch.prep_hits, 0u);
   EXPECT_EQ(rep.dispatch.fused_runs, 0u);
   // Dropped frames contribute no symbols to the quality accounting.
