@@ -19,7 +19,8 @@
 //
 // The emitted BENCH_coherent_batch.json carries per-cell prep-cache and
 // fused-run counters; at full trial counts the config flag gate_speedup
-// turns on the validator's perf gate (fused L=64/B=8 vs L=1/B=1).
+// turns on the validator's perf gate (fused L=64/B=8 vs L=1/B=1, each cell
+// the best of three runs).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -116,7 +117,18 @@ int main(int argc, char** argv) {
       lo.snr_db = snr;
       lo.seed = 7;
       lo.coherence = coherence;
-      const LoadReport rep = run_cell(so, lo);
+      // The gated pair (the L=1/B=1 baseline and the L=64/B=8 cell) is
+      // best-of-reps like the cross_lane table below: one closed-loop run
+      // of either is scheduler-noisy, and the gate is their ratio.
+      const bool gated_cell =
+          (coherence == 1 && batch == 1) || (coherence == 64 && batch == 8);
+      LoadReport rep = run_cell(so, lo);
+      for (usize r = 1; gated_cell && r < reps; ++r) {
+        LoadReport again = run_cell(so, lo);
+        if (again.metrics.throughput_fps > rep.metrics.throughput_fps) {
+          rep = std::move(again);
+        }
+      }
       const ServerMetrics& mx = rep.metrics;
       const dispatch::DispatchStats& ds = rep.dispatch;
       if (coherence == 1 && batch == 1) base_fps = mx.throughput_fps;
