@@ -7,8 +7,10 @@
 // path — its block of the "tree state matrix" — is recovered by walking
 // parent links, which on the FPGA is a partitioned single-cycle BRAM lookup.
 //
-// The CPU decoders share this structure so that the FPGA simulator and the
-// CPU implementation traverse byte-identical trees.
+// It serves the Best-FS decoder (SdGemmDetector) and the FPGA pipeline
+// model, so the simulator and the CPU Best-FS traverse byte-identical trees.
+// The BFS level engine keeps no MST: its frontier nodes carry their paths as
+// byte rows (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

@@ -88,8 +88,8 @@ class SdGemmBfsDetector final : public Detector {
 
  private:
   // The level engine (sd_gemm_bfs.cpp), templated on the arithmetic policy —
-  // fp32 (level_row0, real PDs) or int16 (exact int32 products, requantize,
-  // int32 PDs).
+  // fp32 (level_row0's products from a per-level table, real PDs) or int16
+  // (exact int32 products from per-level tables, requantize, int32 PDs).
   struct Frame;      ///< per-frame inputs and search state
   struct Fp32Arith;  ///< float arithmetic policy
   struct I16Arith;   ///< fixed-point arithmetic policy
