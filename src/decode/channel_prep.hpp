@@ -52,9 +52,11 @@ class ChannelHandle {
   /// amortized over every frame of the coherence block sharing the handle).
   explicit ChannelHandle(CMat h);
 
-  /// Test-only escape hatch: attach an arbitrary fingerprint, e.g. to force
-  /// two distinct matrices onto one cache key and exercise collision
-  /// handling deterministically.
+  /// Attaches a fingerprint the caller already holds for `h` — the wire
+  /// decoder's verified one, so the ingress does not hash H twice. Tests
+  /// also attach an arbitrary fingerprint, e.g. to force two distinct
+  /// matrices onto one cache key and exercise collision handling
+  /// deterministically.
   ChannelHandle(CMat h, std::uint64_t fingerprint);
 
   [[nodiscard]] bool valid() const noexcept { return h_ != nullptr; }

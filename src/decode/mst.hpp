@@ -7,10 +7,11 @@
 // path — its block of the "tree state matrix" — is recovered by walking
 // parent links, which on the FPGA is a partitioned single-cycle BRAM lookup.
 //
-// It serves the Best-FS decoder (SdGemmDetector) and the FPGA pipeline
-// model, so the simulator and the CPU Best-FS traverse byte-identical trees.
-// The BFS level engine keeps no MST: its frontier nodes carry their paths as
-// byte rows (DESIGN.md §14).
+// It now serves only the FPGA pipeline model, which charges the hardware's
+// MST traffic. The CPU searches keep no MST and visit the same nodes in the
+// same order: Best-FS (SdGemmDetector) keeps a flat LIFO open list over one
+// shared path array (DESIGN.md §3), and the BFS level engine's frontier
+// nodes carry their paths as byte rows (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

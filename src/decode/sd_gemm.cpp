@@ -22,6 +22,11 @@ std::uint64_t sort_cost(usize p) noexcept {
   return static_cast<std::uint64_t>(p) * logp;
 }
 
+/// Survivor counts up to which Best-FS sorts by insertion. libstdc++'s
+/// std::sort is an insertion sort at this size too, so both keep tied PDs
+/// in symbol order; past it std::sort's order is kept as is.
+constexpr usize kStableSortMax = 16;
+
 }  // namespace
 
 SdGemmDetector::SdGemmDetector(const Constellation& constellation,
@@ -66,16 +71,11 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
   const index_t m = pre.r.rows();
   SD_CHECK(static_cast<index_t>(pre.ybar.size()) == m, "ybar length mismatch");
   const index_t p = c_->order();
+  SD_CHECK(m <= 0xFFFF && p <= 0x100,
+           "Best-FS stores depths in 16 bits and symbols in 8");
   result.stats.tree_levels = static_cast<std::uint64_t>(m);
 
   Timer timer;
-
-  // The tree state database (paper Fig. 5). Soft capacity on CPU; the peak
-  // per-level occupancy feeds the URAM sizing model. All working state lives
-  // in detector-owned scratch so repeat decodes allocate nothing.
-  MetaStateTable& mst = scratch_.mst(m, 1024);
-  TreeList<ScratchNode>& open = scratch_.open;
-  open.clear();
 
   double radius_sq = initial_radius_sq(opts_, sigma2, m);
   // With a finite (noise-scaled) radius the sphere can be empty; the standard
@@ -85,51 +85,90 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
   best_path.assign(static_cast<usize>(m), 0);
   double best_pd = std::numeric_limits<double>::infinity();
 
-  const bool row0 = opts_.level_gemm == LevelGemm::kRow0;
-  std::vector<index_t>& path = scratch_.path;
-  path.assign(static_cast<usize>(m), 0);
-  std::vector<ScratchChild>& children = scratch_.children;
-  children.resize(static_cast<usize>(p));
-  std::vector<ScratchChild>& survivors = scratch_.survivors;
-  survivors.reserve(static_cast<usize>(p));
-  std::vector<ScratchNode>& batch = scratch_.batch;
-  batch.reserve(static_cast<usize>(p));
+  const bool row0 = opts_.gemm_eval && opts_.level_gemm == LevelGemm::kRow0;
+  if (row0) {
+    // Row 0 of every level's product depends only on R and the alphabet:
+    // one table per level serves every expansion of the search.
+    std::vector<Row0Table>& tables = scratch_.tables;
+    if (tables.size() < static_cast<usize>(m)) {
+      tables.resize(static_cast<usize>(m));
+    }
+    for (index_t depth = 0; depth < m; ++depth) {
+      const index_t a = m - 1 - depth;
+      build_row0_table(pre.r.row(a).subspan(static_cast<usize>(a),
+                                            static_cast<usize>(depth + 1)),
+                       c_->points(), tables[static_cast<usize>(depth)]);
+    }
+    scratch_.z_row.resize(static_cast<usize>(p));
+  }
 
-  // Expands the node `parent_id` (kRootId = the virtual root) whose path
-  // symbols for depths [0, depth) are already in `path` and whose PD is
-  // `parent_pd`. Children live at depth `depth`, i.e. antenna a = m-1-depth.
-  auto expand = [&](NodeId parent_id, index_t depth, real parent_pd) {
+  // The open list: LIFO, so the entries below the top are the unexpanded
+  // siblings of the current path's nodes, at most p per interior depth.
+  // The loop works on raw pointers into the scratch: its byte stores to
+  // the path may alias anything, which would otherwise reload each
+  // vector's data pointer after every one of them.
+  scratch_.open.resize(static_cast<usize>(m) * static_cast<usize>(p));
+  BestFsNode* const open = scratch_.open.data();
+  usize top = 0;
+  usize peak = 0;
+  scratch_.path.assign(static_cast<usize>(m), 0);
+  std::uint8_t* const path = scratch_.path.data();
+  scratch_.children.resize(static_cast<usize>(p));
+  ScratchChild* const kept = scratch_.children.data();
+  // Tallies stay local; the level products are charged once per depth at
+  // the end.
+  scratch_.expansions.assign(static_cast<usize>(m), 0);
+  std::uint64_t* const expansions = scratch_.expansions.data();
+  std::uint64_t expanded = result.stats.nodes_expanded;
+  std::uint64_t pruned = 0;
+  std::uint64_t sorts = 0;
+  const std::uint64_t sort_ops = sort_cost(static_cast<usize>(p));
+
+  // Expands the node whose path symbols for depths [0, depth) are in `path`
+  // and whose PD is `parent_pd` (depth 0 = the virtual root). Children live
+  // at depth `depth`, i.e. antenna a = m-1-depth.
+  auto expand = [&](index_t depth, real parent_pd) {
     const index_t a = m - 1 - depth;
-    ++result.stats.nodes_expanded;
-    result.stats.nodes_generated += static_cast<std::uint64_t>(p);
+    const index_t k = depth + 1;  // trailing block size
+    ++expanded;
+    ++expansions[static_cast<usize>(depth)];
 
-    if (opts_.gemm_eval) {
+    // Phase 2 produces the p child PDs; Phase 3's radius test keeps a child
+    // only when its PD is inside the sphere, so a NaN PD is pruned.
+    usize n = 0;
+    auto keep = [&](index_t col, real pd) {
+      kept[n] = ScratchChild{col, pd};
+      n += static_cast<double>(pd) < radius_sq ? 1 : 0;
+    };
+    if (!opts_.gemm_eval) {
+      // Scalar (ablation) form: shared interference term once, then one
+      // complex MAC per child — the memory-bound BLAS-2 profile.
+      cplx interference{0, 0};
+      for (index_t t = 1; t <= depth; ++t) {
+        interference +=
+            pre.r(a, a + t) * c_->point(path[static_cast<usize>(depth - t)]);
+      }
+      const cplx b = pre.ybar[static_cast<usize>(a)] - interference;
+      const cplx raa = pre.r(a, a);
+      for (index_t col = 0; col < p; ++col) {
+        keep(col, parent_pd + norm2(b - raa * c_->point(col)));
+      }
+    } else {
       // Phase 2, GEMM form (the BLAS-2 -> BLAS-3 refactoring of [1]): the
-      // whole trailing R block R[a:m, a:m] is multiplied by the tree-state
-      // matrix S whose columns are the P candidate blocks (new symbol on
-      // top, parent path below) — "a block of the tree state matrix is
-      // multiplied by its corresponding block in the channel matrix"
-      // (paper §III-A2). Only row a is new information (the rows below
-      // re-derive the parent's contributions), so the PD increment reads
-      // row 0 of z; the redundant rows are the regularity the compute-bound
-      // refactoring trades for accelerator-friendly GEMM shapes.
-      const index_t k = m - a;  // trailing block size
-      CMat& z = scratch_.z;
+      // trailing R block R[a:m, a:m] times the tree-state matrix S whose
+      // columns are the P candidate blocks (new symbol on top, parent path
+      // below) — "a block of the tree state matrix is multiplied by its
+      // corresponding block in the channel matrix" (paper §III-A2). Only
+      // row 0 of the product is new information: kRow0 gathers it from the
+      // level's table, bit-identical to row 0 of the block product that
+      // kFull stages and multiplies.
+      const cplx* z_row = nullptr;
       if (row0) {
-        // Row 0 only, evaluated from the parent's path (level_row0):
-        // bit-identical to row 0 of the block product below.
-        CVec& above = scratch_.above;
-        above.resize(static_cast<usize>(k - 1));
-        for (index_t t = 1; t < k; ++t) {
-          // Column a+t of R corresponds to the symbol decided at depth
-          // m-1-(a+t) = depth - t.
-          above[static_cast<usize>(t - 1)] =
-              c_->point(path[static_cast<usize>(depth - t)]);
-        }
-        z.reshape(1, p);
-        level_row0(pre.r.row(a).subspan(static_cast<usize>(a),
-                                        static_cast<usize>(k)),
-                   above, c_->points(), z.row(0));
+        level_row0_from_table(
+            scratch_.tables[static_cast<usize>(depth)],
+            std::span<const std::uint8_t>(path, static_cast<usize>(depth)),
+            scratch_.z_row);
+        z_row = scratch_.z_row.data();
       } else {
         // kFull: the paper's whole block product, staged in scratch
         // (reshape keeps capacity; a_block rows are rewritten in full,
@@ -149,103 +188,98 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
           const cplx sym = c_->point(path[static_cast<usize>(depth - t)]);
           for (index_t col = 0; col < p; ++col) s_mat(t, col) = sym;
         }
+        CMat& z = scratch_.z;
         z.reshape(k, p);
         gemm(Op::kNone, cplx{1, 0}, a_block, s_mat, cplx{0, 0}, z,
              scratch_.gemm_ws);
+        z_row = z.row(0).data();
       }
-      // Either way the charge is the paper's full block (sphere_common.hpp).
-      charge_level_gemm(result.stats, p, k, LevelOperands::kComplexFloat);
       const cplx target = pre.ybar[static_cast<usize>(a)];
       for (index_t col = 0; col < p; ++col) {
-        children[static_cast<usize>(col)] = {
-            col, parent_pd + norm2(target - z(0, col))};
-      }
-    } else {
-      // Scalar (ablation) form: shared interference term once, then one
-      // complex MAC per child — the memory-bound BLAS-2 profile.
-      cplx interference{0, 0};
-      for (index_t t = 1; t <= depth; ++t) {
-        interference +=
-            pre.r(a, a + t) * c_->point(path[static_cast<usize>(depth - t)]);
-      }
-      const cplx b = pre.ybar[static_cast<usize>(a)] - interference;
-      const cplx raa = pre.r(a, a);
-      for (index_t col = 0; col < p; ++col) {
-        children[static_cast<usize>(col)] = {
-            col, parent_pd + norm2(b - raa * c_->point(col))};
-      }
-      result.stats.bytes_touched +=
-          sizeof(cplx) * static_cast<std::uint64_t>(m - a);
-    }
-
-    // Phase 3: prune against the radius.
-    survivors.clear();
-    for (const ScratchChild& ch : children) {
-      if (static_cast<double>(ch.pd) < radius_sq) {
-        survivors.push_back(ch);
-      } else {
-        ++result.stats.nodes_pruned;
+        keep(col, parent_pd + norm2(target - z_row[col]));
       }
     }
-    if (survivors.empty()) return;
+    pruned += static_cast<std::uint64_t>(p) - n;
+    if (n == 0) return;
+    sorts += sort_ops;
 
-    std::sort(survivors.begin(), survivors.end(),
-              [](const ScratchChild& x, const ScratchChild& y2) {
-                return x.pd < y2.pd;
-              });
-    result.stats.sort_ops += sort_cost(static_cast<usize>(p));
+    if (n > kStableSortMax) {
+      std::sort(kept, kept + n,
+                [](const ScratchChild& x, const ScratchChild& y2) {
+                  return x.pd < y2.pd;
+                });
+    }
 
     if (depth == m - 1) {
       // Leaf level: the best surviving child inside the radius becomes the
-      // new incumbent and shrinks the sphere (Alg. 1 lines 7-9).
-      const ScratchChild& best_child = survivors.front();
+      // new incumbent and shrinks the sphere (Alg. 1 lines 7-9). Its
+      // siblings can no longer beat the shrunken radius. Past
+      // kStableSortMax that is std::sort's front, else the first minimum.
+      usize best = 0;
+      if (n <= kStableSortMax) {
+        for (usize i = 1; i < n; ++i) {
+          if (kept[i].pd < kept[best].pd) best = i;
+        }
+      }
       ++result.stats.leaves_reached;
-      // Its siblings can no longer beat the shrunken radius.
-      result.stats.nodes_pruned += survivors.size() - 1;
-      radius_sq = static_cast<double>(best_child.pd);
+      pruned += n - 1;
+      radius_sq = static_cast<double>(kept[best].pd);
       best_pd = radius_sq;
-      best_path = path;
-      best_path[static_cast<usize>(depth)] = best_child.symbol;
+      for (index_t d = 0; d < depth; ++d) {
+        best_path[static_cast<usize>(d)] = path[static_cast<usize>(d)];
+      }
+      best_path[static_cast<usize>(depth)] = kept[best].symbol;
       found_leaf = true;
       ++result.stats.radius_updates;
       return;
     }
 
-    // Interior level: commit survivors to the MST, push in sorted order.
-    batch.clear();
-    for (const ScratchChild& ch : survivors) {
-      const NodeId id = mst.insert(depth, MstNode{parent_id, ch.symbol, ch.pd});
-      batch.push_back(ScratchNode{id, ch.pd});
+    // Interior level: the best child must pop next, so the batch lands on
+    // the stack in descending PD order. Up to kStableSortMax survivors are
+    // insertion-sorted straight onto the stack; a child goes below every
+    // earlier sibling with a PD no larger than its own, so tied PDs pop in
+    // symbol order, as a stable ascending sort pushed in reverse gives.
+    const auto d16 = static_cast<std::uint16_t>(depth);
+    if (n > kStableSortMax) {
+      for (usize i = n; i-- > 0;) {
+        open[top++] = BestFsNode{kept[i].pd, d16,
+                                 static_cast<std::uint8_t>(kept[i].symbol)};
+      }
+    } else {
+      const usize base = top;
+      for (usize i = 0; i < n; ++i) {
+        const BestFsNode node{kept[i].pd, d16,
+                              static_cast<std::uint8_t>(kept[i].symbol)};
+        usize j = top++;
+        for (; j > base && open[j - 1].pd <= node.pd; --j) {
+          open[j] = open[j - 1];
+        }
+        open[j] = node;
+      }
     }
-    open.push_sorted_batch(std::span<const ScratchNode>(batch));
+    peak = std::max(peak, top);
   };
 
   for (int attempt = 0;; ++attempt) {
-    mst.reset();
-    open.clear();
-    expand(kRootId, 0, real{0});
+    top = 0;
+    expand(0, real{0});
 
-    while (!open.empty()) {
-      if (result.stats.nodes_expanded >= opts_.max_nodes) {
+    while (top > 0) {
+      if (expanded >= opts_.max_nodes) {
         result.stats.node_budget_hit = true;
         break;
       }
-      const ScratchNode entry = open.pop();
+      const BestFsNode entry = open[--top];
       // Lazy pruning: the radius may have shrunk since this node was pushed.
       if (static_cast<double>(entry.pd) >= radius_sq) {
-        ++result.stats.nodes_pruned;
+        ++pruned;
         continue;
       }
-      // The open list is LIFO, so nothing popped since this node's parent
-      // was expanded has touched path[0, level): only its own symbol is
-      // missing.
-      const index_t level = MetaStateTable::level_of(entry.id);
-      path[static_cast<usize>(level)] = mst.get(entry.id).symbol;
-      expand(entry.id, level + 1, entry.pd);
+      // Nothing popped since this node's parent was expanded has touched
+      // path[0, depth): only its own symbol is missing.
+      path[entry.depth] = entry.symbol;
+      expand(static_cast<index_t>(entry.depth) + 1, entry.pd);
     }
-
-    result.stats.peak_list_size =
-        std::max<std::uint64_t>(result.stats.peak_list_size, open.peak_size());
 
     // An unbounded sphere cannot grow; the Babai fallback below answers.
     if (found_leaf || result.stats.node_budget_hit || std::isinf(radius_sq)) {
@@ -253,6 +287,28 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
     }
     // Empty sphere under the noise-scaled radius: enlarge it and retry.
     radius_sq = next_radius_sq(radius_sq, attempt, result.stats);
+  }
+
+  const std::uint64_t new_expansions = expanded - result.stats.nodes_expanded;
+  result.stats.nodes_expanded = expanded;
+  result.stats.nodes_generated +=
+      static_cast<std::uint64_t>(p) * new_expansions;
+  result.stats.nodes_pruned += pruned;
+  result.stats.sort_ops += sorts;
+  result.stats.peak_list_size =
+      std::max<std::uint64_t>(result.stats.peak_list_size, peak);
+  for (index_t depth = 0; depth < m; ++depth) {
+    const std::uint64_t times = expansions[static_cast<usize>(depth)];
+    if (times == 0) continue;
+    // Either product shape is charged as the paper's full block
+    // (sphere_common.hpp); the scalar form reads the row's depth+1 entries.
+    if (opts_.gemm_eval) {
+      charge_level_gemm(result.stats, p, depth + 1,
+                        LevelOperands::kComplexFloat, times);
+    } else {
+      result.stats.bytes_touched +=
+          times * sizeof(cplx) * static_cast<std::uint64_t>(depth + 1);
+    }
   }
 
   if (!found_leaf) {

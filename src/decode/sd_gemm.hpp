@@ -7,18 +7,23 @@
 //  - Phase 2 (Evaluation): the children's partial distances are computed in
 //    one batched matrix product — the corresponding row block of R times the
 //    children's tree-state matrix — followed by a norm against ybar. This is
-//    the BLAS-2 -> BLAS-3 refactoring adopted from Arfaoui et al. [1].
+//    the BLAS-2 -> BLAS-3 refactoring adopted from Arfaoui et al. [1]. Only
+//    row 0 of that product is new information; the search forms it from one
+//    table per tree level, built once per search (Row0Table), bit-identical
+//    to the block product that LevelGemm::kFull still multiplies out.
 //  - Phase 3 (Pruning): children outside the sphere radius are cut; survivors
-//    are sorted by PD and inserted into the tree list so the best child is
+//    are sorted by PD and pushed onto the open list so the best child is
 //    popped first (LIFO), which is the Best-FS strategy adopted from
 //    Geosphere [14]. Reaching a leaf shrinks the radius (Alg. 1 line 8).
 //
-// The search tree lives in a Meta State Table, exactly as on the FPGA.
+// The open list is a flat LIFO array of {pd, depth, symbol}; LIFO order
+// keeps every open node's path in one shared array, so the CPU search needs
+// no tree store. The FPGA model (src/fpga/pipeline.cpp) keeps the paper's
+// Meta State Table and visits the same nodes in the same order.
 #pragma once
 
 #include "decode/decode_scratch.hpp"
 #include "decode/detector.hpp"
-#include "decode/mst.hpp"
 #include "decode/sphere_common.hpp"
 
 namespace sd {

@@ -83,7 +83,7 @@ struct SdGemmBfsDetector::Frame {
   }
 };
 
-/// Float policy: level_row0's products from a per-level table, real PDs
+/// Float policy: row-0 products from a per-level table, real PDs
 /// compared against the float radius.
 struct SdGemmBfsDetector::Fp32Arith {
   using Pd = real;

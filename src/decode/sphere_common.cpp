@@ -13,16 +13,17 @@
 namespace sd {
 
 void charge_level_gemm(DecodeStats& stats, index_t cols, index_t k,
-                       LevelOperands operands) {
-  ++stats.gemm_calls;
-  stats.flops += gemm_flops(k, cols, k);
+                       LevelOperands operands, std::uint64_t times) {
+  stats.gemm_calls += times;
+  stats.flops += times * gemm_flops(k, cols, k);
   if (operands == LevelOperands::kInt16) {
-    stats.bytes_touched += quant::qgemm_bytes(k, cols, k);
+    stats.bytes_touched += times * quant::qgemm_bytes(k, cols, k);
     return;
   }
   const auto k64 = static_cast<std::uint64_t>(k);
   stats.bytes_touched +=
-      sizeof(cplx) * (k64 * k64 + 2 * k64 * static_cast<std::uint64_t>(cols));
+      times * sizeof(cplx) *
+      (k64 * k64 + 2 * k64 * static_cast<std::uint64_t>(cols));
 }
 
 namespace {
@@ -40,79 +41,11 @@ constexpr usize kRow0Block = 4;
 
 }  // namespace
 
-void level_row0(std::span<const cplx> r_row, std::span<const cplx> above,
-                std::span<const cplx> points, std::span<cplx> z) {
-  const usize k = r_row.size();
-  SD_CHECK(k >= 1 && above.size() == k - 1,
-           "level_row0 needs one parent symbol per column after the first");
-  SD_CHECK(z.size() == points.size(), "level_row0 writes one value per child");
-  const usize panel = static_cast<usize>(kGemmKc);
-  const usize first_panel = std::min(k, panel);
-
-  // The parent's products of the first K panel, formed once.
-  real prod_re[kGemmKc];
-  real prod_im[kGemmKc];
-  for (usize t = 1; t < first_panel; ++t) {
-    prod_re[t] = mul_re(r_row[t], above[t - 1]);
-    prod_im[t] = mul_im(r_row[t], above[t - 1]);
-  }
-
-  // Children in blocks of kRow0Block; a short last block pads with zero
-  // candidates whose lanes it never stores.
-  const real r0_re = r_row[0].real();
-  const real r0_im = r_row[0].imag();
-  for (usize i0 = 0; i0 < points.size(); i0 += kRow0Block) {
-    const usize nb = std::min(kRow0Block, points.size() - i0);
-    real c_re[kRow0Block] = {};
-    real c_im[kRow0Block] = {};
-    for (usize j = 0; j < nb; ++j) {
-      c_re[j] = points[i0 + j].real();
-      c_im[j] = points[i0 + j].imag();
-    }
-    real acc_re[kRow0Block];
-    real acc_im[kRow0Block];
-    for (usize j = 0; j < kRow0Block; ++j) {
-      acc_re[j] = real{0} + (r0_re * c_re[j] - r0_im * c_im[j]);
-      acc_im[j] = real{0} + (r0_re * c_im[j] + r0_im * c_re[j]);
-    }
-    for (usize t = 1; t < first_panel; ++t) {
-      for (usize j = 0; j < kRow0Block; ++j) {
-        acc_re[j] += prod_re[t];
-        acc_im[j] += prod_im[t];
-      }
-    }
-    // Epilogue c += alpha * acc onto the beta = 0 cleared output.
-    real out_re[kRow0Block];
-    real out_im[kRow0Block];
-    for (usize j = 0; j < kRow0Block; ++j) {
-      out_re[j] = real{0} + (real{1} * acc_re[j] - real{0} * acc_im[j]);
-      out_im[j] = real{0} + (real{1} * acc_im[j] + real{0} * acc_re[j]);
-    }
-    for (usize j = 0; j < nb; ++j) z[i0 + j] = cplx{out_re[j], out_im[j]};
-  }
-
-  // Deeper K panels reduce from 0 on their own and add their epilogue onto
-  // the output. They hold only the parent's terms, so one partial sum per
-  // panel serves every child.
-  for (usize pc = panel; pc < k; pc += panel) {
-    real sum_re = 0;
-    real sum_im = 0;
-    for (usize t = pc; t < std::min(k, pc + panel); ++t) {
-      sum_re += mul_re(r_row[t], above[t - 1]);
-      sum_im += mul_im(r_row[t], above[t - 1]);
-    }
-    const real out_re = real{1} * sum_re - real{0} * sum_im;
-    const real out_im = real{1} * sum_im + real{0} * sum_re;
-    for (cplx& v : z) v = cplx{v.real() + out_re, v.imag() + out_im};
-  }
-}
-
 void build_row0_table(std::span<const cplx> r_row,
                       std::span<const cplx> points, Row0Table& table) {
   const usize k = r_row.size();
   const usize p = points.size();
-  SD_CHECK(k >= 1 && k <= static_cast<usize>(kGemmKc),
-           "build_row0_table covers one K panel");
+  SD_CHECK(k >= 1, "build_row0_table needs R's diagonal entry");
   table.k = k;
   table.p = p;
   // Padded children are never stored; their starts are left at 0.
@@ -143,14 +76,18 @@ void level_row0_from_table(const Row0Table& table,
   const usize p = table.p;
   SD_CHECK(path.size() + 1 == k && z.size() == p,
            "level_row0_from_table needs the parent's k-1 symbols, p outputs");
+  const usize panel = static_cast<usize>(kGemmKc);
+  const usize first_panel = std::min(k, panel);
+  // The parent's terms of the first K panel, gathered once.
   real prod_re[kGemmKc];
   real prod_im[kGemmKc];
-  for (usize t = 1; t < k; ++t) {
+  for (usize t = 1; t < first_panel; ++t) {
     const cplx v = table.term[(t - 1) * p + path[k - 1 - t]];
     prod_re[t] = v.real();
     prod_im[t] = v.imag();
   }
-  // level_row0's block loop from the tabled starts on.
+  // Children in blocks of kRow0Block from the tabled starts; a short last
+  // block runs on the zero padding and never stores those lanes.
   for (usize i0 = 0; i0 < p; i0 += kRow0Block) {
     const usize nb = std::min(kRow0Block, p - i0);
     real acc_re[kRow0Block];
@@ -159,12 +96,13 @@ void level_row0_from_table(const Row0Table& table,
       acc_re[j] = table.start_re[i0 + j];
       acc_im[j] = table.start_im[i0 + j];
     }
-    for (usize t = 1; t < k; ++t) {
+    for (usize t = 1; t < first_panel; ++t) {
       for (usize j = 0; j < kRow0Block; ++j) {
         acc_re[j] += prod_re[t];
         acc_im[j] += prod_im[t];
       }
     }
+    // Epilogue c += alpha * acc onto the beta = 0 cleared output.
     real out_re[kRow0Block];
     real out_im[kRow0Block];
     for (usize j = 0; j < kRow0Block; ++j) {
@@ -172,6 +110,21 @@ void level_row0_from_table(const Row0Table& table,
       out_im[j] = real{0} + (real{1} * acc_im[j] + real{0} * acc_re[j]);
     }
     for (usize j = 0; j < nb; ++j) z[i0 + j] = cplx{out_re[j], out_im[j]};
+  }
+  // Deeper K panels reduce from 0 on their own and add their epilogue onto
+  // the output. They hold only the parent's terms, so one partial sum per
+  // panel serves every child.
+  for (usize pc = panel; pc < k; pc += panel) {
+    real sum_re = 0;
+    real sum_im = 0;
+    for (usize t = pc; t < std::min(k, pc + panel); ++t) {
+      const cplx v = table.term[(t - 1) * p + path[k - 1 - t]];
+      sum_re += v.real();
+      sum_im += v.imag();
+    }
+    const real out_re = real{1} * sum_re - real{0} * sum_im;
+    const real out_im = real{1} * sum_im + real{0} * sum_re;
+    for (cplx& v : z) v = cplx{v.real() + out_re, v.imag() + out_im};
   }
 }
 

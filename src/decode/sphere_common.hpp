@@ -1,6 +1,6 @@
 // Machinery shared by the sphere-decoder family: QR preprocessing, radius
-// policies, search options, and the sorted tree-list open structure from the
-// paper's Fig. 3.
+// policies, search options, the per-level row-0 product tables, and the
+// sorted tree-list open structure from the paper's Fig. 3.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,11 @@ enum class RadiusPolicy : std::uint8_t {
 /// the tree-state matrix even though only row 0 of the product carries new
 /// information (the PD increment); the redundant rows are the regularity that
 /// makes the kernel accelerator-friendly. The CPU decoders form just that
-/// row, with level_row0() below, which gives bit-identical PDs (see
-/// DESIGN.md §11). kFull survives only as the paper's CPU baseline for the
-/// figure benches, which compare against the paper's CPU numbers; no spec
-/// key, server option or environment variable selects it. The BFS engine
-/// always forms row 0.
+/// row, from the per-level Row0Table below, which gives bit-identical PDs
+/// (see DESIGN.md §11). kFull survives only as the paper's CPU baseline for
+/// the figure benches, which compare against the paper's CPU numbers; no
+/// spec key, server option or environment variable selects it. The BFS
+/// engine always forms row 0.
 /// Neither shape changes DecodeStats: charge_level_gemm() accounts the
 /// paper's full-block volume whatever ran.
 enum class LevelGemm : std::uint8_t {
@@ -46,42 +46,35 @@ enum class LevelOperands : std::uint8_t {
   kInt16          ///< int16 A/S, int32 Z (the quantized BFS policy)
 };
 
-/// Charges one level product over `cols` tree-state columns at trailing
-/// block size k: one GEMM call, and the flops and bytes of the paper's
-/// full k x cols x k block product (§III-A2), whatever shape actually ran.
-/// The counters are model inputs — golden constants, the Fig. 11 GPU model,
-/// perfbench's linalg.gemm_mflop_per_frame — so they describe the
-/// algorithm's product rather than the executed one.
+/// Charges `times` level products over `cols` tree-state columns at
+/// trailing block size k: one GEMM call each, and the flops and bytes of the
+/// paper's full k x cols x k block product (§III-A2), whatever shape
+/// actually ran. The counters are model inputs — golden constants, the
+/// Fig. 11 GPU model, perfbench's linalg.gemm_mflop_per_frame — so they
+/// describe the algorithm's product rather than the executed one.
 void charge_level_gemm(DecodeStats& stats, index_t cols, index_t k,
-                       LevelOperands operands);
+                       LevelOperands operands, std::uint64_t times = 1);
 
-/// Row 0 of one parent's level product, for its p children, evaluated
-/// straight from the parent's path rather than from a staged tree-state
-/// matrix:
+/// Row 0 of a level product, tabulated once per level for a search that
+/// expands many parents on one R row. Row 0 of one parent's product is
 ///
 ///   z[i] = R(a,a)·c_i + sum_{t=1}^{k-1} R(a,a+t)·s_t
 ///
-/// `r_row` holds R(a, a .. a+k-1), `above[t-1]` the symbol s_t the parent
-/// decided for column a+t, and `points` the children's candidates c_i; `z`
-/// receives p values. Each child keeps its own accumulator in the exact
-/// per-element order of row 0 of gemm() and gemm_grouped() with alpha = 1,
-/// beta = 0 (start at 0, add its own product, add the parent's products in
-/// ascending t, apply the epilogue 1·re − 0·im and 0 + out, and past kGemmKc
-/// the packed kernels' per-panel partial sums), with the complex multiply
-/// split into the SoA kernel's mul/mul/sub and mul/mul/add. The parent's
-/// products, identical for every child, are formed once. The result is
-/// therefore bit-identical to the level GEMM's row 0 under both kernels for
-/// finite operands; with inf/NaN operands it matches the SoA kernels, while
-/// the scalar kernels' std::complex multiply may turn a NaN into an inf
-/// (C Annex G recovery). DESIGN.md §11.
-void level_row0(std::span<const cplx> r_row, std::span<const cplx> above,
-                std::span<const cplx> points, std::span<cplx> z);
-
-/// The per-level half of level_row0 for a search that expands many parents
-/// on one R row (the BFS level engine). Every parent term R(a,a+t)·s takes
-/// one of only p values per t, and each child's start 0 + R(a,a)·c_i is the
-/// same for every parent, so build_row0_table() forms them once per level
-/// and level_row0_from_table() gathers a parent's terms by its path.
+/// for its p children c_i, with s_t the symbol the parent decided for
+/// column a+t. Every parent term R(a,a+t)·s takes one of only p values per
+/// t, and each child's start 0 + R(a,a)·c_i is the same for every parent,
+/// so build_row0_table() forms them once and level_row0_from_table()
+/// gathers a parent's terms by its path. Each child keeps its own
+/// accumulator in the exact per-element order of row 0 of gemm() and
+/// gemm_grouped() with alpha = 1, beta = 0 (start at 0, add its own
+/// product, add the parent's products in ascending t, apply the epilogue
+/// 1·re − 0·im and 0 + out, and past kGemmKc the packed kernels' per-panel
+/// partial sums), with the complex multiply split into the SoA kernel's
+/// mul/mul/sub and mul/mul/add. The result is therefore bit-identical to
+/// the level GEMM's row 0 under both kernels for finite operands; with
+/// inf/NaN operands it matches the SoA kernels, while the scalar kernels'
+/// std::complex multiply may turn a NaN into an inf (C Annex G recovery).
+/// tests/test_row0_helper.cpp pins it against every kernel. DESIGN.md §11.
 struct Row0Table {
   usize k = 0;                 ///< R row length (one more than path depth)
   usize p = 0;                 ///< children per parent
@@ -90,16 +83,14 @@ struct Row0Table {
   std::vector<cplx> term;      ///< entry (t-1)·p + s: R(a,a+t)·c_s
 };
 
-/// Builds `table` for R's row a from column a on (`r_row`, k <= kGemmKc
-/// entries) and the alphabet `points`; capacity is reused across levels.
+/// Builds `table` for R's row a from column a on (`r_row`, k >= 1 entries)
+/// and the alphabet `points`; capacity is reused across calls.
 void build_row0_table(std::span<const cplx> r_row,
                       std::span<const cplx> points, Row0Table& table);
 
-/// Row 0 of one parent's level product from the level's table, bit-identical
-/// to level_row0() with above[t-1] = points[path[k-1-t]]: the same float
-/// operations in the same order, with the products looked up instead of
-/// formed. `path` holds the parent's symbol at each depth (k-1 entries, path
-/// depth d = column a+k-1-d); `z` receives p values.
+/// Row 0 of one parent's level product from the level's table. `path`
+/// holds the parent's symbol at each depth (k-1 entries, path depth d =
+/// column a+k-1-d); `z` receives p values.
 void level_row0_from_table(const Row0Table& table,
                            std::span<const std::uint8_t> path,
                            std::span<cplx> z);
@@ -181,7 +172,9 @@ void to_antenna_order_into(const Preprocessed& pre,
 /// The paper's tree-list structure (Fig. 3): an open list where each batch of
 /// children is inserted in PD-sorted order and nodes are popped LIFO, which
 /// yields depth-first descent that always follows the best child first
-/// (the Best-FS strategy adopted from Geosphere).
+/// (the Best-FS strategy adopted from Geosphere). The FPGA pipeline model
+/// keeps its MST node ids here; the CPU Best-FS inlines the same discipline
+/// on a flat array (SdGemmDetector::search).
 template <typename Entry>
 class TreeList {
  public:

@@ -190,6 +190,9 @@ class Backend {
 
   [[nodiscard]] Snapshot snapshot() const;
 
+  /// The channel preps this backend's lanes share (thread-safe).
+  [[nodiscard]] ChannelPrepCache& prep_cache() noexcept { return prep_cache_; }
+
   /// The overload-ladder tiers this backend can serve, cheapest last. Always
   /// starts with kPrimary; SD-family decoders degrade through kKBest and
   /// kMmseApprox to kLinear, fixed-complexity decoders skip the kKBest rung,

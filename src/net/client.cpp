@@ -14,7 +14,7 @@ bool NetClient::send_locked(const WireFrame& frame) {
   encode_frame(frame, send_buf_);
   if (!send_all(sock_.fd(), send_buf_.data(), send_buf_.size())) return false;
   bytes_sent_ += send_buf_.size();
-  if (frame.has_channel) sent_fps_.insert(frame.channel_fp);
+  if (frame.has_channel) sent_fps_.put(frame.channel_fp, true);
   return true;
 }
 
@@ -27,10 +27,11 @@ bool NetClient::send_frame_auto(WireFrame& frame, const CMat& h,
                                 std::uint64_t fp) {
   frame.channel_fp = fp;
   std::lock_guard<std::mutex> lock(send_mu_);
-  // Elide whenever fp has ever been shipped on this connection. The server
-  // may have evicted it (bounded LRU cache) — that case comes back as a
-  // kResendChannel NACK, answered from the retained copy below.
-  frame.has_channel = sent_fps_.find(fp) == sent_fps_.end();
+  // Elide whenever fp was shipped on this connection and is still
+  // remembered. The server may have evicted it (bounded LRU cache) — that
+  // case comes back as a kResendChannel NACK, answered from the retained
+  // copy below.
+  frame.has_channel = sent_fps_.find(fp) == nullptr;
   if (frame.has_channel) {
     frame.h = h;
   } else {

@@ -13,8 +13,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "net/lru.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
@@ -22,6 +22,10 @@ namespace sd::net {
 
 class NetClient {
  public:
+  /// Channels the elision policy remembers: as many as the server's default
+  /// per-connection cache (IngressOptions::channel_cache_capacity) holds.
+  static constexpr usize kTrackedChannels = 1024;
+
   [[nodiscard]] static NetClient connect_tcp(std::uint16_t port) {
     return NetClient(connect_tcp_loopback(port));
   }
@@ -41,10 +45,12 @@ class NetClient {
 
   /// Channel-elision policy: ships H the first time `fp` travels on this
   /// connection and elides it afterwards — so interleaved coherence blocks
-  /// (A,B,A,B) pay for each channel once, not once per switch. Elided frames
-  /// are retained (with their channel) until their response arrives, so a
-  /// kResendChannel NACK — the server's bounded cache evicted fp — can be
-  /// answered transparently inside recv(). The caller fills everything but
+  /// (A,B,A,B) pay for each channel once, not once per switch. The client
+  /// remembers the kTrackedChannels most recently used fingerprints; a
+  /// channel it has forgotten is shipped again. Elided frames are retained
+  /// (with their channel) until their response arrives, so a kResendChannel
+  /// NACK — the server's bounded cache does not hold fp — can be answered
+  /// transparently inside recv(). The caller fills everything but
   /// has_channel/channel_fp.
   bool send_frame_auto(WireFrame& frame, const CMat& h, std::uint64_t fp);
 
@@ -65,6 +71,12 @@ class NetClient {
   /// frame, while responses keep flowing back.
   void finish_sending();
 
+  /// Fingerprints the elision policy remembers (at most kTrackedChannels).
+  [[nodiscard]] usize tracked_channels() {
+    std::lock_guard<std::mutex> lock(send_mu_);
+    return sent_fps_.size();
+  }
+
   [[nodiscard]] usize bytes_sent() const noexcept { return bytes_sent_; }
   [[nodiscard]] usize bytes_received() const noexcept {
     return bytes_received_;
@@ -78,8 +90,9 @@ class NetClient {
   Socket sock_;
   std::mutex send_mu_;
   std::vector<std::uint8_t> send_buf_;
-  /// Every fingerprint shipped inline on this connection (elision key).
-  std::unordered_set<std::uint64_t> sent_fps_;
+  /// Fingerprints shipped inline on this connection, most recently used
+  /// kept (elision key).
+  FingerprintLru<bool> sent_fps_{kTrackedChannels};
   /// In-flight elided frames by client frame id, channel included — the
   /// retransmit source for kResendChannel. Erased on the frame's response.
   std::unordered_map<std::uint64_t, WireFrame> elided_;

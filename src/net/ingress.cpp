@@ -31,11 +31,14 @@ void NetStats::export_counters(obs::CounterRegistry& registry,
   registry.set(p + "channel_cache.hit", channel_cache_hits);
   registry.set(p + "channel_cache.miss", channel_cache_misses);
   registry.set(p + "channel_cache.resend", channel_resend_requests);
+  registry.set(p + "channel_cache.entries", channel_cache_entries);
 }
 
 IngressServer::IngressServer(ShardedServer& shards, IngressOptions options)
     : shards_(shards), opts_(std::move(options)) {
   SD_CHECK(opts_.read_chunk_bytes >= 64, "ingress read chunk too small");
+  SD_CHECK(opts_.channel_cache_capacity >= 1,
+           "ingress channel cache needs room for one channel");
   if (!opts_.uds_path.empty()) uds_listener_ = listen_uds(opts_.uds_path);
   if (opts_.enable_tcp)
     tcp_listener_ = listen_tcp_loopback(opts_.tcp_port, &tcp_port_);
@@ -99,8 +102,9 @@ void IngressServer::io_loop() {
       if (!accepted.valid()) continue;
       set_nonblocking(accepted.fd());
       connections_accepted_.fetch_add(1, kRelaxed);
-      conns_.push_back(std::make_shared<Connection>(std::move(accepted),
-                                                    opts_.max_message_bytes));
+      conns_.push_back(std::make_shared<Connection>(
+          std::move(accepted), opts_.max_message_bytes,
+          opts_.channel_cache_capacity));
     }
     // Snapshot: handle_readable may drop connections out of conns_.
     std::vector<std::shared_ptr<Connection>> readable;
@@ -159,36 +163,20 @@ bool IngressServer::handle_frame(const std::shared_ptr<Connection>& conn,
   frames_rx_.fetch_add(1, kRelaxed);
   // Resolve the channel: shipped inline, or referenced by fingerprint from
   // this connection's cache.
-  // LRU touch: move fp to the back of the recency order.
-  const auto touch = [&conn](std::uint64_t fp) {
-    auto& order = conn->channel_order;
-    const auto it = std::find(order.begin(), order.end(), fp);
-    if (it != order.end()) order.erase(it);
-    order.push_back(fp);
-  };
   ChannelHandle channel;
   if (wf.has_channel) {
     cache_misses_.fetch_add(1, kRelaxed);
-    channel = ChannelHandle(std::move(wf.h));
-    SD_ASSERT(channel.fingerprint() == wf.channel_fp);  // decoder verified
-    conn->seen_fps.insert(wf.channel_fp);
-    if (conn->channels.find(wf.channel_fp) == conn->channels.end() &&
-        conn->channel_order.size() >= opts_.channel_cache_capacity) {
-      conn->channels.erase(conn->channel_order.front());
-      conn->channel_order.erase(conn->channel_order.begin());
-    }
-    conn->channels.insert_or_assign(wf.channel_fp, channel);
-    touch(wf.channel_fp);
+    // The decoder verified wf.channel_fp against H: no second hash.
+    channel = ChannelHandle(std::move(wf.h), wf.channel_fp);
+    const usize before = conn->channels.size();
+    conn->channels.put(wf.channel_fp, channel);
+    cached_channels_.fetch_add(conn->channels.size() - before, kRelaxed);
   } else {
-    const auto it = conn->channels.find(wf.channel_fp);
-    if (it == conn->channels.end()) {
-      // Never carried inline on this connection: the client is broken —
-      // protocol error. Carried once but since evicted: the client followed
-      // the protocol and only the server's bounded cache lost the entry, so
-      // NACK with kResendChannel and keep the connection; the client
-      // retransmits the frame with H inline.
-      if (conn->seen_fps.find(wf.channel_fp) == conn->seen_fps.end())
-        return false;
+    const ChannelHandle* cached = conn->channels.find(wf.channel_fp);
+    if (cached == nullptr) {
+      // Evicted by the bounded cache, or never sent: either way a client
+      // that follows the protocol retransmits the frame with H inline, so
+      // NACK with kResendChannel and keep the connection.
       resend_requests_.fetch_add(1, kRelaxed);
       WireResponse resp;
       resp.frame_id = wf.frame_id;
@@ -199,8 +187,7 @@ bool IngressServer::handle_frame(const std::shared_ptr<Connection>& conn,
       return true;
     }
     cache_hits_.fetch_add(1, kRelaxed);
-    touch(wf.channel_fp);
-    channel = it->second;
+    channel = *cached;
   }
   // Dimension agreement with the served system is a protocol matter: the
   // dispatcher SD_CHECKs these and a throw on the IO thread would kill the
@@ -296,6 +283,7 @@ void IngressServer::drop_connection(const std::shared_ptr<Connection>& conn,
                                     bool protocol_error) {
   if (protocol_error) protocol_errors_.fetch_add(1, kRelaxed);
   connections_dropped_.fetch_add(1, kRelaxed);
+  cached_channels_.fetch_sub(conn->channels.size(), kRelaxed);
   {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     conn->open = false;
@@ -330,6 +318,7 @@ void IngressServer::stop() {
     std::lock_guard<std::mutex> lock(c->write_mu);
     c->open = false;
     c->sock.shutdown_both();
+    cached_channels_.fetch_sub(c->channels.size(), kRelaxed);
   }
   conns_.clear();
   if (!opts_.uds_path.empty()) ::unlink(opts_.uds_path.c_str());
@@ -348,6 +337,7 @@ NetStats IngressServer::stats() const {
   s.channel_cache_hits = cache_hits_.load(kRelaxed);
   s.channel_cache_misses = cache_misses_.load(kRelaxed);
   s.channel_resend_requests = resend_requests_.load(kRelaxed);
+  s.channel_cache_entries = cached_channels_.load(kRelaxed);
   return s;
 }
 

@@ -18,9 +18,12 @@
 // ChannelHandle cache. Coherent traffic therefore ships H once per
 // coherence block — the wire-level analogue of the PR 5 prep-cache reuse.
 //
-// Any protocol violation (malformed bytes, unknown fingerprint, dimensions
-// that do not match the served system) counts net.protocol_error and drops
-// that connection; the server never crashes on input. See DESIGN.md §13.
+// A fingerprint the connection's bounded cache does not hold is answered
+// with kResendChannel, whether it was evicted or never sent; the server
+// keeps no record of past fingerprints. Any protocol violation (malformed
+// bytes, dimensions that do not match the served system) counts
+// net.protocol_error and drops that connection; the server never crashes on
+// input. See DESIGN.md §13.
 #pragma once
 
 #include <atomic>
@@ -31,10 +34,10 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "decode/channel_prep.hpp"
+#include "net/lru.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -54,10 +57,10 @@ struct IngressOptions {
   std::uint16_t tcp_port = 0;
   usize max_message_bytes = kMaxMessageBytes;
   usize read_chunk_bytes = 64 * 1024;
-  /// Per-connection channel-cache entries (LRU). Referencing a fingerprint
-  /// that was never sent is a protocol error; referencing one the cache
-  /// evicted is answered with a kResendChannel NACK instead — the client
-  /// retransmits with the channel inline.
+  /// Per-connection channel-cache entries (LRU, at least 1). A frame that
+  /// references a fingerprint the cache does not hold — evicted, or never
+  /// sent on this connection — is answered with a kResendChannel NACK; the
+  /// client retransmits with the channel inline.
   usize channel_cache_capacity = 1024;
   /// stop() waits this long for in-flight frames to answer before closing
   /// connections anyway.
@@ -77,8 +80,12 @@ struct NetStats {
   std::uint64_t bytes_tx = 0;
   std::uint64_t channel_cache_hits = 0;    ///< frames that elided H
   std::uint64_t channel_cache_misses = 0;  ///< frames that shipped H
-  /// Elided frames whose fingerprint was evicted: answered kResendChannel.
+  /// Elided frames whose fingerprint the cache did not hold: answered
+  /// kResendChannel.
   std::uint64_t channel_resend_requests = 0;
+  /// Channels cached across the open connections now (a gauge, at most
+  /// channel_cache_capacity per connection).
+  std::uint64_t channel_cache_entries = 0;
 
   /// "net.protocol_error", "net.frames_rx", ... into the unified registry.
   void export_counters(obs::CounterRegistry& registry,
@@ -119,18 +126,15 @@ class IngressServer {
 
  private:
   struct Connection {
-    explicit Connection(Socket s, usize max_message)
-        : sock(std::move(s)), decoder(max_message) {}
+    Connection(Socket s, usize max_message, usize cache_capacity)
+        : sock(std::move(s)), decoder(max_message), channels(cache_capacity) {}
     Socket sock;
     WireDecoder decoder;
-    /// Fingerprint -> channel; channel_order is recency-ordered (front =
-    /// least recently used) so eviction drops the coldest entry, not the
-    /// oldest — an interleaved A,B,A,B stream keeps both alive.
-    std::unordered_map<std::uint64_t, ChannelHandle> channels;
-    std::vector<std::uint64_t> channel_order;
-    /// Every fingerprint ever carried inline on this connection: the line
-    /// between "evicted, ask for a resend" and "never sent, protocol error".
-    std::unordered_set<std::uint64_t> seen_fps;
+    /// Fingerprint -> channel, least recently used evicted first — an
+    /// interleaved A,B,A,B stream keeps both alive. This is all the channel
+    /// state a connection holds, so it stays bounded however many distinct
+    /// channels the client sends.
+    FingerprintLru<ChannelHandle> channels;
     std::mutex write_mu;   ///< serializes response sends
     bool open = true;      ///< guarded by write_mu
   };
@@ -176,7 +180,7 @@ class IngressServer {
   std::atomic<std::uint64_t> connections_accepted_{0}, connections_dropped_{0},
       protocol_errors_{0}, frames_rx_{0}, responses_tx_{0}, shed_tx_{0},
       bytes_rx_{0}, bytes_tx_{0}, cache_hits_{0}, cache_misses_{0},
-      resend_requests_{0};
+      resend_requests_{0}, cached_channels_{0};
 };
 
 }  // namespace sd::net

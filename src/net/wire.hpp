@@ -90,10 +90,9 @@ enum class WireFrameStatus : std::uint8_t {
   kShed = 4,      ///< admission control refused before placement
   kRejected = 5,  ///< backpressure rejected at submit
   /// NACK, not a terminal outcome: the frame elided H by fingerprint but the
-  /// server's per-connection cache no longer holds it (bounded LRU eviction).
-  /// The client must retransmit the same frame with the channel inline.
-  /// Referencing a fingerprint that was NEVER sent on the connection is
-  /// still a protocol error — only eviction of a once-valid entry NACKs.
+  /// server's per-connection cache does not hold it (bounded LRU eviction,
+  /// or never sent on the connection). The client must retransmit the same
+  /// frame with the channel inline.
   kResendChannel = 6,
 };
 

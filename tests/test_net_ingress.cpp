@@ -276,9 +276,13 @@ TEST(NetIngress, HostileFrameDropsOnlyItsOwnConnection) {
   EXPECT_EQ(h.shards.global_metrics().completed, 2 * kFrames);
 }
 
-// Referencing a fingerprint never sent on this connection is a protocol
-// error — the per-connection channel cache is not cross-connection.
-TEST(NetIngress, UnknownFingerprintReferenceDropsConnection) {
+// Referencing a fingerprint never sent on this connection is answered like
+// an evicted one: a kResendChannel NACK, and the connection stays up. The
+// server keeps no record of past fingerprints, so it cannot tell the two
+// apart, and a client that follows the protocol recovers from either by
+// retransmitting with H inline. A raw send() has no retained copy, so the
+// NACK reaches the caller, which resends here itself.
+TEST(NetIngress, UnknownFingerprintReferenceAsksForResend) {
   IngressOptions io;
   io.enable_tcp = true;
   Harness h(default_shards(1), io);
@@ -294,12 +298,80 @@ TEST(NetIngress, UnknownFingerprintReferenceDropsConnection) {
   wf.h = trials[0].h;            // only to give the encoder the real cols
   ASSERT_TRUE(client.send(wf));
   WireResponse resp;
-  EXPECT_FALSE(client.recv(resp));  // server answers by closing
-  // Counter updates race only with this thread's observation; poll briefly.
-  for (int i = 0; i < 100 && h.ingress.stats().protocol_errors == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(h.ingress.stats().protocol_errors, 1u);
-  EXPECT_EQ(h.ingress.stats().responses_tx, 0u);
+  ASSERT_TRUE(client.recv(resp));
+  EXPECT_EQ(resp.frame_id, 0u);
+  EXPECT_EQ(resp.status, WireFrameStatus::kResendChannel);
+
+  wf.has_channel = true;
+  wf.channel_fp = channel_fingerprint(trials[0].h);
+  ASSERT_TRUE(client.send(wf));
+  ASSERT_TRUE(client.recv(resp));
+  EXPECT_EQ(resp.status, WireFrameStatus::kCompleted);
+  const auto reference =
+      make_detector(test_system(), parse_decoder_spec("sphere"));
+  EXPECT_EQ(resp.indices,
+            reference->decode(trials[0].h, trials[0].y, trials[0].sigma2)
+                .indices);
+  h.ingress.stop();
+  h.shards.drain();
+  const NetStats ns = h.ingress.stats();
+  EXPECT_EQ(ns.protocol_errors, 0u);
+  EXPECT_EQ(ns.channel_resend_requests, 1u);
+  EXPECT_EQ(ns.responses_tx, 2u);  // the NACK and the answer
+}
+
+// A stream of fresh channels — i.i.d. traffic — must not grow either end's
+// channel state: the server caches at most channel_cache_capacity channels
+// per connection and the client remembers at most kTrackedChannels
+// fingerprints, however many distinct channels have travelled.
+TEST(NetIngress, ChannelStateStaysBoundedUnderManyDistinctChannels) {
+  constexpr usize kCapacity = 4;
+  constexpr usize kFrames = NetClient::kTrackedChannels + 64;
+  const std::string uds = test_uds_path("bounded");
+  IngressOptions io;
+  io.uds_path = uds;
+  io.channel_cache_capacity = 0;  // no room at all: refused up front
+  EXPECT_THROW((Harness{default_shards(1), io}), invalid_argument_error);
+  io.channel_cache_capacity = kCapacity;
+  Harness h(default_shards(1), io);
+  const std::vector<Trial> trials = make_trials(kFrames);  // distinct H each
+  NetClient client = NetClient::connect_uds(uds);
+  const auto responses = stream_frames(client, trials, 1);
+  ASSERT_EQ(responses.size(), kFrames);
+  for (const auto& [id, r] : responses) {
+    ASSERT_EQ(r.status, WireFrameStatus::kCompleted) << "frame " << id;
+  }
+  EXPECT_EQ(h.ingress.stats().channel_cache_entries, kCapacity);
+  EXPECT_EQ(client.tracked_channels(), NetClient::kTrackedChannels);
+  EXPECT_EQ(client.resends(), 0u);
+
+  // The client forgot the first channel and ships it again; the last one
+  // it still elides, and the server, which evicted it long ago, asks for it.
+  auto send_again = [&](std::uint64_t id, const Trial& t) {
+    WireFrame wf;
+    wf.frame_id = id;
+    wf.sigma2 = t.sigma2;
+    wf.y = t.y;
+    ASSERT_TRUE(client.send_frame_auto(wf, t.h, channel_fingerprint(t.h)));
+    WireResponse resp;
+    ASSERT_TRUE(client.recv(resp));
+    EXPECT_EQ(resp.frame_id, id);
+    EXPECT_EQ(resp.status, WireFrameStatus::kCompleted);
+  };
+  send_again(kFrames, trials.front());
+  EXPECT_EQ(client.resends(), 0u);
+  send_again(kFrames + 1, trials[kFrames - kCapacity - 1]);
+  EXPECT_EQ(client.resends(), 1u);
+  EXPECT_EQ(client.tracked_channels(), NetClient::kTrackedChannels);
+  EXPECT_EQ(h.ingress.stats().channel_cache_entries, kCapacity);
+
+  h.ingress.stop();
+  h.shards.drain();
+  const NetStats ns = h.ingress.stats();
+  EXPECT_EQ(ns.protocol_errors, 0u);
+  EXPECT_EQ(ns.channel_cache_entries, 0u);  // no connection left
+  EXPECT_EQ(ns.channel_cache_misses, kFrames + 2);
+  EXPECT_EQ(ns.channel_resend_requests, 1u);
 }
 
 // Frames whose dimensions do not match the served system must be refused at
@@ -353,8 +425,7 @@ TEST(NetIngress, ImpossibleDeadlineIsAnsweredWithShed) {
 // A compliant client eliding H for a fingerprint the server's bounded cache
 // evicted must NOT be dropped: the server NACKs with kResendChannel and the
 // client transparently retransmits with the channel inline — over both
-// transports. Referencing a never-sent fingerprint stays a protocol error
-// (covered above).
+// transports.
 TEST(NetIngress, EvictedFingerprintTriggersTransparentResend) {
   for (const bool tcp : {true, false}) {
     const std::string uds = test_uds_path(tcp ? "resend_tcp" : "resend_uds");

@@ -5,9 +5,9 @@
 // (next_radius_sq) then switches the search to an unbounded radius exactly
 // once, counted in DecodeStats::radius_fallbacks, and the detector answers.
 // Inside a fused BFS batch the degenerate frame must not disturb the others.
-// A NaN sample makes every PD NaN: the BFS prunes it like a PD outside the
-// sphere, so the search ends in a handful of expansions instead of filling
-// the frontier.
+// A NaN sample makes every PD NaN: the BFS and Best-FS prune it like a PD
+// outside the sphere, so the search ends in a handful of expansions instead
+// of filling the frontier.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -144,6 +144,32 @@ TEST(RadiusFallbackNaN, NanSampleIsAnsweredInBoundedWork) {
     // The int16 search quantizes the NaN to a saturated target, exhausts
     // its integer sphere and reruns on the float policy.
     EXPECT_EQ(r.stats.quant_fallbacks, opts.quantized ? 1u : 0u) << what;
+  }
+}
+
+TEST(RadiusFallbackNaN, BestFsNanSampleIsAnsweredInBoundedWork) {
+  // The same frame through Best-FS. Every root child's PD is NaN and fails
+  // the keep test pd < radius, so each attempt expands only the root: once
+  // under the unbounded radius of `sphere`, and under `sphere:alpha=2` once
+  // per radius doubling plus once unbounded. The Babai fallback answers.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  const CMat h = testing::random_cmat(kN, kN, 81);
+  CVec y = testing::random_cvec(kN, 82);
+  y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  for (const std::string spec : {"sphere", "sphere:alpha=2"}) {
+    auto det = make_detector(sys, parse_decoder_spec(spec));
+    const auto prep = det->preprocess(ChannelHandle(h));
+    DecodeResult r;
+    det->decode_with(*prep, y, 0.1, r);
+    ASSERT_EQ(r.indices.size(), static_cast<usize>(kN)) << spec;
+    for (index_t idx : r.indices) {
+      EXPECT_GE(idx, 0) << spec;
+      EXPECT_LT(idx, 4) << spec;
+    }
+    EXPECT_EQ(r.stats.leaves_reached, 0u) << spec;
+    EXPECT_EQ(r.stats.radius_fallbacks, spec == "sphere" ? 0u : 1u) << spec;
+    EXPECT_LE(r.stats.nodes_expanded, 100u) << spec;
   }
 }
 

@@ -1,13 +1,16 @@
 // The tree searches evaluate each parent's level product straight from its
 // path instead of staging a tree-state matrix and calling the level GEMM:
-// Best-FS with level_row0, the BFS engine with a per-level table
+// Best-FS and the BFS engine both gather it from a per-level table
 // (build_row0_table + level_row0_from_table for fp32, qrow0_child_terms +
 // qrow0_parent_table + qrow0_table_dot for int16). That is only a speed
 // change if the helpers reproduce row 0 of the GEMM bit for bit: pinned here
 // against every kernel that can form that row — gemm()'s small-shape path,
 // the scalar and SoA packed kernels and the grouped level kernel — across K
-// depths up to one panel (and past it for gemm() and level_row0), the
-// alphabet sizes the decoders use, and non-finite R entries.
+// depths up to one panel and past it, the alphabet sizes the decoders use,
+// and non-finite R entries. level_row0 below, the per-parent form Best-FS
+// used before the tables, is the reference between the two. This file is
+// built with -ffp-contract=off (tests/CMakeLists.txt) so that no mul+add of
+// it is fused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +31,88 @@
 
 namespace sd {
 namespace {
+
+// One complex multiply, split exactly as the SoA kernels split it.
+real mul_re(cplx x, cplx y) noexcept {
+  return x.real() * y.real() - x.imag() * y.imag();
+}
+real mul_im(cplx x, cplx y) noexcept {
+  return x.real() * y.imag() + x.imag() * y.real();
+}
+
+/// Row 0 of one parent's level product, for its p children, from the
+/// parent's path: `r_row` holds R(a, a .. a+k-1), `above[t-1]` the symbol
+/// s_t the parent decided for column a+t, and `points` the children's
+/// candidates c_i. Each child keeps its own accumulator in row 0 of the
+/// level GEMM's float order (see Row0Table); the parent's products,
+/// identical for every child, are formed once, and children are
+/// accumulated four at a time.
+void level_row0(std::span<const cplx> r_row, std::span<const cplx> above,
+                std::span<const cplx> points, std::span<cplx> z) {
+  constexpr usize kBlock = 4;
+  const usize k = r_row.size();
+  ASSERT_TRUE(k >= 1 && above.size() == k - 1);
+  ASSERT_EQ(z.size(), points.size());
+  const usize panel = static_cast<usize>(kGemmKc);
+  const usize first_panel = std::min(k, panel);
+
+  // The parent's products of the first K panel, formed once.
+  real prod_re[kGemmKc];
+  real prod_im[kGemmKc];
+  for (usize t = 1; t < first_panel; ++t) {
+    prod_re[t] = mul_re(r_row[t], above[t - 1]);
+    prod_im[t] = mul_im(r_row[t], above[t - 1]);
+  }
+
+  // A short last block pads with zero candidates whose lanes it never
+  // stores.
+  const real r0_re = r_row[0].real();
+  const real r0_im = r_row[0].imag();
+  for (usize i0 = 0; i0 < points.size(); i0 += kBlock) {
+    const usize nb = std::min(kBlock, points.size() - i0);
+    real c_re[kBlock] = {};
+    real c_im[kBlock] = {};
+    for (usize j = 0; j < nb; ++j) {
+      c_re[j] = points[i0 + j].real();
+      c_im[j] = points[i0 + j].imag();
+    }
+    real acc_re[kBlock];
+    real acc_im[kBlock];
+    for (usize j = 0; j < kBlock; ++j) {
+      acc_re[j] = real{0} + (r0_re * c_re[j] - r0_im * c_im[j]);
+      acc_im[j] = real{0} + (r0_re * c_im[j] + r0_im * c_re[j]);
+    }
+    for (usize t = 1; t < first_panel; ++t) {
+      for (usize j = 0; j < kBlock; ++j) {
+        acc_re[j] += prod_re[t];
+        acc_im[j] += prod_im[t];
+      }
+    }
+    // Epilogue c += alpha * acc onto the beta = 0 cleared output.
+    real out_re[kBlock];
+    real out_im[kBlock];
+    for (usize j = 0; j < kBlock; ++j) {
+      out_re[j] = real{0} + (real{1} * acc_re[j] - real{0} * acc_im[j]);
+      out_im[j] = real{0} + (real{1} * acc_im[j] + real{0} * acc_re[j]);
+    }
+    for (usize j = 0; j < nb; ++j) z[i0 + j] = cplx{out_re[j], out_im[j]};
+  }
+
+  // Deeper K panels reduce from 0 on their own and add their epilogue onto
+  // the output. They hold only the parent's terms, so one partial sum per
+  // panel serves every child.
+  for (usize pc = panel; pc < k; pc += panel) {
+    real sum_re = 0;
+    real sum_im = 0;
+    for (usize t = pc; t < std::min(k, pc + panel); ++t) {
+      sum_re += mul_re(r_row[t], above[t - 1]);
+      sum_im += mul_im(r_row[t], above[t - 1]);
+    }
+    const real out_re = real{1} * sum_re - real{0} * sum_im;
+    const real out_im = real{1} * sum_im + real{0} * sum_re;
+    for (cplx& v : z) v = cplx{v.real() + out_re, v.imag() + out_im};
+  }
+}
 
 struct KernelGuard {
   GemmKernel saved = gemm_kernel_override();
@@ -287,6 +373,40 @@ TEST(Row0Helper, TableMatchesLevelRow0AndEveryKernelBitForBit) {
           expect_bits(got, rows.gemm_row, "gemm " + what);
           expect_bits(got, rows.packed_row, "packed " + what);
           expect_bits(got, rows.grouped_row, "grouped " + what);
+        }
+        seed += 5;
+      }
+    }
+  }
+}
+
+TEST(Row0Helper, TableFollowsThePackedPanelsPastOneKPanel) {
+  // Best-FS tabulates every level, so past 128 antennas a table row spans
+  // more than one K panel: the gather must add level_row0's per-panel
+  // partial sums, as the packed kernels do.
+  KernelGuard guard;
+  std::uint64_t seed = 9800;
+  Row0Table table;
+  for (const GemmKernel kernel : kernels()) {
+    set_gemm_kernel_override(kernel);
+    const std::string kname = kernel == GemmKernel::kSoa ? "soa" : "scalar";
+    for (const index_t k : {129, 200, 300}) {
+      for (const index_t p : {4, 16}) {
+        const CVec r_row = testing::random_cvec(k, seed);
+        const CVec points = testing::random_cvec(p, seed + 1);
+        build_row0_table(r_row, points, table);
+        for (int parent = 0; parent < 2; ++parent) {
+          const TablePath tp =
+              random_path(points, static_cast<usize>(k), seed + 2 + parent);
+          const Operands op{r_row, tp.above, points};
+          const CVec got = from_table(table, tp);
+          const std::string what = kname + " k=" + std::to_string(k) +
+                                   " p=" + std::to_string(p) + " parent " +
+                                   std::to_string(parent);
+          expect_same(got, helper(op), "level_row0 " + what);
+          const Rows rows = gemm_rows(op, false);
+          expect_bits(got, rows.gemm_row, "gemm " + what);
+          expect_bits(got, rows.packed_row, "packed " + what);
         }
         seed += 5;
       }
