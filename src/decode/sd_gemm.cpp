@@ -22,11 +22,6 @@ std::uint64_t sort_cost(usize p) noexcept {
   return static_cast<std::uint64_t>(p) * logp;
 }
 
-/// Survivor counts up to which Best-FS sorts by insertion. libstdc++'s
-/// std::sort is an insertion sort at this size too, so both keep tied PDs
-/// in symbol order; past it std::sort's order is kept as is.
-constexpr usize kStableSortMax = 16;
-
 }  // namespace
 
 SdGemmDetector::SdGemmDetector(const Constellation& constellation,
@@ -203,59 +198,33 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
     if (n == 0) return;
     sorts += sort_ops;
 
-    if (n > kStableSortMax) {
-      std::sort(kept, kept + n,
-                [](const ScratchChild& x, const ScratchChild& y2) {
-                  return x.pd < y2.pd;
-                });
-    }
+    std::sort(kept, kept + n,
+              [](const ScratchChild& x, const ScratchChild& y2) {
+                return x.pd < y2.pd;
+              });
 
     if (depth == m - 1) {
       // Leaf level: the best surviving child inside the radius becomes the
       // new incumbent and shrinks the sphere (Alg. 1 lines 7-9). Its
-      // siblings can no longer beat the shrunken radius. Past
-      // kStableSortMax that is std::sort's front, else the first minimum.
-      usize best = 0;
-      if (n <= kStableSortMax) {
-        for (usize i = 1; i < n; ++i) {
-          if (kept[i].pd < kept[best].pd) best = i;
-        }
-      }
+      // siblings can no longer beat the shrunken radius.
       ++result.stats.leaves_reached;
       pruned += n - 1;
-      radius_sq = static_cast<double>(kept[best].pd);
+      radius_sq = static_cast<double>(kept[0].pd);
       best_pd = radius_sq;
       for (index_t d = 0; d < depth; ++d) {
         best_path[static_cast<usize>(d)] = path[static_cast<usize>(d)];
       }
-      best_path[static_cast<usize>(depth)] = kept[best].symbol;
+      best_path[static_cast<usize>(depth)] = kept[0].symbol;
       found_leaf = true;
       ++result.stats.radius_updates;
       return;
     }
 
-    // Interior level: the best child must pop next, so the batch lands on
-    // the stack in descending PD order. Up to kStableSortMax survivors are
-    // insertion-sorted straight onto the stack; a child goes below every
-    // earlier sibling with a PD no larger than its own, so tied PDs pop in
-    // symbol order, as a stable ascending sort pushed in reverse gives.
+    // Interior level: push the survivors in reverse so the best pops next.
     const auto d16 = static_cast<std::uint16_t>(depth);
-    if (n > kStableSortMax) {
-      for (usize i = n; i-- > 0;) {
-        open[top++] = BestFsNode{kept[i].pd, d16,
-                                 static_cast<std::uint8_t>(kept[i].symbol)};
-      }
-    } else {
-      const usize base = top;
-      for (usize i = 0; i < n; ++i) {
-        const BestFsNode node{kept[i].pd, d16,
-                              static_cast<std::uint8_t>(kept[i].symbol)};
-        usize j = top++;
-        for (; j > base && open[j - 1].pd <= node.pd; --j) {
-          open[j] = open[j - 1];
-        }
-        open[j] = node;
-      }
+    for (usize i = n; i-- > 0;) {
+      open[top++] = BestFsNode{kept[i].pd, d16,
+                               static_cast<std::uint8_t>(kept[i].symbol)};
     }
     peak = std::max(peak, top);
   };

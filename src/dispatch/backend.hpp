@@ -190,9 +190,6 @@ class Backend {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// The channel preps this backend's lanes share (thread-safe).
-  [[nodiscard]] ChannelPrepCache& prep_cache() noexcept { return prep_cache_; }
-
   /// The overload-ladder tiers this backend can serve, cheapest last. Always
   /// starts with kPrimary; SD-family decoders degrade through kKBest and
   /// kMmseApprox to kLinear, fixed-complexity decoders skip the kKBest rung,
@@ -229,6 +226,8 @@ class Backend {
   /// of one backend serve the same coherent stream, so sharing the cache
   /// (instead of one per lane) lets a stolen or rebalanced frame still hit.
   ChannelPrepCache prep_cache_;
+  /// Lets a test look up the prep a lane built and timed.
+  friend struct BackendTestAccess;
 
   /// True when this backend's lanes may form cross-lane wide runs: the
   /// config enables it, there are siblings to gather from, and the primary

@@ -71,12 +71,6 @@ class NetClient {
   /// frame, while responses keep flowing back.
   void finish_sending();
 
-  /// Fingerprints the elision policy remembers (at most kTrackedChannels).
-  [[nodiscard]] usize tracked_channels() {
-    std::lock_guard<std::mutex> lock(send_mu_);
-    return sent_fps_.size();
-  }
-
   [[nodiscard]] usize bytes_sent() const noexcept { return bytes_sent_; }
   [[nodiscard]] usize bytes_received() const noexcept {
     return bytes_received_;

@@ -124,8 +124,8 @@ TEST(BestFsLoop, TiedPdsKeepTheirRecordedOrder) {
   // PD, so the sort's handling of ties decides which nodes are expanded,
   // which leaf wins and how deep the open list grows. The expected values
   // were recorded from the search when it still kept its nodes in a Meta
-  // State Table and sorted every sibling batch with std::sort. 64-QAM's
-  // root keeps all 64 children, more than an insertion sort handles.
+  // State Table. 64-QAM's root keeps all 64 children, past the 16 elements
+  // at which libstdc++'s std::sort is an insertion sort.
   struct Tie {
     Modulation mod;
     index_t m;
@@ -159,6 +159,23 @@ TEST(BestFsLoop, TiedPdsKeepTheirRecordedOrder) {
     EXPECT_EQ(r.stats.peak_list_size, t.peak) << what;
     EXPECT_EQ(r.stats.sort_ops, t.sort_ops) << what;
   }
+}
+
+// 20x20 64-QAM at 30 dB, the 21st frame of Scenario seed 7. Best-FS with
+// no node budget (the `sphere` default) does not answer it: the search
+// with a Meta State Table threw internal_error from MetaStateTable::insert
+// after about 15 s, and the flat search runs on for more than 300 s. A lane
+// serving this frame is wedged. Disabled until Best-FS has a per-frame work
+// budget (ROADMAP item 2(e)), which should enable this test and pin the
+// budget; --gtest_also_run_disabled_tests runs it.
+TEST(BestFsLoop, DISABLED_Unbudgeted20x20Qam64FrameAnswers) {
+  constexpr index_t kM = 20;
+  const Trial t = trials(kM, Modulation::kQam64, 30.0, 21, 7).back();
+  SdGemmDetector det(Constellation::get(Modulation::kQam64));
+  DecodeResult r;
+  det.decode_into(t.h, t.y, t.sigma2, r);
+  EXPECT_EQ(r.indices.size(), static_cast<usize>(kM));
+  EXPECT_FALSE(r.stats.node_budget_hit);
 }
 
 }  // namespace

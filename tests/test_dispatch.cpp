@@ -30,6 +30,13 @@
 #include "serve/server.hpp"
 
 namespace sd::dispatch {
+
+struct BackendTestAccess {
+  static ChannelPrepCache& prep_cache(Backend& backend) {
+    return backend.prep_cache_;
+  }
+};
+
 namespace {
 
 constexpr index_t kM = 6;
@@ -1036,7 +1043,7 @@ TEST(DispatchCoherent, PrepMissIsBookedAsServiceNotQueueWait) {
   EXPECT_EQ(backend.snapshot().prep_misses, 1u);
   // The prep the lane built and timed, looked up (not rebuilt) by content.
   bool hit = false;
-  const auto prep = backend.prep_cache().get_or_build(
+  const auto prep = BackendTestAccess::prep_cache(backend).get_or_build(
       ChannelHandle(t.h), make_detector(sys, DecoderSpec{})->prep_kind(),
       &hit);
   ASSERT_TRUE(hit);
