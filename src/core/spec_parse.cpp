@@ -1,6 +1,7 @@
 #include "core/spec_parse.hpp"
 
 #include <charconv>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,9 +135,17 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     sd = &spec.multi_pe.base;
   }
 
+  if (spec.strategy == Strategy::kBestFsGemm &&
+      spec.device == TargetDevice::kCpu) {
+    spec.sd = kServedBestFs;
+  }
+
   for (const SpecOption& opt : parse_spec_options(options_text)) {
     if (opt.key == "sorted" && sd != nullptr) {
-      sd->sorted_qr = true;
+      SD_CHECK(opt.value.empty() || opt.value == "0" || opt.value == "1",
+               "option 'sorted' takes no value, 0 or 1 (got '" + opt.value +
+                   "')");
+      sd->sorted_qr = opt.value != "0";
     } else if (opt.key == "scalar" &&
                spec.strategy == Strategy::kBestFsGemm) {
       spec.strategy = Strategy::kBestFsScalar;
@@ -164,8 +173,16 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
                spec.strategy == Strategy::kGemmBfs) {
       apply_precision(spec, opt.value);
     } else if (opt.key == "alpha" && sd != nullptr) {
-      sd->radius_policy = RadiusPolicy::kNoiseScaled;
-      sd->radius_alpha = spec_option_double(opt);
+      const double alpha = spec_option_double(opt);
+      if (alpha == std::numeric_limits<double>::infinity()) {
+        sd->radius_policy = RadiusPolicy::kInfinite;
+        sd->radius_alpha = SdOptions{}.radius_alpha;
+      } else {
+        SD_CHECK(alpha > 0.0, "option 'alpha' needs a positive value or inf "
+                              "(got '" + opt.value + "')");
+        sd->radius_policy = RadiusPolicy::kNoiseScaled;
+        sd->radius_alpha = alpha;
+      }
     } else {
       unknown_option(name, opt);
     }
@@ -198,8 +215,10 @@ std::string_view decoder_spec_help() noexcept {
   return "known detectors: sphere sphere-scalar dfs bfs ml zf mmse mrc "
          "kbest:k=N fsd:levels=N multipe:threads=N,split=N "
          "mmse-neumann:k=N,tol=X; devices: "
-         "@cpu @fpga @fpga-base; common options: sorted, max-nodes=N, fp16, "
-         "int16, bfs:precision=int16|fp32";
+         "@cpu @fpga @fpga-base; common options: sorted[=0|1], alpha=X|inf, "
+         "max-nodes=N, fp16, int16, bfs:precision=int16|fp32; sphere on the "
+         "cpu serves sorted,alpha=2, and sphere:sorted=0,alpha=inf is the "
+         "paper's Best-FS";
 }
 
 }  // namespace sd

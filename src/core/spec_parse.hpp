@@ -1,17 +1,25 @@
 // Textual detector specifications, so tools, examples and scripts can pick
 // detectors without recompiling:
 //
-//   "sphere"                  -> GEMM/Best-FS on CPU (the paper's algorithm)
-//   "sphere@fpga"             -> ... on the simulated optimized U280 design
+//   "sphere"                  -> GEMM/Best-FS on CPU, served settings:
+//                                SQRD order, noise-scaled radius (alpha=2)
+//   "sphere:sorted=0,alpha=inf" -> the paper's Best-FS: plain QR, infinite
+//                                initial radius (= DecoderSpec{})
+//   "sphere@fpga"             -> the paper's Best-FS on the simulated
+//                                optimized U280 design
 //   "sphere@fpga-base"        -> ... on the baseline design point
 //   "dfs" "bfs" "ml"          -> other tree searches
 //   "zf" "mmse" "mrc"         -> linear detectors
 //   "kbest:k=32"              -> K-Best with options
 //   "fsd:levels=2"            -> FSD with two full levels
 //   "multipe:threads=4,split=2"
-//   "sphere:sorted"           -> SQRD layer ordering
+//   "bfs:sorted"              -> SQRD layer ordering (sorted=0 turns it off)
 //
 // Grammar: name[@device][:opt[=value][,opt[=value]]*]
+//
+// Every name starts from the defaults of its options struct, which are the
+// paper's settings, except `sphere` and `bestfs` on the CPU: they start from
+// kServedBestFs. Explicit keys override either.
 #pragma once
 
 #include <string>
@@ -28,6 +36,20 @@ namespace sd {
 struct SpecOption {
   std::string key;
   std::string value;  ///< empty for bare flags
+};
+
+/// Search options the spec names `sphere` and `bestfs` start from on the CPU
+/// (no device, or @cpu): SQRD layer order and a noise-scaled initial radius
+/// r^2 = 2 sigma^2 N. The restart that doubles an empty sphere (and finally
+/// lifts the radius) keeps the search exact ML; the pair expands far fewer
+/// nodes than the paper's settings and finishes the 20x20 64-QAM frames that
+/// the infinite radius does not (DESIGN.md §3). SdOptions{} itself stays on
+/// the paper's settings, so DecoderSpec{}, the FPGA models and every other
+/// tree search keep them.
+inline constexpr SdOptions kServedBestFs{
+    .radius_policy = RadiusPolicy::kNoiseScaled,
+    .radius_alpha = 2.0,
+    .sorted_qr = true,
 };
 
 /// Splits "a=1,b,c=x" into SpecOptions. Empty elements are skipped.

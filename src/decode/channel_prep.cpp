@@ -93,10 +93,8 @@ std::shared_ptr<const PreprocessedChannel> build_channel_prep(
       prep->qr.factor(h);
       break;
     case PrepKind::kQrSorted: {
-      SortedQr sq = qr_sorted(h);
-      prep->q = std::move(sq.q);
-      prep->r = std::move(sq.r);
-      prep->perm = std::move(sq.perm);
+      std::vector<double> col_norm_sq;
+      qr_sorted_into(h, prep->q, prep->r, prep->perm, col_norm_sq);
       break;
     }
     case PrepKind::kZf:
@@ -111,10 +109,8 @@ std::shared_ptr<const PreprocessedChannel> build_channel_prep(
       quant::quantize_channel_prep(prep->qr.r(), prep->qprep);
       break;
     case PrepKind::kQrSortedQuant: {
-      SortedQr sq = qr_sorted(h);
-      prep->q = std::move(sq.q);
-      prep->r = std::move(sq.r);
-      prep->perm = std::move(sq.perm);
+      std::vector<double> col_norm_sq;
+      qr_sorted_into(h, prep->q, prep->r, prep->perm, col_norm_sq);
       quant::quantize_channel_prep(prep->r, prep->qprep);
       break;
     }

@@ -19,7 +19,7 @@
 //    collision degrades to a rebuild, never to wrong bits.
 //
 // Bit-exactness: the cached factorization runs the exact same code
-// (QrFactorization::factor / qr_sorted / zf_equalizer) on the exact same H
+// (QrFactorization::factor / qr_sorted_into / zf_equalizer) on the exact same H
 // bytes as the uncached per-frame path, so every downstream PD, metric, and
 // golden constant is unchanged. See DESIGN.md §12.
 #pragma once

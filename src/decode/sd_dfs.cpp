@@ -109,7 +109,8 @@ void SdDfsDetector::search(const Preprocessed& pre, double sigma2,
         continue;
       }
       const Child child = lvl.ordered[lvl.next++];
-      if (static_cast<double>(child.pd) >= radius_sq) {
+      // Keep only pd < radius, as BFS and Best-FS do, so a NaN PD is pruned.
+      if (!(static_cast<double>(child.pd) < radius_sq)) {
         // SE ordering: every remaining sibling is at least as bad.
         result.stats.nodes_pruned +=
             static_cast<std::uint64_t>(lvl.ordered.size() - lvl.next + 1);

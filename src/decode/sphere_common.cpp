@@ -142,12 +142,10 @@ void preprocess_into(const CMat& h, std::span<const cplx> y, bool sorted_qr,
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
   Timer timer;
   if (sorted_qr) {
-    SortedQr sq = qr_sorted(h);
-    pre.r = std::move(sq.r);
-    pre.perm = std::move(sq.perm);
+    qr_sorted_into(h, scratch.q, pre.r, pre.perm, scratch.col_norm_sq);
     // ybar = Q^H y with the explicit thin Q from the sorted factorization.
     pre.ybar.assign(static_cast<usize>(h.cols()), cplx{0, 0});
-    gemv(Op::kConjTrans, cplx{1, 0}, sq.q, y, cplx{0, 0}, pre.ybar);
+    gemv(Op::kConjTrans, cplx{1, 0}, scratch.q, y, cplx{0, 0}, pre.ybar);
   } else {
     scratch.qr.factor(h);
     pre.r = scratch.qr.r();  // copy-assign; reuses pre's storage

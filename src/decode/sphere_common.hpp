@@ -101,10 +101,12 @@ struct SdOptions {
   double radius_alpha = 2.0;      ///< multiplier for kNoiseScaled
   std::uint64_t max_nodes =
       std::numeric_limits<std::uint64_t>::max();  ///< expansion budget
-  bool sorted_qr = false;         ///< use SQRD layer ordering (ablation)
+  bool sorted_qr = false;         ///< use SQRD layer ordering
   bool gemm_eval = true;          ///< batched GEMM child evaluation (paper)
                                   ///< vs scalar incremental (ablation)
   LevelGemm level_gemm = LevelGemm::kRow0;  ///< Best-FS product shape
+
+  friend bool operator==(const SdOptions&, const SdOptions&) = default;
 };
 
 /// Result of detection preprocessing: the triangular system ybar = R s.
@@ -116,11 +118,13 @@ struct Preprocessed {
 };
 
 /// Reusable preprocessing workspace: the Householder factorization object
-/// (which recycles its internal panels across factor() calls) plus the
-/// length-N apply_qh intermediate.
+/// (which recycles its internal panels across factor() calls), the
+/// length-N apply_qh intermediate, and SQRD's thin Q and residual norms.
 struct PreprocessScratch {
   QrFactorization qr;
   CVec work;
+  CMat q;
+  std::vector<double> col_norm_sq;
 };
 
 /// Runs QR (plain Householder or SQRD) and computes ybar.
@@ -128,9 +132,9 @@ struct PreprocessScratch {
                                       bool sorted_qr);
 
 /// Allocation-aware preprocess: writes into `pre`, reusing its capacity and
-/// the scratch. The Householder path is heap-allocation-free in steady state
-/// (after warm-up at a given problem shape); the sorted-QR ablation path
-/// still allocates inside qr_sorted(). Bitwise-identical to preprocess().
+/// the scratch. Both the Householder and the SQRD path are
+/// heap-allocation-free in steady state (after warm-up at a given problem
+/// shape). Bitwise-identical to preprocess().
 void preprocess_into(const CMat& h, std::span<const cplx> y, bool sorted_qr,
                      PreprocessScratch& scratch, Preprocessed& pre);
 
@@ -140,8 +144,7 @@ void preprocess_into(const CMat& h, std::span<const cplx> y, bool sorted_qr,
 /// H because the factorization bits come from the identical factorization
 /// code — only WHEN they were computed differs. pre.seconds records just the
 /// per-frame work (the amortized channel cost lives in prep.build_seconds).
-/// Heap-allocation-free in steady state for both kinds (the sorted path's
-/// qr_sorted() allocations happened at prep build time).
+/// Heap-allocation-free in steady state for both kinds.
 void preprocess_with_channel(const PreprocessedChannel& prep,
                              std::span<const cplx> y,
                              PreprocessScratch& scratch, Preprocessed& pre);

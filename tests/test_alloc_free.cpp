@@ -16,6 +16,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/spec_parse.hpp"
+#include "core/sphere_decoder.hpp"
 #include "decode/mmse_neumann.hpp"
 #include "decode/sd_gemm.hpp"
 #include "decode/sd_gemm_bfs.hpp"
@@ -136,6 +138,44 @@ void expect_cached_prep_alloc_free(Detector& detector, const char* what) {
 TEST_F(AllocFree, BestFsCachedPrepDecodeIsAllocationFreeAfterWarmup) {
   SdGemmDetector det(Constellation::get(Modulation::kQam16));
   expect_cached_prep_alloc_free(det, "SD-GEMM-BestFS/decode_with");
+}
+
+TEST_F(AllocFree, ServedSphereDecodeIsAllocationFreeAfterWarmup) {
+  // The served `sphere` factors every frame with SQRD into the detector's
+  // scratch. A fresh channel per decode, as on an i.i.d. uplink.
+  constexpr usize kChannels = 4;
+  auto det = make_detector({kM, kM, Modulation::kQam16},
+                           parse_decoder_spec("sphere"));
+  std::vector<CMat> hs;
+  std::vector<CVec> ys;
+  for (usize i = 0; i < kChannels; ++i) {
+    hs.push_back(testing::random_cmat(kM, kM, 9300 + i));
+    ys.push_back(testing::random_cvec(kM, 9400 + i));
+  }
+  DecodeResult result;
+  for (int warm = 0; warm < 3; ++warm) {
+    for (usize i = 0; i < kChannels; ++i) {
+      det->decode_into(hs[i], ys[i], kSigma2, result);
+    }
+  }
+  const obs::AllocCounts before = obs::alloc_counts();
+  for (int rep = 0; rep < 10; ++rep) {
+    const usize i = static_cast<usize>(rep) % kChannels;
+    det->decode_into(hs[i], ys[i], kSigma2, result);
+  }
+  const obs::AllocCounts after = obs::alloc_counts();
+  EXPECT_EQ(after.allocations, before.allocations)
+      << "served sphere: steady-state decode_into allocated ("
+      << (after.allocations - before.allocations) << " allocations over 10 "
+      << "decodes)";
+  EXPECT_EQ(after.deallocations, before.deallocations);
+}
+
+TEST_F(AllocFree, ServedSphereCachedPrepDecodeIsAllocationFreeAfterWarmup) {
+  auto det = make_detector({kM, kM, Modulation::kQam16},
+                           parse_decoder_spec("sphere"));
+  ASSERT_EQ(det->prep_kind(), PrepKind::kQrSorted);
+  expect_cached_prep_alloc_free(*det, "served sphere/decode_with");
 }
 
 TEST_F(AllocFree, BfsCachedPrepDecodeIsAllocationFreeAfterWarmup) {

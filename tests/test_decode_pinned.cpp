@@ -13,6 +13,11 @@
 // variant points each group of four frames at one shared prep, so the fused
 // BFS also sees frames that share a channel.
 //
+// The paper's Best-FS is spelled out (`sphere:sorted=0,alpha=inf`), so its
+// rows keep the hashes recorded from the staged-GEMM implementation. The
+// plain `sphere` rows pin the served settings (SQRD order, noise-scaled
+// radius) and were recorded from the code that introduced them.
+//
 // To re-derive a constant after an intentional behaviour change, run the
 // suite and copy the "got" values from the failure messages.
 #include <gtest/gtest.h>
@@ -171,15 +176,15 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 
 // clang-format off
 const Case kCases[] = {
-    {"sphere", Modulation::kQam4, 8, 4.0, false, 0xc6d48f1d666478b9ull, 0xaa1a79a8d4576e46ull},
-    {"sphere", Modulation::kQam4, 8, 8.0, false, 0xdc0847eff87b81c0ull, 0x8f72ce598d107dcull},
-    {"sphere", Modulation::kQam4, 8, 14.0, false, 0x6f29d91b14bcc4bfull, 0x69a71aced43a4732ull},
-    {"sphere", Modulation::kQam16, 4, 4.0, false, 0x2ad31794c6a5e92cull, 0xedd92562215e8b37ull},
-    {"sphere", Modulation::kQam16, 4, 8.0, false, 0xabdd3e2327c5455dull, 0x8c7c507e7f3263beull},
-    {"sphere", Modulation::kQam16, 4, 14.0, false, 0xf3a8860cc34fdebaull, 0xcceaab01e960a6adull},
-    {"sphere", Modulation::kQam64, 3, 4.0, false, 0x2b4af74a53b415b5ull, 0xc0b6e7f5b2e5d1b5ull},
-    {"sphere", Modulation::kQam64, 3, 8.0, false, 0x28a189d189d77c24ull, 0x55ce8e68235956eeull},
-    {"sphere", Modulation::kQam64, 3, 14.0, false, 0x4fe634cfb6543758ull, 0xc09c3b352759bc8aull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam4, 8, 4.0, false, 0xc6d48f1d666478b9ull, 0xaa1a79a8d4576e46ull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam4, 8, 8.0, false, 0xdc0847eff87b81c0ull, 0x8f72ce598d107dcull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam4, 8, 14.0, false, 0x6f29d91b14bcc4bfull, 0x69a71aced43a4732ull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam16, 4, 4.0, false, 0x2ad31794c6a5e92cull, 0xedd92562215e8b37ull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam16, 4, 8.0, false, 0xabdd3e2327c5455dull, 0x8c7c507e7f3263beull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam16, 4, 14.0, false, 0xf3a8860cc34fdebaull, 0xcceaab01e960a6adull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam64, 3, 4.0, false, 0x2b4af74a53b415b5ull, 0xc0b6e7f5b2e5d1b5ull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam64, 3, 8.0, false, 0x28a189d189d77c24ull, 0x55ce8e68235956eeull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam64, 3, 14.0, false, 0x4fe634cfb6543758ull, 0xc09c3b352759bc8aull},
     {"bfs", Modulation::kQam4, 8, 4.0, false, 0x580557baaf398366ull, 0x24e2f8cd8c4d8855ull},
     {"bfs", Modulation::kQam4, 8, 8.0, false, 0x8a473b307f0c1491ull, 0x85360f3de9b39313ull},
     {"bfs", Modulation::kQam4, 8, 14.0, false, 0xeeac31b509012fddull, 0xd9fe98e6a6045f35ull},
@@ -198,17 +203,32 @@ const Case kCases[] = {
     {"bfs:precision=int16", Modulation::kQam64, 3, 4.0, false, 0x71024bbb6d65ce44ull, 0x4d1d96c2a6141d28ull},
     {"bfs:precision=int16", Modulation::kQam64, 3, 8.0, false, 0x2ae45f23e02c0705ull, 0x8e93b37a08480bf0ull},
     {"bfs:precision=int16", Modulation::kQam64, 3, 14.0, false, 0x512a4a1cfc6714aull, 0x4f260a14fd1f6ff6ull},
-    {"sphere", Modulation::kQam4, 16, 8.0, false, 0x33289899c88596beull, 0xef2817c871f3d1d6ull},
+    {"sphere:sorted=0,alpha=inf", Modulation::kQam4, 16, 8.0, false, 0x33289899c88596beull, 0xef2817c871f3d1d6ull},
     {"bfs", Modulation::kQam4, 12, 14.0, false, 0x3a79044baad86febull, 0x24ef5b9ae5c0f576ull},
     {"bfs:precision=int16", Modulation::kQam4, 12, 14.0, false, 0x20da96fc3fdd8055ull, 0x62b65c73cc0bb7fcull},
     {"bfs:frontier=16", Modulation::kQam4, 8, 4.0, false, 0xdd4ca14c780bea9cull, 0x5f0c0c33b4b16a1eull},
     {"bfs:frontier=16", Modulation::kQam16, 4, 8.0, false, 0xdd4ba1fc23a86dd3ull, 0xe5f1828fe4f9dc86ull},
     {"bfs:precision=int16,frontier=16", Modulation::kQam4, 8, 4.0, false, 0xf5bc390d064144a1ull, 0x3be9ead23c484327ull},
-    {"sphere:max-nodes=4", Modulation::kQam4, 8, 4.0, false, 0x4ccd8198e64d640dull, 0x3e90464775ea5166ull},
-    {"sphere:max-nodes=4", Modulation::kQam16, 4, 4.0, false, 0xfd9a1eeb7a62a838ull, 0xb38a2617fae39b30ull},
-    {"sphere:alpha=2", Modulation::kQam4, 8, 14.0, true, 0x71b5a72b3be0def0ull, 0x71ad3a2a7ed5a76cull},
+    {"sphere:sorted=0,alpha=inf,max-nodes=4", Modulation::kQam4, 8, 4.0, false, 0x4ccd8198e64d640dull, 0x3e90464775ea5166ull},
+    {"sphere:sorted=0,alpha=inf,max-nodes=4", Modulation::kQam16, 4, 4.0, false, 0xfd9a1eeb7a62a838ull, 0xb38a2617fae39b30ull},
+    {"sphere:sorted=0,alpha=2", Modulation::kQam4, 8, 14.0, true, 0x71b5a72b3be0def0ull, 0x71ad3a2a7ed5a76cull},
     {"bfs", Modulation::kQam4, 8, 14.0, true, 0x9f4da2d2c923356full, 0x39b2083921a2a660ull},
     {"bfs:precision=int16", Modulation::kQam4, 8, 14.0, true, 0x8ed38dbf705e6886ull, 0xa0f9f14764582704ull},
+    // Served Best-FS: `sphere` on the CPU starts from kServedBestFs (SQRD
+    // order, noise-scaled radius with alpha = 2). Recorded from this code.
+    {"sphere", Modulation::kQam4, 8, 4.0, false, 0xe6c7b53f4d57d274ull, 0xc44f05f8e48dc973ull},
+    {"sphere", Modulation::kQam4, 8, 8.0, false, 0x98f0402b1bdaa99bull, 0x6342fd7d760577c3ull},
+    {"sphere", Modulation::kQam4, 8, 14.0, false, 0xcb39f6b94d3f20b7ull, 0xa9d49fc99f49dd52ull},
+    {"sphere", Modulation::kQam16, 4, 4.0, false, 0x260d607bf175c17dull, 0xbd15824f9ed91cc7ull},
+    {"sphere", Modulation::kQam16, 4, 8.0, false, 0x3bc1d7923c84ccbaull, 0xae69af2bd0e3f889ull},
+    {"sphere", Modulation::kQam16, 4, 14.0, false, 0xd7b8c022b1011300ull, 0xc5db5471443f58a8ull},
+    {"sphere", Modulation::kQam64, 3, 4.0, false, 0xd65232b6f27a0cccull, 0xe4b19b612f472c71ull},
+    {"sphere", Modulation::kQam64, 3, 8.0, false, 0x2bb07fa53344787dull, 0x3d06499598d06d4cull},
+    {"sphere", Modulation::kQam64, 3, 14.0, false, 0x6b67c4e3a07c8bbull, 0xd232776363148ff7ull},
+    {"sphere", Modulation::kQam4, 16, 8.0, false, 0x6cef03f2706fea4full, 0xc9ca55002ab98b02ull},
+    {"sphere:max-nodes=4", Modulation::kQam4, 8, 4.0, false, 0x73c52e7f4bb96dc9ull, 0xf475a2f1cc374390ull},
+    {"sphere:max-nodes=4", Modulation::kQam16, 4, 4.0, false, 0x1f12e5a51f22acc1ull, 0xd8ab6a7b73e13021ull},
+    {"sphere:alpha=2", Modulation::kQam4, 8, 14.0, true, 0xa62f02bc405cedbfull, 0x80a5d610f7d3500aull},
 };
 // clang-format on
 

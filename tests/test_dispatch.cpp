@@ -614,6 +614,43 @@ INSTANTIATE_TEST_SUITE_P(
                       Hostile::kInfY),
     hostile_name);
 
+TEST(DispatchRankDeficient, ZeroColumnFrameIsAnsweredByTheServedSphere) {
+  // A finite H with one all-zero column passes the trust checks above. The
+  // served `sphere` factors it with SQRD, which used to throw on the zero
+  // pivot and end the lane in std::terminate. The frame has no deadline, so
+  // the ZF expiry fallback (which still throws on a singular H) never runs.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  ScenarioConfig sc;
+  sc.num_tx = kN;
+  sc.num_rx = kN;
+  sc.modulation = Modulation::kQam4;
+  sc.snr_db = 8.0;
+  sc.seed = kSeed;
+  Scenario scenario(sc);
+  Trial t = scenario.next();
+  for (index_t i = 0; i < kN; ++i) t.h(i, 4) = cplx{0, 0};
+
+  Recorder rec;
+  DispatcherOptions dopts;
+  PoolDefaults pd;
+  pd.primary = parse_decoder_spec("sphere");
+  Dispatcher d(sys, parse_backend_pool("cpu:1", pd), dopts,
+               [&rec](const serve::FrameResult& r) { rec.add(r); });
+  EXPECT_EQ(d.submit(make_frame(t, 0)), serve::SubmitStatus::kAccepted);
+  rec.wait_for(1);
+  d.drain();
+
+  const std::vector<serve::FrameResult> results = rec.take();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, serve::FrameStatus::kCompleted);
+  EXPECT_EQ(results[0].tier, serve::DecodeTier::kPrimary);
+  auto det = make_detector(sys, parse_decoder_spec("sphere"));
+  const DecodeResult expect = det->decode(t.h, t.y, t.sigma2);
+  EXPECT_EQ(results[0].result.indices, expect.indices);
+  EXPECT_EQ(results[0].result.metric, expect.metric);
+}
+
 // ---------------------------------------------------------------------------
 // Overload ladder
 

@@ -5,9 +5,9 @@
 // (next_radius_sq) then switches the search to an unbounded radius exactly
 // once, counted in DecodeStats::radius_fallbacks, and the detector answers.
 // Inside a fused BFS batch the degenerate frame must not disturb the others.
-// A NaN sample makes every PD NaN: the BFS and Best-FS prune it like a PD
+// A NaN sample makes every PD NaN: BFS, Best-FS and DFS prune it like a PD
 // outside the sphere, so the search ends in a handful of expansions instead
-// of filling the frontier.
+// of filling the frontier or walking the whole tree.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -150,14 +150,17 @@ TEST(RadiusFallbackNaN, NanSampleIsAnsweredInBoundedWork) {
 TEST(RadiusFallbackNaN, BestFsNanSampleIsAnsweredInBoundedWork) {
   // The same frame through Best-FS. Every root child's PD is NaN and fails
   // the keep test pd < radius, so each attempt expands only the root: once
-  // under the unbounded radius of `sphere`, and under `sphere:alpha=2` once
-  // per radius doubling plus once unbounded. The Babai fallback answers.
+  // under the paper's unbounded radius (`sphere:sorted=0,alpha=inf`), and
+  // under a noise-scaled radius (`sphere:sorted=0,alpha=2`, and the served
+  // `sphere`, which also orders by SQRD) once per radius doubling plus once
+  // unbounded. The Babai fallback answers.
   constexpr index_t kN = 10;
   const SystemConfig sys{kN, kN, Modulation::kQam4};
   const CMat h = testing::random_cmat(kN, kN, 81);
   CVec y = testing::random_cvec(kN, 82);
   y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
-  for (const std::string spec : {"sphere", "sphere:alpha=2"}) {
+  for (const std::string spec :
+       {"sphere:sorted=0,alpha=inf", "sphere:sorted=0,alpha=2", "sphere"}) {
     auto det = make_detector(sys, parse_decoder_spec(spec));
     const auto prep = det->preprocess(ChannelHandle(h));
     DecodeResult r;
@@ -168,7 +171,32 @@ TEST(RadiusFallbackNaN, BestFsNanSampleIsAnsweredInBoundedWork) {
       EXPECT_LT(idx, 4) << spec;
     }
     EXPECT_EQ(r.stats.leaves_reached, 0u) << spec;
-    EXPECT_EQ(r.stats.radius_fallbacks, spec == "sphere" ? 0u : 1u) << spec;
+    EXPECT_EQ(r.stats.radius_fallbacks,
+              spec == "sphere:sorted=0,alpha=inf" ? 0u : 1u)
+        << spec;
+    EXPECT_LE(r.stats.nodes_expanded, 100u) << spec;
+  }
+}
+
+TEST(RadiusFallbackNaN, DfsNanSampleIsAnsweredInBoundedWork) {
+  // The same frame through the SE depth-first search. Its first root child
+  // is NaN and fails pd < radius, which ends the root's siblings too; the
+  // search used to keep NaN children and walk all 349,525 nodes.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  const CMat h = testing::random_cmat(kN, kN, 81);
+  CVec y = testing::random_cvec(kN, 82);
+  y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  for (const std::string spec : {"dfs", "dfs:alpha=2"}) {
+    auto det = make_detector(sys, parse_decoder_spec(spec));
+    const DecodeResult r = det->decode(h, y, 0.1);
+    ASSERT_EQ(r.indices.size(), static_cast<usize>(kN)) << spec;
+    for (index_t idx : r.indices) {
+      EXPECT_GE(idx, 0) << spec;
+      EXPECT_LT(idx, 4) << spec;
+    }
+    EXPECT_EQ(r.stats.leaves_reached, 0u) << spec;
+    EXPECT_EQ(r.stats.radius_fallbacks, spec == "dfs" ? 0u : 1u) << spec;
     EXPECT_LE(r.stats.nodes_expanded, 100u) << spec;
   }
 }

@@ -6,8 +6,12 @@
 // performance" rests on this property.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string_view>
 #include <tuple>
 
+#include "core/spec_parse.hpp"
+#include "core/sphere_decoder.hpp"
 #include "decode/ml.hpp"
 #include "decode/parallel_sd.hpp"
 #include "decode/sd_dfs.hpp"
@@ -108,6 +112,82 @@ TEST(SdEquivalence, SortedQrDoesNotChangeTheSolution) {
     EXPECT_EQ(sd.decode(t.h, t.y, t.sigma2).indices,
               ml.decode(t.h, t.y, t.sigma2).indices)
         << "seed " << seed;
+  }
+}
+
+TEST(SdEquivalence, ServedSphereIsExactMl) {
+  // The served `sphere` (SQRD order, noise-scaled radius with the doubling
+  // restart) returns the ML solution, and at the paper's 10x10 shape the
+  // same vector as the paper's settings.
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  MlDetector ml(c);
+  auto served =
+      make_detector({5, 5, Modulation::kQam4}, parse_decoder_spec("sphere"));
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Trial t = make_trial({5, Modulation::kQam4, 6.0, seed});
+    EXPECT_EQ(served->decode(t.h, t.y, t.sigma2).indices,
+              ml.decode(t.h, t.y, t.sigma2).indices)
+        << "seed " << seed;
+  }
+  const SystemConfig sys{10, 10, Modulation::kQam4};
+  auto served10 = make_detector(sys, parse_decoder_spec("sphere"));
+  auto paper10 =
+      make_detector(sys, parse_decoder_spec("sphere:sorted=0,alpha=inf"));
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Trial t = make_trial({10, Modulation::kQam4, 8.0, seed});
+    EXPECT_EQ(served10->decode(t.h, t.y, t.sigma2).indices,
+              paper10->decode(t.h, t.y, t.sigma2).indices)
+        << "seed " << seed;
+  }
+}
+
+TEST(SdEquivalence, ZeroColumnChannelIsAnsweredWithoutThrowing) {
+  // One all-zero H column: SQRD factors it as a zero pivot instead of
+  // throwing, so every detector answers. That antenna's symbol cannot be
+  // told apart; the exact searches still agree on the other nine, and their
+  // answers are as close to y as the paper's. (SQRD's own metric leaves out
+  // the energy of y outside H's column space, which its thin Q no longer
+  // spans: a constant per frame, so the argmin does not move.)
+  constexpr index_t kM = 10;
+  constexpr index_t kZero = 4;
+  const SystemConfig sys{kM, kM, Modulation::kQam4};
+  Trial t = make_trial({kM, Modulation::kQam4, 8.0, 3});
+  for (index_t i = 0; i < kM; ++i) t.h(i, kZero) = cplx{0, 0};
+
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  auto paper =
+      make_detector(sys, parse_decoder_spec("sphere:sorted=0,alpha=inf"));
+  const DecodeResult want = paper->decode(t.h, t.y, t.sigma2);
+  for (const char* spec : {"sphere", "sphere:sorted", "kbest:k=8", "fsd",
+                           "dfs", "bfs:sorted"}) {
+    auto det = make_detector(sys, parse_decoder_spec(spec));
+    DecodeResult got;
+    ASSERT_NO_THROW(got = det->decode(t.h, t.y, t.sigma2)) << spec;
+    ASSERT_EQ(got.indices.size(), static_cast<usize>(kM)) << spec;
+    for (index_t idx : got.indices) {
+      EXPECT_GE(idx, 0) << spec;
+      EXPECT_LT(idx, 4) << spec;
+    }
+    EXPECT_TRUE(std::isfinite(got.metric)) << spec;
+    if (std::string_view(spec).starts_with("kbest") ||
+        std::string_view(spec) == "fsd") {
+      continue;  // not exact searches
+    }
+    for (index_t k = 0; k < kM; ++k) {
+      if (k == kZero) continue;
+      EXPECT_EQ(got.indices[static_cast<usize>(k)],
+                want.indices[static_cast<usize>(k)])
+          << spec << " antenna " << k;
+    }
+    double distance = 0.0;
+    for (index_t i = 0; i < kM; ++i) {
+      cplx hs{0, 0};
+      for (index_t k = 0; k < kM; ++k) {
+        hs += t.h(i, k) * c.point(got.indices[static_cast<usize>(k)]);
+      }
+      distance += std::norm(t.y[static_cast<usize>(i)] - hs);
+    }
+    EXPECT_NEAR(distance, want.metric, 1e-4 * (1.0 + want.metric)) << spec;
   }
 }
 

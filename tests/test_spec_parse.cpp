@@ -108,6 +108,67 @@ TEST(SpecParse, TreeSearchOptionsReachTheDetectorsOptions) {
   }
 }
 
+TEST(SpecParse, SphereOnTheCpuStartsFromTheServedOptions) {
+  for (const char* text : {"sphere", "bestfs", "sphere@cpu", "bestfs@cpu"}) {
+    EXPECT_EQ(parse_decoder_spec(text).sd, kServedBestFs) << text;
+  }
+  EXPECT_TRUE(kServedBestFs.sorted_qr);
+  EXPECT_EQ(kServedBestFs.radius_policy, RadiusPolicy::kNoiseScaled);
+  EXPECT_DOUBLE_EQ(kServedBestFs.radius_alpha, 2.0);
+
+  // Explicit keys override the served options one at a time.
+  const DecoderSpec budget = parse_decoder_spec("sphere:max-nodes=9");
+  EXPECT_EQ(budget.sd.max_nodes, 9u);
+  EXPECT_TRUE(budget.sd.sorted_qr);
+  EXPECT_EQ(budget.sd.radius_policy, RadiusPolicy::kNoiseScaled);
+  const DecoderSpec alpha = parse_decoder_spec("sphere:alpha=3");
+  EXPECT_DOUBLE_EQ(alpha.sd.radius_alpha, 3.0);
+  EXPECT_TRUE(alpha.sd.sorted_qr);
+
+  // The paper's Best-FS has an explicit spelling, and it is SdOptions{}.
+  EXPECT_EQ(parse_decoder_spec("sphere:sorted=0,alpha=inf").sd, SdOptions{});
+  EXPECT_EQ(DecoderSpec{}.sd, SdOptions{});
+
+  // Every other name and device keeps the paper's settings.
+  for (const char* text : {"sphere@fpga", "sphere@fpga-base", "sphere-scalar",
+                           "dfs", "geosphere"}) {
+    EXPECT_EQ(parse_decoder_spec(text).sd, SdOptions{}) << text;
+  }
+  EXPECT_EQ(parse_decoder_spec("bfs").bfs.base, BfsOptions{}.base);
+  EXPECT_EQ(parse_decoder_spec("multipe").multi_pe.base, SdOptions{});
+}
+
+TEST(SpecParse, SortedTakesAnOptionalBoolean) {
+  EXPECT_TRUE(parse_decoder_spec("bfs:sorted").bfs.base.sorted_qr);
+  EXPECT_TRUE(parse_decoder_spec("bfs:sorted=1").bfs.base.sorted_qr);
+  EXPECT_FALSE(parse_decoder_spec("bfs:sorted=0").bfs.base.sorted_qr);
+  EXPECT_FALSE(parse_decoder_spec("sphere:sorted=0").sd.sorted_qr);
+  EXPECT_TRUE(parse_decoder_spec("sphere@fpga:sorted=1").sd.sorted_qr);
+  for (const char* text : {"sphere:sorted=2", "sphere:sorted=yes",
+                           "bfs:sorted=true", "dfs:sorted=-1"}) {
+    EXPECT_THROW((void)parse_decoder_spec(text), invalid_argument_error)
+        << text;
+  }
+}
+
+TEST(SpecParse, AlphaIsPositiveOrInf) {
+  const DecoderSpec inf = parse_decoder_spec("sphere:alpha=inf");
+  EXPECT_EQ(inf.sd.radius_policy, RadiusPolicy::kInfinite);
+  EXPECT_TRUE(inf.sd.sorted_qr);
+  EXPECT_EQ(parse_decoder_spec("bfs:alpha=inf").bfs.base.radius_policy,
+            RadiusPolicy::kInfinite);
+  EXPECT_EQ(parse_decoder_spec("dfs:alpha=2,alpha=inf").sd, SdOptions{});
+  // A non-positive or NaN multiplier is refused at parse time, not by the
+  // first decode on a lane.
+  for (const char* text : {"sphere:alpha=0", "sphere:alpha=-1",
+                           "sphere:alpha=nan", "sphere:alpha=-inf",
+                           "dfs:alpha=0", "bfs:alpha=-0.5",
+                           "sphere@fpga:alpha=0"}) {
+    EXPECT_THROW((void)parse_decoder_spec(text), invalid_argument_error)
+        << text;
+  }
+}
+
 TEST(SpecParse, QuantPrecisionOption) {
   EXPECT_FALSE(parse_decoder_spec("bfs").bfs.quantized);
   EXPECT_TRUE(parse_decoder_spec("bfs:precision=int16").bfs.quantized);
