@@ -122,7 +122,9 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
   }
 
   // The tree-search options live in the SdOptions the chosen detector
-  // reads; detectors that read none reject them.
+  // reads; detectors that read none reject them. Only Best-FS, DFS and the
+  // FPGA model honour a node budget, and only the FPGA model has a datapath
+  // precision other than the BFS's own `precision=`.
   SdOptions* sd = nullptr;
   if (spec.device != TargetDevice::kCpu ||
       spec.strategy == Strategy::kBestFsGemm ||
@@ -135,8 +137,10 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     sd = &spec.multi_pe.base;
   }
 
-  if (spec.strategy == Strategy::kBestFsGemm &&
-      spec.device == TargetDevice::kCpu) {
+  const bool budgeted = sd == &spec.sd;
+  const bool fpga = spec.device != TargetDevice::kCpu;
+
+  if (spec.strategy == Strategy::kBestFsGemm && !fpga) {
     spec.sd = kServedBestFs;
   }
 
@@ -149,11 +153,11 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     } else if (opt.key == "scalar" &&
                spec.strategy == Strategy::kBestFsGemm) {
       spec.strategy = Strategy::kBestFsScalar;
-    } else if (opt.key == "max-nodes" && sd != nullptr) {
+    } else if (opt.key == "max-nodes" && budgeted) {
       sd->max_nodes = static_cast<std::uint64_t>(spec_option_int(opt));
-    } else if (opt.key == "fp16") {
+    } else if (opt.key == "fp16" && fpga) {
       spec.fpga_precision = Precision::kFp16;
-    } else if (opt.key == "int16" && opt.value.empty()) {
+    } else if (opt.key == "int16" && opt.value.empty() && fpga) {
       spec.fpga_precision = Precision::kInt16;
     } else if (opt.key == "k" && spec.strategy == Strategy::kKBest) {
       spec.kbest.k = static_cast<usize>(spec_option_int(opt));
@@ -215,8 +219,9 @@ std::string_view decoder_spec_help() noexcept {
   return "known detectors: sphere sphere-scalar dfs bfs ml zf mmse mrc "
          "kbest:k=N fsd:levels=N multipe:threads=N,split=N "
          "mmse-neumann:k=N,tol=X; devices: "
-         "@cpu @fpga @fpga-base; common options: sorted[=0|1], alpha=X|inf, "
-         "max-nodes=N, fp16, int16, bfs:precision=int16|fp32; sphere on the "
+         "@cpu @fpga @fpga-base; tree-search options: sorted[=0|1], "
+         "alpha=X|inf; max-nodes=N on sphere, sphere-scalar, dfs and @fpga; "
+         "fp16, int16 on @fpga; bfs:precision=int16|fp32; sphere on the "
          "cpu serves sorted,alpha=2, and sphere:sorted=0,alpha=inf is the "
          "paper's Best-FS";
 }

@@ -18,8 +18,9 @@
 //
 // Best-FS keeps no search tree: its open list is a flat LIFO array of
 // {pd, depth, symbol} entries, and a popped entry writes its symbol into
-// the one shared path (DESIGN.md §3). The Meta State Table serves only the
-// FPGA pipeline model.
+// the one shared path (DESIGN.md §3). The FPGA pipeline model runs the same
+// search on the same scratch (FpgaDetector owns one), so it keeps no tree
+// either.
 //
 // Ownership/threading: a DecodeScratch — and therefore a detector holding
 // one — is single-threaded state. The serve/dispatch runtimes already clone

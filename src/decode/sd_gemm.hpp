@@ -1,25 +1,11 @@
 // The paper's primary contribution (CPU reference implementation):
 // a GEMM-based sphere decoder with Best-First-Search tree traversal.
 //
-// Structure follows the paper's Algorithm 1 + §III:
-//  - Phase 1 (Branching): a popped node generates P = |Ω| children, one per
-//    constellation symbol of the next transmit antenna.
-//  - Phase 2 (Evaluation): the children's partial distances are computed in
-//    one batched matrix product — the corresponding row block of R times the
-//    children's tree-state matrix — followed by a norm against ybar. This is
-//    the BLAS-2 -> BLAS-3 refactoring adopted from Arfaoui et al. [1]. Only
-//    row 0 of that product is new information; the search forms it from one
-//    table per tree level, built once per search (Row0Table), bit-identical
-//    to the block product that LevelGemm::kFull still multiplies out.
-//  - Phase 3 (Pruning): children outside the sphere radius are cut; survivors
-//    are sorted by PD and pushed onto the open list so the best child is
-//    popped first (LIFO), which is the Best-FS strategy adopted from
-//    Geosphere [14]. Reaching a leaf shrinks the radius (Alg. 1 line 8).
-//
-// The open list is a flat LIFO array of {pd, depth, symbol}; LIFO order
-// keeps every open node's path in one shared array, so the CPU search needs
-// no tree store. The FPGA model (src/fpga/pipeline.cpp) keeps the paper's
-// Meta State Table and visits the same nodes in the same order.
+// The search itself is best_fs_search() (decode/best_fs.hpp), the paper's
+// Algorithm 1 with the GEMM evaluation of §III-A2 and the LIFO open list of
+// Fig. 3. This detector runs it with the CPU's observer; the FPGA pipeline
+// model (src/fpga/pipeline.cpp) runs the same loop with an observer that
+// charges hardware cycles, so the two visit the same nodes in the same order.
 #pragma once
 
 #include "decode/decode_scratch.hpp"
@@ -57,12 +43,10 @@ class SdGemmDetector final : public Detector {
   void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
                    double sigma2, DecodeResult& out) override;
 
-  /// Runs the tree search on an already-preprocessed triangular system.
-  /// Exposed so the FPGA pipeline simulator can drive the identical search
-  /// while charging hardware cycles. Stats are accumulated into `result`.
-  void search(const Preprocessed& pre, double sigma2, DecodeResult& result);
-
  private:
+  /// Runs best_fs_search() on scratch_.pre and times it.
+  void search(double sigma2, DecodeResult& result);
+
   const Constellation* c_;
   SdOptions opts_;
   DecodeScratch scratch_;

@@ -1,6 +1,7 @@
 // Machinery shared by the sphere-decoder family: QR preprocessing, radius
-// policies, search options, the per-level row-0 product tables, and the
-// sorted tree-list open structure from the paper's Fig. 3.
+// policies, search options and the per-level row-0 product tables. The
+// paper's sorted tree list (Fig. 3) is Best-FS's LIFO open list
+// (decode/best_fs.hpp).
 #pragma once
 
 #include <cstdint>
@@ -171,43 +172,5 @@ void to_antenna_order_into(const Preprocessed& pre,
 /// helper terminates.
 [[nodiscard]] double next_radius_sq(double radius_sq, int attempt,
                                     DecodeStats& stats);
-
-/// The paper's tree-list structure (Fig. 3): an open list where each batch of
-/// children is inserted in PD-sorted order and nodes are popped LIFO, which
-/// yields depth-first descent that always follows the best child first
-/// (the Best-FS strategy adopted from Geosphere). The FPGA pipeline model
-/// keeps its MST node ids here; the CPU Best-FS inlines the same discipline
-/// on a flat array (SdGemmDetector::search).
-template <typename Entry>
-class TreeList {
- public:
-  /// Pushes a batch of sibling entries; `entries` must already be sorted by
-  /// ascending PD. They are pushed in reverse so the best sibling pops first.
-  void push_sorted_batch(std::span<const Entry> entries) {
-    for (usize i = entries.size(); i-- > 0;) {
-      stack_.push_back(entries[i]);
-    }
-    peak_ = std::max(peak_, stack_.size());
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return stack_.empty(); }
-  [[nodiscard]] usize size() const noexcept { return stack_.size(); }
-  [[nodiscard]] usize peak_size() const noexcept { return peak_; }
-
-  [[nodiscard]] Entry pop() {
-    Entry e = stack_.back();
-    stack_.pop_back();
-    return e;
-  }
-
-  void clear() noexcept {
-    stack_.clear();
-    peak_ = 0;
-  }
-
- private:
-  std::vector<Entry> stack_;
-  usize peak_ = 0;
-};
 
 }  // namespace sd

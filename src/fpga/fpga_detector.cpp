@@ -15,14 +15,20 @@ FpgaDetector::FpgaDetector(const Constellation& constellation,
 
 DecodeResult FpgaDetector::decode(const CMat& h, std::span<const cplx> y,
                                   double sigma2) {
-  SD_TRACE_SPAN("decode");
-  const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
-  last_ = pipeline_.run(pre, *c_, sigma2, opts_);
-  DecodeResult result = last_.result;
-  result.stats.preprocess_seconds = pre.seconds;
-  // Simulated device latency (see header note).
-  result.stats.search_seconds = last_.total_seconds;
+  DecodeResult result;
+  decode_into(h, y, sigma2, result);
   return result;
+}
+
+void FpgaDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                               double sigma2, DecodeResult& out) {
+  SD_TRACE_SPAN("decode");
+  preprocess_into(h, y, opts_.sorted_qr, scratch_.prep, scratch_.pre);
+  pipeline_.run_into(scratch_.pre, *c_, sigma2, opts_, scratch_, last_);
+  out = last_.result;  // copy-assign; reuses out's capacity
+  out.stats.preprocess_seconds = scratch_.pre.seconds;
+  // Simulated device latency (see header note).
+  out.stats.search_seconds = last_.total_seconds;
 }
 
 }  // namespace sd

@@ -1,30 +1,15 @@
 #include "fpga/pipeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
-#include "common/error.hpp"
-#include "decode/mst.hpp"
+#include "decode/best_fs.hpp"
+#include "fpga/half.hpp"
 #include "linalg/gemm.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace sd {
-
-namespace {
-
-struct ListEntry {
-  NodeId id;
-  real pd;
-};
-
-struct Child {
-  index_t symbol;
-  real pd;
-};
-
-}  // namespace
 
 void CycleBreakdown::export_counters(obs::CounterRegistry& registry,
                                      std::string_view prefix) const {
@@ -64,19 +49,162 @@ FpgaPipeline::FpgaPipeline(const FpgaConfig& config)
       prefetch_(config.optimized, hbm_),
       sorter_(config.sort_stage_latency) {}
 
+// Charges the pipeline's units between the steps of the Best-FS loop.
+struct FpgaPipeline::Observer : BestFsObserver {
+  FpgaPipeline& pipe;
+  const Preprocessed& pre;
+  const Constellation& c;
+  CycleBreakdown& cyc;
+  usize mst_peak = 0;
+  // Compute cycles of the previous expansion, available for the prefetch of
+  // the next one to hide behind (ping-pong buffering).
+  std::uint64_t prev_compute_cycles = 0;
+
+  Observer(FpgaPipeline& pipeline, const Preprocessed& system,
+           const Constellation& constellation, CycleBreakdown& cycles)
+      : pipe(pipeline), pre(system), c(constellation), cyc(cycles) {}
+
+  void attempt() {
+    prev_compute_cycles = 0;
+    std::fill(pipe.level_pushes_.begin(), pipe.level_pushes_.end(), usize{0});
+  }
+
+  void expand(index_t depth) {
+    const FpgaConfig& cfg = pipe.cfg_;
+    const index_t k = depth + 1;
+    const auto p = static_cast<std::uint64_t>(c.order());
+
+    // --- Phase 1: branching. P children at II = branch_ii after setup.
+    const std::uint64_t branch_cycles =
+        static_cast<std::uint64_t>(cfg.branch_setup) +
+        p * static_cast<std::uint64_t>(cfg.branch_ii);
+    {
+      SD_TRACE_SPAN("fpga.branch");
+      cyc.branch += branch_cycles;
+    }
+
+    // --- Pre-fetch: R row block + the parent's tree-state block. In the
+    // optimized design this hides behind the previous expansion's compute.
+    const usize fetch_bytes =
+        sizeof(cplx) *
+        (static_cast<usize>(cfg.optimized ? k * k : k) +  // R block / row
+         static_cast<usize>(k) * static_cast<usize>(p) +  // tree-state matrix
+         1);                                              // ybar element
+    {
+      SD_TRACE_SPAN("fpga.prefetch");
+      cyc.prefetch_exposed +=
+          pipe.prefetch_.stage(fetch_bytes, prev_compute_cycles);
+    }
+
+    // --- Phase 2: evaluation. The optimized design streams the full
+    // (k x k) x (k x P) tree-state block product through the systolic
+    // engine (the paper's GEMM refactoring); the baseline design is a
+    // direct port of the scalar algorithm and evaluates only the new row
+    // on its MAC chain. The charge depends on the shapes alone.
+    std::uint64_t gemm_cycles = 0;
+    {
+      SD_TRACE_SPAN("fpga.gemm");
+      gemm_cycles = pipe.gemm_engine_.cycles_for(cfg.optimized ? k : 1,
+                                                 c.order(), k);
+      cyc.gemm += gemm_cycles;
+    }
+
+    // --- NORM: |ybar_a - z_c|^2 accumulate across the P lanes at the unit's
+    // initiation interval (1 in the optimized design, stalled in the port).
+    const std::uint64_t norm_cycles =
+        static_cast<std::uint64_t>(cfg.norm_latency) +
+        p * static_cast<std::uint64_t>(cfg.branch_ii);
+    {
+      SD_TRACE_SPAN("fpga.norm");
+      cyc.norm += norm_cycles;
+    }
+
+    // --- Phase 3: prune + sort (bitonic network over the whole sibling
+    // batch, whatever survives the radius test).
+    std::uint64_t sort_cycles = 0;
+    {
+      SD_TRACE_SPAN("fpga.sort");
+      sort_cycles = pipe.sorter_.sort(static_cast<usize>(p));
+      cyc.sort += sort_cycles;
+    }
+
+    // The ping-pong prefetch of the *next* expansion overlaps this entire
+    // expansion's compute (branch through sort).
+    prev_compute_cycles = branch_cycles + gemm_cycles + norm_cycles +
+                          sort_cycles;
+  }
+
+  // The fp16 datapath rounds its operands to half precision at the BRAM
+  // boundary and every MAC: row 0 of SystolicGemmEngine::run in that mode.
+  // The fp32 and int16 designs take the search's own row 0, bit-identical
+  // to the fp32 engine's (int16 differs in its cycle model only).
+  const cplx* row0(index_t depth, std::span<const std::uint8_t> path) {
+    if (pipe.cfg_.precision != Precision::kFp16) return nullptr;
+    const index_t a = pre.r.rows() - 1 - depth;
+    CVec& z = pipe.half_row_;
+    for (index_t col = 0; col < c.order(); ++col) {
+      cplx acc = half_cmadd(cplx{0, 0}, round_to_half(pre.r(a, a)),
+                            round_to_half(c.point(col)));
+      for (index_t t = 1; t <= depth; ++t) {
+        acc = half_cmadd(acc, round_to_half(pre.r(a, a + t)),
+                         round_to_half(c.point(path[static_cast<usize>(
+                             depth - t)])));
+      }
+      z[static_cast<usize>(col)] = acc;
+    }
+    return z.data();
+  }
+
+  void leaf() {
+    cyc.radius += static_cast<std::uint64_t>(pipe.cfg_.radius_update_cycles);
+  }
+
+  // Each pushed child is one MST record {parent id, symbol, PD}, 32 bits
+  // each, written to URAM.
+  void pushed(index_t depth, usize survivors) {
+    constexpr usize kMstRecordBytes = 12;
+    for (usize i = 0; i < survivors; ++i) {
+      cyc.mst += pipe.uram_.write(kMstRecordBytes) - 1 +
+                 static_cast<std::uint64_t>(pipe.cfg_.mst_insert_cycles);
+    }
+    usize& level = pipe.level_pushes_[static_cast<usize>(depth)];
+    level += survivors;
+    mst_peak = std::max(mst_peak, level);
+  }
+
+  // The design evaluates and sorts every expansion's whole sibling batch:
+  // one product of the design's shape and p comparisons per expansion, and
+  // no operand traffic in the CPU's sense.
+  void charge_products(DecodeStats& stats, const SdOptions& /*opts*/,
+                       index_t p, std::span<const std::uint64_t> expansions,
+                       std::uint64_t /*sorts*/) const {
+    for (usize depth = 0; depth < expansions.size(); ++depth) {
+      const std::uint64_t times = expansions[depth];
+      const auto k = static_cast<index_t>(depth + 1);
+      stats.gemm_calls += times;
+      stats.flops += times * gemm_flops(pipe.cfg_.optimized ? k : 1, p, k);
+      stats.sort_ops += times * static_cast<std::uint64_t>(p);
+    }
+  }
+};
+
 FpgaRunReport FpgaPipeline::run(const Preprocessed& pre,
                                 const Constellation& constellation,
                                 double sigma2, const SdOptions& search_opts) {
-  const Constellation& c = constellation;
-  const index_t m = pre.r.rows();
-  const index_t p = c.order();
-  SD_CHECK(static_cast<index_t>(pre.ybar.size()) == m, "ybar length mismatch");
-
+  DecodeScratch scratch;
   FpgaRunReport report;
-  DecodeResult& result = report.result;
-  result.stats.tree_levels = static_cast<std::uint64_t>(m);
+  run_into(pre, constellation, sigma2, search_opts, scratch, report);
+  return report;
+}
 
-  gemm_engine_.reset_counters();
+void FpgaPipeline::run_into(const Preprocessed& pre,
+                            const Constellation& constellation, double sigma2,
+                            const SdOptions& search_opts,
+                            DecodeScratch& scratch, FpgaRunReport& report) {
+  const index_t m = pre.r.rows();
+  report.result.reset();
+  report.cycles = CycleBreakdown{};
+
   hbm_.reset_counters();
   uram_.reset_counters();
   prefetch_.reset_counters();
@@ -92,215 +220,25 @@ FpgaRunReport FpgaPipeline::run(const Preprocessed& pre,
   report.transfer_seconds =
       cfg_.pcie_latency_s + staged_bytes / (cfg_.pcie_gbps * 1e9);
 
-  MetaStateTable mst(m, cfg_.mst_capacity_per_level, /*fixed_capacity=*/false);
-  TreeList<ListEntry> open;
+  // The design's datapath forms the level product, whatever the options
+  // ask of the CPU's.
+  SdOptions opts = search_opts;
+  opts.gemm_eval = true;
+  opts.level_gemm = LevelGemm::kRow0;
+  level_pushes_.assign(static_cast<usize>(m), 0);
+  half_row_.resize(static_cast<usize>(constellation.order()));
+  Observer observer(*this, pre, constellation, report.cycles);
+  best_fs_search(pre, constellation, opts, sigma2, scratch, observer,
+                 report.result);
+  materialize_symbols(constellation, report.result);
 
-  double radius_sq = initial_radius_sq(search_opts, sigma2, m);
-  bool found_leaf = false;
-  std::vector<index_t> best_path(static_cast<usize>(m), 0);
-  double best_pd = std::numeric_limits<double>::infinity();
-
-  std::vector<index_t> path(static_cast<usize>(m), 0);
-  std::vector<Child> children(static_cast<usize>(p));
-  std::vector<Child> survivors;
-  survivors.reserve(static_cast<usize>(p));
-  std::vector<ListEntry> batch;
-  batch.reserve(static_cast<usize>(p));
-
-  CycleBreakdown& cyc = report.cycles;
-  // Compute cycles of the previous expansion, available for the prefetch of
-  // the next one to hide behind (ping-pong buffering).
-  std::uint64_t prev_compute_cycles = 0;
-
-  auto expand = [&](NodeId parent_id, index_t depth, real parent_pd) {
-    const index_t a = m - 1 - depth;
-    const index_t k = m - a;
-    ++result.stats.nodes_expanded;
-    result.stats.nodes_generated += static_cast<std::uint64_t>(p);
-
-    // --- Phase 1: branching. P children at II = branch_ii after setup.
-    {
-      SD_TRACE_SPAN("fpga.branch");
-      cyc.branch += static_cast<std::uint64_t>(cfg_.branch_setup) +
-                    static_cast<std::uint64_t>(p) *
-                        static_cast<std::uint64_t>(cfg_.branch_ii);
-    }
-
-    // --- Pre-fetch: R row block + the parent's tree-state block. In the
-    // optimized design this hides behind the previous expansion's compute.
-    const usize fetch_bytes =
-        sizeof(cplx) *
-        (static_cast<usize>(cfg_.optimized ? k * k : k) +  // R block / row
-         static_cast<usize>(k) * p +                       // tree-state matrix
-         1);                                               // ybar element
-    {
-      SD_TRACE_SPAN("fpga.prefetch");
-      cyc.prefetch_exposed += prefetch_.stage(fetch_bytes, prev_compute_cycles);
-    }
-
-    // --- Phase 2: evaluation. The optimized design streams the full
-    // (k x k) x (k x P) tree-state block product through the systolic
-    // engine (the paper's GEMM refactoring); the baseline design is a
-    // direct port of the scalar algorithm and evaluates only the new row
-    // on its MAC chain. Row 0 of z — the PD input — is bitwise identical
-    // to the CPU decoder's in both cases.
-    const index_t a_rows = cfg_.optimized ? k : 1;
-    CMat z(a_rows, p);
-    std::uint64_t gemm_cycles = 0;
-    {
-      SD_TRACE_SPAN("fpga.gemm");
-      CMat a_block(a_rows, k);
-      for (index_t r2 = 0; r2 < a_rows; ++r2) {
-        for (index_t t = r2; t < k; ++t) {
-          a_block(r2, t) = pre.r(a + r2, a + t);
-        }
-      }
-      CMat s_mat(k, p);
-      for (index_t col = 0; col < p; ++col) s_mat(0, col) = c.point(col);
-      for (index_t t = 1; t < k; ++t) {
-        const cplx sym = c.point(path[static_cast<usize>(depth - t)]);
-        for (index_t col = 0; col < p; ++col) s_mat(t, col) = sym;
-      }
-      gemm_cycles = gemm_engine_.run(a_block, s_mat, z);
-      cyc.gemm += gemm_cycles;
-      ++result.stats.gemm_calls;
-      result.stats.flops += gemm_flops(a_rows, p, k);
-    }
-
-    // --- NORM: |ybar_a - z_c|^2 accumulate across the P lanes at the unit's
-    // initiation interval (1 in the optimized design, stalled in the port).
-    const std::uint64_t norm_cycles =
-        static_cast<std::uint64_t>(cfg_.norm_latency) +
-        static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(cfg_.branch_ii);
-    {
-      SD_TRACE_SPAN("fpga.norm");
-      cyc.norm += norm_cycles;
-      const cplx target = pre.ybar[static_cast<usize>(a)];
-      for (index_t col = 0; col < p; ++col) {
-        children[static_cast<usize>(col)] = {
-            col, parent_pd + norm2(target - z(0, col))};
-      }
-    }
-
-    // --- Phase 3: prune + sort (bitonic network over the sibling batch).
-    std::uint64_t sort_cycles = 0;
-    {
-      SD_TRACE_SPAN("fpga.sort");
-      survivors.clear();
-      for (const Child& ch : children) {
-        if (static_cast<double>(ch.pd) < radius_sq) {
-          survivors.push_back(ch);
-        } else {
-          ++result.stats.nodes_pruned;
-        }
-      }
-      sort_cycles = sorter_.sort(static_cast<usize>(p));
-      cyc.sort += sort_cycles;
-      result.stats.sort_ops += static_cast<std::uint64_t>(p);
-    }
-
-    // The ping-pong prefetch of the *next* expansion overlaps this entire
-    // expansion's compute (branch through sort).
-    prev_compute_cycles = static_cast<std::uint64_t>(cfg_.branch_setup) +
-                          static_cast<std::uint64_t>(p) *
-                              static_cast<std::uint64_t>(cfg_.branch_ii) +
-                          gemm_cycles + norm_cycles + sort_cycles;
-
-    if (survivors.empty()) return;
-    std::sort(survivors.begin(), survivors.end(),
-              [](const Child& x, const Child& y2) { return x.pd < y2.pd; });
-
-    if (depth == m - 1) {
-      const Child& best_child = survivors.front();
-      ++result.stats.leaves_reached;
-      result.stats.nodes_pruned += survivors.size() - 1;
-      radius_sq = static_cast<double>(best_child.pd);
-      best_pd = radius_sq;
-      best_path = path;
-      best_path[static_cast<usize>(depth)] = best_child.symbol;
-      found_leaf = true;
-      ++result.stats.radius_updates;
-      cyc.radius += static_cast<std::uint64_t>(cfg_.radius_update_cycles);
-      return;
-    }
-
-    batch.clear();
-    for (const Child& ch : survivors) {
-      const NodeId id = mst.insert(depth, MstNode{parent_id, ch.symbol, ch.pd});
-      batch.push_back(ListEntry{id, ch.pd});
-      cyc.mst += uram_.write(sizeof(MstNode)) - 1 +
-                 static_cast<std::uint64_t>(cfg_.mst_insert_cycles);
-    }
-    open.push_sorted_batch(std::span<const ListEntry>(batch));
-  };
-
-  for (int attempt = 0;; ++attempt) {
-    mst.reset();
-    open.clear();
-    prev_compute_cycles = 0;
-    expand(kRootId, 0, real{0});
-
-    while (!open.empty()) {
-      if (result.stats.nodes_expanded >= search_opts.max_nodes) {
-        result.stats.node_budget_hit = true;
-        break;
-      }
-      const ListEntry entry = open.pop();
-      if (static_cast<double>(entry.pd) >= radius_sq) {
-        ++result.stats.nodes_pruned;
-        continue;
-      }
-      const index_t depth = MetaStateTable::level_of(entry.id) + 1;
-      mst.path_symbols(entry.id, path);
-      expand(entry.id, depth, entry.pd);
-    }
-
-    result.stats.peak_list_size =
-        std::max<std::uint64_t>(result.stats.peak_list_size, open.peak_size());
-    report.mst_peak_nodes = std::max(report.mst_peak_nodes, mst.peak_level_count());
-
-    if (found_leaf || result.stats.node_budget_hit || std::isinf(radius_sq)) {
-      break;
-    }
-    radius_sq = next_radius_sq(radius_sq, attempt, result.stats);
-  }
-
-  if (!found_leaf) {
-    // Babai fallback (budget exhausted before a leaf) — identical to the CPU
-    // decoder so results stay comparable.
-    double pd = 0.0;
-    for (index_t depth = 0; depth < m; ++depth) {
-      const index_t a = m - 1 - depth;
-      cplx acc{0, 0};
-      for (index_t t = 1; t <= depth; ++t) {
-        acc += pre.r(a, a + t) *
-               c.point(best_path[static_cast<usize>(depth - t)]);
-      }
-      const cplx b = pre.ybar[static_cast<usize>(a)] - acc;
-      const index_t sym = c.slice(b / pre.r(a, a));
-      best_path[static_cast<usize>(depth)] = sym;
-      pd += norm2(b - pre.r(a, a) * c.point(sym));
-    }
-    best_pd = pd;
-  }
-
+  report.mst_peak_nodes = observer.mst_peak;
   report.mst_overflow = report.mst_peak_nodes > cfg_.mst_capacity_per_level;
   report.hbm_bytes = hbm_.bytes_read() + hbm_.bytes_written();
   report.uram_bytes_written = uram_.bytes_written();
-
-  std::vector<index_t> layered(static_cast<usize>(m));
-  for (index_t depth = 0; depth < m; ++depth) {
-    layered[static_cast<usize>(m - 1 - depth)] =
-        best_path[static_cast<usize>(depth)];
-  }
-  result.indices = to_antenna_order(pre, layered);
-  result.metric = best_pd;
-  materialize_symbols(c, result);
-
   report.compute_seconds =
-      static_cast<double>(cyc.total()) / cfg_.clock_hz();
+      static_cast<double>(report.cycles.total()) / cfg_.clock_hz();
   report.total_seconds = report.compute_seconds + report.transfer_seconds;
-  return report;
 }
 
 }  // namespace sd

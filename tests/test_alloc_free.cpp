@@ -178,6 +178,17 @@ TEST_F(AllocFree, ServedSphereCachedPrepDecodeIsAllocationFreeAfterWarmup) {
   expect_cached_prep_alloc_free(*det, "served sphere/decode_with");
 }
 
+TEST_F(AllocFree, FpgaModelDecodeIsAllocationFreeAfterWarmup) {
+  // Served `fpga` lanes have no cacheable prep (prep_kind() == kNone), so
+  // every frame runs decode_into: QR, the modelled search and the report.
+  for (const char* spec : {"sphere@fpga", "sphere@fpga-base"}) {
+    auto det = make_detector({kM, kM, Modulation::kQam16},
+                             parse_decoder_spec(spec));
+    ASSERT_EQ(det->prep_kind(), PrepKind::kNone) << spec;
+    expect_steady_state_alloc_free(*det, spec);
+  }
+}
+
 TEST_F(AllocFree, BfsCachedPrepDecodeIsAllocationFreeAfterWarmup) {
   SdGemmBfsDetector det(Constellation::get(Modulation::kQam16));
   expect_cached_prep_alloc_free(det, "SD-GEMM-BFS/decode_with");

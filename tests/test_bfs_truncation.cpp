@@ -1,8 +1,9 @@
 // Regression tests for the BFS frontier-truncation determinism fix
 // (src/decode/sd_gemm_bfs.cpp): the memory-guard cut now uses a total
-// (pd, NodeId) order via partial_sort, so a truncated decode — the one code
-// path whose result used to depend on how the stdlib's nth_element resolved
-// PD ties — is bit-identical across repeated runs and detector instances.
+// (pd, parent, symbol) order via partial_sort, so a truncated decode — the
+// one code path whose result used to depend on how the stdlib's nth_element
+// resolved PD ties — is bit-identical across repeated runs and detector
+// instances.
 #include "decode/sd_gemm_bfs.hpp"
 
 #include <gtest/gtest.h>
@@ -62,8 +63,8 @@ TEST(BfsTruncation, TruncatedDecodeIsBitIdenticalAcrossRuns) {
 
 TEST(BfsTruncation, FreshDetectorInstanceReproducesTheCut) {
   // A fresh instance shares no state with the first; identical results mean
-  // the cut depends only on (pd, NodeId), not on allocator or stdlib
-  // internals that could differ between instances.
+  // the cut depends only on (pd, parent, symbol), not on allocator or
+  // stdlib internals that could differ between instances.
   const Constellation& c = Constellation::get(Modulation::kQam16);
   const Trial t = make_trial(6, Modulation::kQam16, 8.0, 3);
   BfsOptions opts;

@@ -6,7 +6,7 @@
 // measurements and stay out). The expected hashes were recorded from the
 // staged-GEMM implementation of the level product, so any change to how the
 // level product is formed must reproduce that implementation bit for bit —
-// PDs, prune decisions, NodeIds, truncation cuts and the accounting alike.
+// PDs, prune decisions, node order, truncation cuts and the accounting alike.
 //
 // Every case runs twice over the same frames: solo decode_with() calls and
 // width-8 decode_wide() runs. Both must give the pinned hash. The "coherent"

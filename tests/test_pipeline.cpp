@@ -24,6 +24,8 @@ Trial make_trial(index_t m, Modulation mod, double snr, std::uint64_t seed) {
   return s.next();
 }
 
+// The CPU decodes from the channel; its default plain QR is the factorization
+// preprocess(h, y, false) hands the pipeline.
 TEST(FpgaPipeline, DecodesIdenticallyToCpuBestFs) {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   SdGemmDetector cpu(c);
@@ -32,7 +34,7 @@ TEST(FpgaPipeline, DecodesIdenticallyToCpuBestFs) {
     const Trial t = make_trial(8, Modulation::kQam4, 8.0, seed);
     const Preprocessed pre = preprocess(t.h, t.y, false);
     DecodeResult cpu_result;
-    cpu.search(pre, t.sigma2, cpu_result);
+    cpu.decode_into(t.h, t.y, t.sigma2, cpu_result);
     const FpgaRunReport report = fpga.run(pre, c, t.sigma2);
     EXPECT_EQ(report.result.indices, cpu_result.indices) << "seed " << seed;
     EXPECT_EQ(report.result.stats.nodes_expanded,
@@ -50,7 +52,7 @@ TEST(FpgaPipeline, BaselineDecodesIdenticallyToo) {
     const Trial t = make_trial(5, Modulation::kQam16, 8.0, seed);
     const Preprocessed pre = preprocess(t.h, t.y, false);
     DecodeResult cpu_result;
-    cpu.search(pre, t.sigma2, cpu_result);
+    cpu.decode_into(t.h, t.y, t.sigma2, cpu_result);
     const FpgaRunReport report = fpga.run(pre, c, t.sigma2);
     EXPECT_EQ(report.result.indices, cpu_result.indices) << "seed " << seed;
   }

@@ -80,15 +80,18 @@ TEST(SpecParse, Options) {
 }
 
 TEST(SpecParse, TreeSearchOptionsReachTheDetectorsOptions) {
-  // sorted / alpha= / max-nodes= land in the SdOptions the chosen detector
-  // reads: spec.sd for Best-FS, DFS and the FPGA model, the base options of
-  // BFS and of the parallel sub-tree SD.
-  const DecoderSpec bfs = parse_decoder_spec("bfs:sorted,alpha=2.5,max-nodes=100");
+  // sorted / alpha= land in the SdOptions the chosen detector reads:
+  // spec.sd for Best-FS, DFS and the FPGA model, the base options of BFS and
+  // of the parallel sub-tree SD. max-nodes= lands only where a search
+  // honours it.
+  const DecoderSpec bfs = parse_decoder_spec("bfs:sorted,alpha=2.5");
   EXPECT_TRUE(bfs.bfs.base.sorted_qr);
   EXPECT_EQ(bfs.bfs.base.radius_policy, RadiusPolicy::kNoiseScaled);
   EXPECT_DOUBLE_EQ(bfs.bfs.base.radius_alpha, 2.5);
-  EXPECT_EQ(bfs.bfs.base.max_nodes, 100u);
   EXPECT_FALSE(bfs.sd.sorted_qr);  // untouched: BFS never reads spec.sd
+  // Neither the BFS nor the parallel sub-tree SD reads max_nodes.
+  EXPECT_THROW((void)parse_decoder_spec("bfs:sorted,alpha=2.5,max-nodes=100"),
+               invalid_argument_error);
 
   const DecoderSpec mp = parse_decoder_spec("multipe:sorted");
   EXPECT_TRUE(mp.multi_pe.base.sorted_qr);
@@ -100,9 +103,14 @@ TEST(SpecParse, TreeSearchOptionsReachTheDetectorsOptions) {
                    3.0);
 
   // Detectors that read no SdOptions reject the keys instead of ignoring
-  // them.
-  for (const char* spec : {"zf:sorted", "mmse:alpha=2", "kbest:max-nodes=9",
-                           "fsd:sorted", "ml:sorted", "mmse-neumann:sorted"}) {
+  // them, and so does any detector a key would not reach: a node budget
+  // where the search has none, an FPGA datapath precision on the CPU.
+  for (const char* spec :
+       {"zf:sorted", "mmse:alpha=2", "kbest:max-nodes=9", "fsd:sorted",
+        "ml:sorted", "mmse-neumann:sorted", "bfs:max-nodes=10",
+        "multipe:max-nodes=10", "multipe:threads=2,max-nodes=10",
+        "sphere:fp16", "sphere@cpu:int16", "dfs:fp16", "bfs:int16",
+        "multipe:fp16", "sphere-scalar:int16"}) {
     EXPECT_THROW((void)parse_decoder_spec(spec), invalid_argument_error)
         << spec;
   }
