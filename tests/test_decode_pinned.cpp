@@ -9,7 +9,9 @@
 // PDs, prune decisions, node order, truncation cuts and the accounting alike.
 //
 // Every case runs twice over the same frames: solo decode_with() calls and
-// width-8 decode_wide() runs. Both must give the pinned hash. The "coherent"
+// width-8 decode_wide() runs. Both must give the pinned hash. Rows whose
+// work counters depend on thread timing (ParallelSd with two workers) hash
+// the answers only. The "coherent"
 // variant points each group of four frames at one shared prep, so the fused
 // BFS also sees frames that share a channel.
 //
@@ -48,10 +50,11 @@ struct Fnv {
   }
 };
 
-void fold(Fnv& f, const DecodeResult& r) {
+void fold(Fnv& f, const DecodeResult& r, bool answers_only) {
   f.add(r.indices.size());
   for (index_t idx : r.indices) f.add(static_cast<std::uint64_t>(idx));
   f.add(std::bit_cast<std::uint64_t>(r.metric));
+  if (answers_only) return;
   const DecodeStats& s = r.stats;
   for (std::uint64_t v :
        {s.nodes_expanded, s.nodes_generated, s.nodes_pruned, s.leaves_reached,
@@ -73,6 +76,7 @@ struct Case {
   bool zero_sigma2;      ///< decode with sigma2 = 0 (radius fallback)
   std::uint64_t iid;     ///< pinned hash, one channel per frame
   std::uint64_t coh;     ///< pinned hash, four frames per channel
+  bool answers_only = false;  ///< hash indices and metric, not the counters
 };
 
 constexpr usize kFrames = 16;
@@ -92,9 +96,14 @@ Hashes decode_both(const Case& cs, const std::vector<Trial>& trials,
   const DecoderSpec spec = parse_decoder_spec(cs.spec);
   auto solo = make_detector(sys, spec);
   auto wide = make_detector(sys, spec);
+  // A detector with no cacheable phase (DFS) gets a plain-QR prep and
+  // decodes from its channel matrix.
+  const PrepKind kind = solo->prep_kind() == PrepKind::kNone
+                            ? PrepKind::kQrPlain
+                            : solo->prep_kind();
   std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
   for (const Trial& t : trials) {
-    preps.push_back(solo->preprocess(ChannelHandle(t.h)));
+    preps.push_back(build_channel_prep(ChannelHandle(t.h), kind));
   }
   auto sigma2_of = [&](usize f) {
     return cs.zero_sigma2 ? 0.0 : trials[f].sigma2;
@@ -104,7 +113,7 @@ Hashes decode_both(const Case& cs, const std::vector<Trial>& trials,
   DecodeResult r;
   for (usize f = 0; f < trials.size(); ++f) {
     solo->decode_with(*preps[prep_of[f]], trials[f].y, sigma2_of(f), r);
-    fold(solo_hash, r);
+    fold(solo_hash, r, cs.answers_only);
   }
 
   Fnv wide_hash;
@@ -118,7 +127,7 @@ Hashes decode_both(const Case& cs, const std::vector<Trial>& trials,
                        &outs[j]});
     }
     wide->decode_wide(items);
-    for (const DecodeResult& o : outs) fold(wide_hash, o);
+    for (const DecodeResult& o : outs) fold(wide_hash, o, cs.answers_only);
   }
   return {solo_hash.h, wide_hash.h};
 }
@@ -229,6 +238,29 @@ const Case kCases[] = {
     {"sphere:max-nodes=4", Modulation::kQam4, 8, 4.0, false, 0x73c52e7f4bb96dc9ull, 0xf475a2f1cc374390ull},
     {"sphere:max-nodes=4", Modulation::kQam16, 4, 4.0, false, 0x1f12e5a51f22acc1ull, 0xd8ab6a7b73e13021ull},
     {"sphere:alpha=2", Modulation::kQam4, 8, 14.0, true, 0xa62f02bc405cedbfull, 0x80a5d610f7d3500aull},
+    // The SE depth-first searches: DFS, and ParallelSd over one worker
+    // (every counter) and two workers (the answers only).
+    {"dfs", Modulation::kQam4, 8, 4.0, false, 0x2f696ade9f130e94ull, 0x78b4d325eef9bab8ull},
+    {"dfs", Modulation::kQam4, 8, 8.0, false, 0x8d8797c114b0cb8ull, 0x8bfdf48f3cba0d85ull},
+    {"dfs", Modulation::kQam4, 8, 14.0, false, 0xe4132a6ec12681eeull, 0x1a3e9a37aef1c430ull},
+    {"dfs", Modulation::kQam16, 4, 4.0, false, 0x3581f1eb62e52f8cull, 0xb8a22961b37275aeull},
+    {"dfs", Modulation::kQam16, 4, 8.0, false, 0x3ea9531a593faf33ull, 0xc6e6df3a118d1e30ull},
+    {"dfs", Modulation::kQam16, 4, 14.0, false, 0xc6fe1acf3cdd6e2aull, 0xd82a41616bba618ull},
+    {"dfs:alpha=2", Modulation::kQam4, 8, 8.0, false, 0x3e4079ec4a0b3086ull, 0x51922c22a2ccd0b7ull},
+    {"dfs:alpha=2", Modulation::kQam16, 4, 8.0, false, 0x8a604ab72bd58f99ull, 0xaf0c97737305b5beull},
+    {"dfs:max-nodes=4", Modulation::kQam4, 8, 4.0, false, 0x834ed715144f8bd9ull, 0x3f0e671119e711ceull},
+    {"dfs:max-nodes=4", Modulation::kQam16, 4, 4.0, false, 0x6a18931c2c46a992ull, 0xb624c44288afacaeull},
+    {"dfs", Modulation::kQam4, 8, 14.0, true, 0xe4132a6ec12681eeull, 0x1a3e9a37aef1c430ull},
+    {"dfs:alpha=2", Modulation::kQam4, 8, 14.0, true, 0xc30697af5f94479eull, 0x6527ff6a7c2acd72ull},
+    {"multipe:threads=1", Modulation::kQam4, 8, 4.0, false, 0xf7263c884c4d9551ull, 0x220db37859db2d5aull},
+    {"multipe:threads=1", Modulation::kQam4, 8, 14.0, false, 0x11d601a8f86e20f1ull, 0x1a94f3d7071cc0d9ull},
+    {"multipe:threads=1", Modulation::kQam16, 4, 8.0, false, 0x89e98573e9a6391bull, 0x140653d7ba68e549ull},
+    {"multipe:threads=1,split=2", Modulation::kQam4, 8, 4.0, false, 0xdc11fc28c7051848ull, 0x35084548d9ca72ull},
+    {"multipe:threads=1,split=2", Modulation::kQam4, 8, 14.0, false, 0xda64637e60cfbb62ull, 0x5cea0558cc0057e5ull},
+    {"multipe:threads=1,split=2", Modulation::kQam16, 4, 8.0, false, 0x74934ed9ac5a88f6ull, 0xe1161be550c8aec7ull},
+    {"multipe:threads=2", Modulation::kQam4, 8, 4.0, false, 0xa59a7263c1cb7c72ull, 0x57d18be1de29ed40ull, true},
+    {"multipe:threads=2", Modulation::kQam16, 4, 8.0, false, 0x19e5b520448ec75cull, 0x9d65cacab832eaf8ull, true},
+    {"multipe:threads=2,split=2", Modulation::kQam4, 8, 8.0, false, 0xc57bbb416fb0382full, 0xd8c352ff5840d49eull, true},
 };
 // clang-format on
 
