@@ -316,34 +316,11 @@ void best_fs_search(const Preprocessed& pre, const Constellation& c,
       std::span<const std::uint64_t>(expansions, static_cast<usize>(m)),
       sorts);
 
-  if (!found_leaf) {
-    // Budget exhausted before any leaf: fall back to the Babai (successive
-    // interference cancellation) point so the detector always answers.
-    double pd = 0.0;
-    for (index_t depth = 0; depth < m; ++depth) {
-      const index_t a = m - 1 - depth;
-      cplx acc{0, 0};
-      for (index_t t = 1; t <= depth; ++t) {
-        acc += pre.r(a, a + t) *
-               c.point(best_path[static_cast<usize>(depth - t)]);
-      }
-      const cplx b = pre.ybar[static_cast<usize>(a)] - acc;
-      const index_t sym = c.slice(b / pre.r(a, a));
-      best_path[static_cast<usize>(depth)] = sym;
-      pd += norm2(b - pre.r(a, a) * c.point(sym));
-    }
-    best_pd = pd;
-  }
+  // No leaf before the budget ran out, or an empty unbounded sphere: the
+  // Babai point answers.
+  if (!found_leaf) best_pd = babai_point(pre, c, best_path);
 
-  // Depth d decided antenna (column) m-1-d; flip to column order, then undo
-  // any SQRD permutation.
-  std::vector<index_t>& layered = scratch.layered;
-  layered.resize(static_cast<usize>(m));
-  for (index_t depth = 0; depth < m; ++depth) {
-    layered[static_cast<usize>(m - 1 - depth)] =
-        best_path[static_cast<usize>(depth)];
-  }
-  to_antenna_order_into(pre, layered, result.indices);
+  path_to_antenna_order(pre, best_path, scratch.layered, result.indices);
   result.metric = best_pd;
 }
 

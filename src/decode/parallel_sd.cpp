@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <mutex>
+#include <limits>
 #include <numeric>
 #include <thread>
 
@@ -17,10 +16,11 @@ ParallelSdDetector::ParallelSdDetector(const Constellation& constellation,
                                        ParallelSdOptions options)
     : c_(&constellation), opts_(options) {
   SD_CHECK(opts_.split_depth >= 1, "split depth must be at least 1");
-  // A finite initial radius could leave every sub-tree empty, and the
-  // retry-with-larger-radius dance is not worth the synchronization cost
-  // here; the first dispatched sub-tree (best prefix) pins the radius fast.
-  opts_.base.radius_policy = RadiusPolicy::kInfinite;
+  // A finite initial radius could leave every sub-tree empty, and a retry on
+  // a grown radius is not worth the synchronization it would need; the
+  // first dispatched sub-tree (best prefix) pins the radius fast.
+  SD_CHECK(opts_.base.radius_policy == RadiusPolicy::kInfinite,
+           "the multi-PE sphere decoder searches from an unbounded radius");
 }
 
 DecodeResult ParallelSdDetector::decode(const CMat& h, std::span<const cplx> y,
@@ -30,14 +30,20 @@ DecodeResult ParallelSdDetector::decode(const CMat& h, std::span<const cplx> y,
   return result;
 }
 
+ParallelSdDetector::WideSlot& ParallelSdDetector::solo_slot() {
+  if (wide_slots_.empty()) wide_slots_.resize(1);
+  return wide_slots_[0];
+}
+
 void ParallelSdDetector::decode_into(const CMat& h, std::span<const cplx> y,
                                      double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
   out.reset();
-  preprocess_into(h, y, opts_.base.sorted_qr, scratch_.prep, scratch_.pre);
-  out.stats.preprocess_seconds = scratch_.pre.seconds;
-  search(scratch_.pre, sigma2, out);
-  materialize_symbols(*c_, out);
+  WideSlot& slot = solo_slot();
+  preprocess_into(h, y, opts_.base.sorted_qr, prep_, slot.pre);
+  slot.sigma2 = sigma2;
+  slot.out = &out;
+  search_slots(1);
 }
 
 void ParallelSdDetector::decode_with(const PreprocessedChannel& prep,
@@ -49,58 +55,58 @@ void ParallelSdDetector::decode_with(const PreprocessedChannel& prep,
   }
   SD_TRACE_SPAN("decode");
   out.reset();
-  preprocess_with_channel(prep, y, scratch_.prep, scratch_.pre);
-  out.stats.preprocess_seconds = scratch_.pre.seconds;
-  search(scratch_.pre, sigma2, out);
-  materialize_symbols(*c_, out);
+  WideSlot& slot = solo_slot();
+  preprocess_with_channel(prep, y, prep_, slot.pre);
+  slot.sigma2 = sigma2;
+  slot.out = &out;
+  search_slots(1);
 }
 
 void ParallelSdDetector::decode_wide(std::span<WideItem> items) {
-  // Items whose prep kind doesn't match ours can't join the fused partition;
-  // they take the same per-frame fallback decode_with applies. With fewer
-  // than two fusable frames there is nothing to fuse either.
-  usize fusable = 0;
-  for (const WideItem& it : items) {
-    if (it.prep != nullptr && it.out != nullptr &&
-        it.prep->kind == prep_kind()) {
-      ++fusable;
-    }
-  }
-  if (fusable <= 1) {
-    for (WideItem& it : items) {
-      if (it.prep != nullptr && it.out != nullptr) {
-        decode_with(*it.prep, it.y, it.sigma2, *it.out);
-      }
-    }
-    return;
-  }
-
   SD_TRACE_SPAN("decode.wide");
-  Timer timer;
-
-  // --- Per-frame preprocessing + sub-tree partition (sequential, so the
-  // shared PreprocessScratch and the partition ping-pong buffers are safe).
-  if (wide_slots_.size() < fusable) wide_slots_.resize(fusable);
+  // Items whose prep kind doesn't match ours can't join the fused partition;
+  // they take decode_with's per-frame fallback first, while no slot is in
+  // use.
   usize nslots = 0;
-  usize max_count = 0;
   for (WideItem& it : items) {
     if (it.prep == nullptr || it.out == nullptr) continue;
-    if (it.prep->kind != prep_kind()) {
+    if (it.prep->kind == prep_kind()) {
+      ++nslots;
+    } else {
       decode_with(*it.prep, it.y, it.sigma2, *it.out);
-      continue;
     }
-    WideSlot& slot = wide_slots_[nslots++];
+  }
+  if (wide_slots_.size() < nslots) wide_slots_.resize(nslots);
+  usize si = 0;
+  for (WideItem& it : items) {
+    if (it.prep == nullptr || it.out == nullptr) continue;
+    if (it.prep->kind != prep_kind()) continue;
+    WideSlot& slot = wide_slots_[si++];
+    it.out->reset();
+    preprocess_with_channel(*it.prep, it.y, prep_, slot.pre);
     slot.sigma2 = it.sigma2;
     slot.out = it.out;
-    it.out->reset();
-    preprocess_with_channel(*it.prep, it.y, scratch_.prep, slot.pre);
-    it.out->stats.preprocess_seconds = slot.pre.seconds;
+  }
+  search_slots(nslots);
+}
+
+void ParallelSdDetector::search_slots(usize nslots) {
+  if (nslots == 0) return;
+  SD_TRACE_SPAN("decode.search");
+  Timer timer;
+
+  // --- Per-frame sub-tree partition (sequential, so the partition
+  // ping-pong buffers are safe).
+  usize max_count = 0;
+  for (usize si = 0; si < nslots; ++si) {
+    WideSlot& slot = wide_slots_[si];
+    DecodeStats& stats = slot.out->stats;
+    stats.preprocess_seconds = slot.pre.seconds;
     const index_t m = slot.pre.r.rows();
-    it.out->stats.tree_levels = static_cast<std::uint64_t>(m);
+    stats.tree_levels = static_cast<std::uint64_t>(m);
     slot.split = std::min(opts_.split_depth, m - 1);
     slot.count = partition_prefixes(slot.pre, slot.split, slot.prefix_flat,
-                                    slot.prefix_pd, slot.order,
-                                    it.out->stats);
+                                    slot.prefix_pd, slot.order, stats);
     max_count = std::max(max_count, slot.count);
   }
 
@@ -133,115 +139,60 @@ void ParallelSdDetector::decode_wide(std::span<WideItem> items) {
   };
   std::vector<SlotBest> bests(static_cast<usize>(num_threads) * nslots);
   std::vector<std::atomic<double>> radii(nslots);
-  for (usize si = 0; si < nslots; ++si) {
-    radii[si].store(initial_radius_sq(opts_.base, wide_slots_[si].sigma2,
-                                      wide_slots_[si].pre.r.rows()),
-                    std::memory_order_relaxed);
+  for (std::atomic<double>& radius : radii) {
+    radius.store(std::numeric_limits<double>::infinity(),
+                 std::memory_order_relaxed);
   }
 
   auto worker = [&](unsigned wi) {
-    SD_TRACE_SPAN("psd.wide_worker");
-    PeScratch& pe = workers_[wi];
-    // STATIC assignment: unit j -> worker j mod num_threads. Unlike the
-    // fetch_add dispatch in search(), this makes each worker's work list —
-    // and therefore its local best — independent of scheduling.
+    SD_TRACE_SPAN("psd.worker");
+    DfsScratch& pe = workers_[wi];
+    // STATIC assignment: unit j -> worker j mod num_threads, so each
+    // worker's work list — and therefore its local best — is independent
+    // of scheduling.
     for (usize j = wi; j < wide_units_.size();
          j += static_cast<usize>(num_threads)) {
       const usize si = wide_units_[j].first;
-      const usize rank = wide_units_[j].second;
-      WideSlot& slot = wide_slots_[si];
+      const WideSlot& slot = wide_slots_[si];
       SlotBest& best = bests[static_cast<usize>(wi) * nslots + si];
       std::atomic<double>& radius_sq = radii[si];
-      const Preprocessed& pre = slot.pre;
-      const index_t m = pre.r.rows();
-      const index_t p = c_->order();
-      const index_t split = slot.split;
-      const usize stride = static_cast<usize>(split);
-      DecodeStats& local = best.stats;
+      // The node budget holds per (worker, frame).
+      if (best.stats.node_budget_hit) continue;
 
-      std::vector<index_t>& path = pe.path;
-      path.assign(static_cast<usize>(m), 0);
-      if (pe.levels.size() < static_cast<usize>(m)) {
-        pe.levels.resize(static_cast<usize>(m));
-      }
-
-      auto enter_depth = [&](index_t d, real parent_pd) {
-        const index_t a = m - 1 - d;
-        ++local.nodes_expanded;
-        local.nodes_generated += static_cast<std::uint64_t>(p);
-        cplx interference{0, 0};
-        for (index_t t = 1; t <= d; ++t) {
-          interference +=
-              pre.r(a, a + t) * c_->point(path[static_cast<usize>(d - t)]);
-        }
-        const cplx b = pre.ybar[static_cast<usize>(a)] - interference;
-        PeScratch::Level& lvl = pe.levels[static_cast<usize>(d)];
-        lvl.ordered.clear();
-        lvl.next = 0;
-        for (index_t sym = 0; sym < p; ++sym) {
-          lvl.ordered.push_back(ScratchChild{
-              sym, parent_pd + norm2(b - pre.r(a, a) * c_->point(sym))});
-        }
-        std::sort(lvl.ordered.begin(), lvl.ordered.end(),
-                  [](const ScratchChild& x, const ScratchChild& y2) {
-                    return x.pd < y2.pd;
-                  });
-      };
-
-      const usize subtree = slot.order[rank];
+      const usize subtree = slot.order[wide_units_[j].second];
       const real subtree_pd = slot.prefix_pd[subtree];
-      if (static_cast<double>(subtree_pd) >=
-          radius_sq.load(std::memory_order_relaxed)) {
-        ++local.nodes_pruned;
+      if (!(static_cast<double>(subtree_pd) <
+            radius_sq.load(std::memory_order_relaxed))) {
+        ++best.stats.nodes_pruned;
         continue;
       }
-      const index_t* prefix = slot.prefix_flat.data() + subtree * stride;
-      std::copy(prefix, prefix + stride, path.begin());
-
-      index_t depth = split;
-      enter_depth(depth, subtree_pd);
-      while (depth >= split) {
-        PeScratch::Level& lvl = pe.levels[static_cast<usize>(depth)];
-        if (lvl.next >= lvl.ordered.size()) {
-          --depth;
-          continue;
-        }
-        const ScratchChild child = lvl.ordered[lvl.next++];
-        if (static_cast<double>(child.pd) >=
-            radius_sq.load(std::memory_order_relaxed)) {
-          local.nodes_pruned +=
-              static_cast<std::uint64_t>(lvl.ordered.size() - lvl.next + 1);
-          lvl.next = lvl.ordered.size();
-          --depth;
-          continue;
-        }
-        path[static_cast<usize>(depth)] = child.symbol;
-        if (depth == m - 1) {
-          ++local.leaves_reached;
-          if (static_cast<double>(child.pd) < best.pd) {
-            best.pd = static_cast<double>(child.pd);
+      pe.begin(slot.pre.r.rows());
+      const index_t* prefix =
+          slot.prefix_flat.data() + subtree * static_cast<usize>(slot.split);
+      std::copy(prefix, prefix + slot.split, pe.path.begin());
+      dfs_search(
+          slot.pre, *c_, slot.split, subtree_pd, opts_.base.max_nodes, pe,
+          best.stats,
+          [&] { return radius_sq.load(std::memory_order_relaxed); },
+          [&](double pd, const std::vector<index_t>& path) {
+            if (!(pd < best.pd)) return;
+            best.pd = pd;
             best.path = path;
-            // Lock-free monotone-min publication of this frame's radius.
-            // Unlike search() there is no shared best_path to protect — the
-            // answer lives in per-worker locals — so a CAS-min loop is the
-            // whole synchronization. The same shrink-safety argument as in
-            // search() applies: the stored sequence is non-increasing per
+            // The synchronization step of [4]: lock-free monotone-min
+            // publication of this frame's radius. The answer lives in
+            // per-worker locals, so the CAS-min loop is the whole
+            // synchronization. The stored sequence is non-increasing per
             // worker and the CAS only ever replaces a value with a smaller
             // one, so a tighter radius is never overwritten by a looser one,
             // and a stale (larger) radius read admits extra work but never
-            // wrong results.
+            // wrong results. Regression coverage:
+            // ParallelSd.RadiusPublicationUnderContention, under TSan in CI.
             double cur = radius_sq.load(std::memory_order_relaxed);
-            while (best.pd < cur &&
-                   !radius_sq.compare_exchange_weak(
-                       cur, best.pd, std::memory_order_relaxed)) {
+            while (pd < cur && !radius_sq.compare_exchange_weak(
+                                   cur, pd, std::memory_order_relaxed)) {
             }
-            ++local.radius_updates;
-          }
-          continue;
-        }
-        ++depth;
-        enter_depth(depth, child.pd);
-      }
+            ++best.stats.radius_updates;
+          });
     }
   };
 
@@ -253,37 +204,34 @@ void ParallelSdDetector::decode_wide(std::span<WideItem> items) {
   // --- Deterministic reduction: per frame, fold worker-local bests in
   // worker order 0..W-1 with a strict '<'. The set of (pd, path) candidates
   // per worker is schedule-independent (static assignment + publication-only
-  // radii), so the winner — and thus indices and metric — is bit-identical
-  // to sequential decode_with for any worker count.
+  // radii), so the winner — and thus indices and metric — is the same for
+  // any worker count, unless a worker spends its node budget on the frame:
+  // where it stops depends on how fast the radius shrank. A frame with no
+  // leaf (a NaN PD everywhere, or every worker out of budget first)
+  // answers with its Babai point.
   const double wall = timer.elapsed_seconds();
   for (usize si = 0; si < nslots; ++si) {
     WideSlot& slot = wide_slots_[si];
     DecodeResult& out = *slot.out;
-    double best_pd = std::numeric_limits<double>::infinity();
-    const std::vector<index_t>* best_path = nullptr;
+    SlotBest* winner = nullptr;
     for (unsigned wi = 0; wi < num_threads; ++wi) {
-      const SlotBest& b = bests[static_cast<usize>(wi) * nslots + si];
+      SlotBest& b = bests[static_cast<usize>(wi) * nslots + si];
       out.stats.nodes_expanded += b.stats.nodes_expanded;
       out.stats.nodes_generated += b.stats.nodes_generated;
       out.stats.nodes_pruned += b.stats.nodes_pruned;
       out.stats.leaves_reached += b.stats.leaves_reached;
       out.stats.radius_updates += b.stats.radius_updates;
-      if (b.pd < best_pd) {
-        best_pd = b.pd;
-        best_path = &b.path;
-      }
+      out.stats.node_budget_hit |= b.stats.node_budget_hit;
+      if (winner == nullptr || b.pd < winner->pd) winner = &b;
     }
-    SD_ASSERT(best_path != nullptr);  // infinite radius guarantees a leaf
-
-    const index_t m = slot.pre.r.rows();
-    std::vector<index_t>& layered = scratch_.layered;
-    layered.resize(static_cast<usize>(m));
-    for (index_t d = 0; d < m; ++d) {
-      layered[static_cast<usize>(m - 1 - d)] =
-          (*best_path)[static_cast<usize>(d)];
+    if (winner->path.empty()) {
+      // No worker kept a leaf, so worker 0's entry is free for the Babai
+      // point.
+      winner->path.resize(static_cast<usize>(slot.pre.r.rows()));
+      winner->pd = babai_point(slot.pre, *c_, winner->path);
     }
-    to_antenna_order_into(slot.pre, layered, out.indices);
-    out.metric = best_pd;
+    path_to_antenna_order(slot.pre, winner->path, layered_, out.indices);
+    out.metric = winner->pd;
     // Frames finish together at the join, so each is charged the fused wall
     // time; the dispatch layer amortizes the shared service across the run.
     out.stats.search_seconds = wall;
@@ -349,171 +297,6 @@ usize ParallelSdDetector::partition_prefixes(const Preprocessed& pre,
   std::sort(order.begin(), order.end(),
             [&](usize x, usize y2) { return cur_pd[x] < cur_pd[y2]; });
   return count;
-}
-
-void ParallelSdDetector::search(const Preprocessed& pre, double sigma2,
-                                DecodeResult& result) {
-  SD_TRACE_SPAN("decode.search");
-  const index_t m = pre.r.rows();
-  const index_t p = c_->order();
-  const index_t split = std::min(opts_.split_depth, m - 1);
-  result.stats.tree_levels = static_cast<std::uint64_t>(m);
-
-  Timer timer;
-
-  partition_prefixes(pre, split, prefix_flat_, prefix_pd_, subtree_order_,
-                     result.stats);
-  std::vector<index_t>& cur = prefix_flat_;
-  std::vector<real>& cur_pd = prefix_pd_;
-  const usize stride = static_cast<usize>(split);
-
-  // --- Shared state across PEs.
-  std::atomic<double> radius_sq{initial_radius_sq(opts_.base, sigma2, m)};
-  std::mutex best_mutex;
-  std::vector<index_t>& best_path = scratch_.best_path;
-  best_path.assign(static_cast<usize>(m), 0);
-  double best_pd = std::numeric_limits<double>::infinity();
-  bool found_leaf = false;
-  std::atomic<usize> next_subtree{0};
-  DecodeStats shared_stats;  // merged under best_mutex
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned num_threads =
-      opts_.num_threads > 0 ? opts_.num_threads : std::max(1u, hw);
-  if (workers_.size() < num_threads) workers_.resize(num_threads);
-
-  auto worker = [&](unsigned wi) {
-    SD_TRACE_SPAN("psd.worker");
-    DecodeStats local;
-    PeScratch& pe = workers_[wi];
-    std::vector<index_t>& path = pe.path;
-    path.assign(static_cast<usize>(m), 0);
-    if (pe.levels.size() < static_cast<usize>(m)) {
-      pe.levels.resize(static_cast<usize>(m));
-    }
-
-    auto enter_depth = [&](index_t d, real parent_pd) {
-      const index_t a = m - 1 - d;
-      ++local.nodes_expanded;
-      local.nodes_generated += static_cast<std::uint64_t>(p);
-      cplx interference{0, 0};
-      for (index_t t = 1; t <= d; ++t) {
-        interference +=
-            pre.r(a, a + t) * c_->point(path[static_cast<usize>(d - t)]);
-      }
-      const cplx b = pre.ybar[static_cast<usize>(a)] - interference;
-      PeScratch::Level& lvl = pe.levels[static_cast<usize>(d)];
-      lvl.ordered.clear();
-      lvl.next = 0;
-      for (index_t sym = 0; sym < p; ++sym) {
-        lvl.ordered.push_back(ScratchChild{
-            sym, parent_pd + norm2(b - pre.r(a, a) * c_->point(sym))});
-      }
-      std::sort(lvl.ordered.begin(), lvl.ordered.end(),
-                [](const ScratchChild& x, const ScratchChild& y2) {
-                  return x.pd < y2.pd;
-                });
-    };
-
-    while (true) {
-      const usize si = next_subtree.fetch_add(1);
-      if (si >= subtree_order_.size()) break;
-      const usize slot = subtree_order_[si];
-      const real subtree_pd = cur_pd[slot];
-      if (static_cast<double>(subtree_pd) >=
-          radius_sq.load(std::memory_order_relaxed)) {
-        ++local.nodes_pruned;
-        continue;
-      }
-      const index_t* prefix = cur.data() + slot * stride;
-      std::copy(prefix, prefix + stride, path.begin());
-
-      index_t depth = split;
-      enter_depth(depth, subtree_pd);
-      while (depth >= split) {
-        PeScratch::Level& lvl = pe.levels[static_cast<usize>(depth)];
-        if (lvl.next >= lvl.ordered.size()) {
-          --depth;
-          continue;
-        }
-        const ScratchChild child = lvl.ordered[lvl.next++];
-        if (static_cast<double>(child.pd) >=
-            radius_sq.load(std::memory_order_relaxed)) {
-          local.nodes_pruned +=
-              static_cast<std::uint64_t>(lvl.ordered.size() - lvl.next + 1);
-          lvl.next = lvl.ordered.size();
-          --depth;
-          continue;
-        }
-        path[static_cast<usize>(depth)] = child.symbol;
-        if (depth == m - 1) {
-          ++local.leaves_reached;
-          // The synchronization step of [4]: publish the improved radius.
-          //
-          // Shrink-safety audit (this is the spot where a naive
-          // `radius_sq.store(child.pd)` outside the lock WOULD lose a
-          // concurrent tighter radius and re-admit already-pruned leaves):
-          //   1. Every write to radius_sq in this translation unit happens
-          //      here, under best_mutex — there is no unlocked store.
-          //   2. The store is guarded by `child.pd < best_pd`, and best_pd
-          //      is itself only written here under the same mutex, so the
-          //      sequence of values stored into radius_sq is strictly
-          //      decreasing — a later (mutex-ordered) store can never
-          //      overwrite a tighter radius with a looser one. This is the
-          //      same monotone-min contract a lock-free CAS-min loop would
-          //      provide; the mutex is already required for best_path, so the
-          //      CAS loop would be redundant synchronization.
-          //   3. The relaxed loads in the pruning tests may observe a stale
-          //      (larger) radius. That admits extra work, never wrong
-          //      results: best_pd/best_path — the answer — are maintained
-          //      exclusively under the mutex, and pruning with any radius
-          //      >= the true minimum keeps the optimum reachable.
-          // Regression coverage: ParallelSd.RadiusPublicationUnderContention
-          // (tests/test_parallel_sd.cpp), which runs under the TSan CI job.
-          std::lock_guard<std::mutex> lock(best_mutex);
-          if (static_cast<double>(child.pd) < best_pd) {
-            best_pd = static_cast<double>(child.pd);
-            best_path = path;
-            found_leaf = true;
-            radius_sq.store(best_pd, std::memory_order_relaxed);
-            ++local.radius_updates;
-          }
-          continue;
-        }
-        ++depth;
-        enter_depth(depth, child.pd);
-      }
-    }
-
-    std::lock_guard<std::mutex> lock(best_mutex);
-    shared_stats.nodes_expanded += local.nodes_expanded;
-    shared_stats.nodes_generated += local.nodes_generated;
-    shared_stats.nodes_pruned += local.nodes_pruned;
-    shared_stats.leaves_reached += local.leaves_reached;
-    shared_stats.radius_updates += local.radius_updates;
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) pool.emplace_back(worker, t);
-  for (auto& t : pool) t.join();
-
-  result.stats.nodes_expanded += shared_stats.nodes_expanded;
-  result.stats.nodes_generated += shared_stats.nodes_generated;
-  result.stats.nodes_pruned += shared_stats.nodes_pruned;
-  result.stats.leaves_reached += shared_stats.leaves_reached;
-  result.stats.radius_updates += shared_stats.radius_updates;
-
-  SD_ASSERT(found_leaf);  // infinite initial radius guarantees a leaf
-
-  std::vector<index_t>& layered = scratch_.layered;
-  layered.resize(static_cast<usize>(m));
-  for (index_t d = 0; d < m; ++d) {
-    layered[static_cast<usize>(m - 1 - d)] = best_path[static_cast<usize>(d)];
-  }
-  to_antenna_order_into(pre, layered, result.indices);
-  result.metric = best_pd;
-  result.stats.search_seconds = timer.elapsed_seconds();
 }
 
 }  // namespace sd

@@ -1,6 +1,8 @@
 // Classic depth-first sphere decoder with Schnorr-Euchner child ordering —
 // the traversal strategy of Geosphere [14], implemented with scalar
 // interference-cancellation arithmetic (BLAS-1/2 profile, memory-bound).
+// The search is the shared depth-first core (decode/dfs_search.hpp) over a
+// local radius that each leaf shrinks.
 //
 // Algorithmically it visits nodes in exactly the same order as the
 // GEMM/Best-FS decoder (sorted children + LIFO == depth-first best-child

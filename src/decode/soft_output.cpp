@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "decode/dfs_search.hpp"
 
 namespace sd {
 
@@ -39,83 +40,31 @@ SoftDecodeResult ListSphereDecoder::decode_soft(const CMat& h,
   out.hard.stats.preprocess_seconds = pre.seconds;
 
   const index_t m = pre.r.rows();
-  const index_t p = c_->order();
   out.hard.stats.tree_levels = static_cast<std::uint64_t>(m);
   Timer timer;
 
   // Bounded candidate list: a max-heap so the worst current member defines
   // the pruning radius once the list is full.
   std::priority_queue<Candidate, std::vector<Candidate>, CandidateWorse> list;
-  auto radius_sq = [&]() {
-    if (list.size() < opts_.list_size) {
-      return initial_radius_sq(opts_.base, sigma2, m);
-    }
-    return list.top().metric;
-  };
+  DfsScratch s;
+  s.begin(m);
+  search_growing_radius(
+      initial_radius_sq(opts_.base, sigma2, m), out.hard.stats,
+      [&](double r) {
+        dfs_search(
+            pre, *c_, 0, real{0}, opts_.base.max_nodes, s, out.hard.stats,
+            [&] {
+              return list.size() < opts_.list_size ? r : list.top().metric;
+            },
+            [&](double pd, const std::vector<index_t>& path) {
+              list.push(Candidate{pd, path});
+              if (list.size() > opts_.list_size) list.pop();
+            });
+        return !list.empty();
+      });
 
-  // Depth-first search with SE child ordering, as in SdDfsDetector, but
-  // leaves feed the candidate list instead of shrinking to a single best.
-  struct Level {
-    std::vector<std::pair<index_t, real>> ordered;  // (symbol, cumulative pd)
-    usize next = 0;
-  };
-  std::vector<Level> levels(static_cast<usize>(m));
-  std::vector<index_t> path(static_cast<usize>(m), 0);
-
-  auto enter_depth = [&](index_t d, real parent_pd) {
-    const index_t a = m - 1 - d;
-    ++out.hard.stats.nodes_expanded;
-    out.hard.stats.nodes_generated += static_cast<std::uint64_t>(p);
-    cplx interference{0, 0};
-    for (index_t t = 1; t <= d; ++t) {
-      interference +=
-          pre.r(a, a + t) * c_->point(path[static_cast<usize>(d - t)]);
-    }
-    const cplx b = pre.ybar[static_cast<usize>(a)] - interference;
-    Level& lvl = levels[static_cast<usize>(d)];
-    lvl.ordered.clear();
-    lvl.next = 0;
-    for (index_t sym = 0; sym < p; ++sym) {
-      lvl.ordered.emplace_back(
-          sym, parent_pd + norm2(b - pre.r(a, a) * c_->point(sym)));
-    }
-    std::sort(lvl.ordered.begin(), lvl.ordered.end(),
-              [](const auto& x, const auto& y2) { return x.second < y2.second; });
-  };
-
-  index_t depth = 0;
-  enter_depth(0, real{0});
-  while (depth >= 0) {
-    if (out.hard.stats.nodes_expanded >= opts_.base.max_nodes) {
-      out.hard.stats.node_budget_hit = true;
-      break;
-    }
-    Level& lvl = levels[static_cast<usize>(depth)];
-    if (lvl.next >= lvl.ordered.size()) {
-      --depth;
-      continue;
-    }
-    const auto [sym, pd] = lvl.ordered[lvl.next++];
-    if (static_cast<double>(pd) >= radius_sq()) {
-      out.hard.stats.nodes_pruned +=
-          static_cast<std::uint64_t>(lvl.ordered.size() - lvl.next + 1);
-      lvl.next = lvl.ordered.size();
-      --depth;
-      continue;
-    }
-    path[static_cast<usize>(depth)] = sym;
-    if (depth == m - 1) {
-      ++out.hard.stats.leaves_reached;
-      list.push(Candidate{static_cast<double>(pd), path});
-      if (list.size() > opts_.list_size) list.pop();
-      continue;
-    }
-    ++depth;
-    enter_depth(depth, pd);
-  }
-
-  SD_CHECK(!list.empty(), "list sphere decoder found no leaf");
-  // Drain the heap into a vector (ascending metric at the end).
+  // Drain the heap into a vector (ascending metric at the end). A search
+  // that reached no leaf answers with the Babai point alone.
   std::vector<Candidate> candidates;
   candidates.reserve(list.size());
   while (!list.empty()) {
@@ -123,15 +72,17 @@ SoftDecodeResult ListSphereDecoder::decode_soft(const CMat& h,
     list.pop();
   }
   std::reverse(candidates.begin(), candidates.end());
+  if (candidates.empty()) {
+    std::vector<index_t> path(static_cast<usize>(m));
+    const double metric = babai_point(pre, *c_, path);
+    candidates.push_back(Candidate{metric, std::move(path)});
+  }
   out.candidates = candidates.size();
 
   // Hard output = best candidate, converted to antenna order.
   const Candidate& best = candidates.front();
-  std::vector<index_t> layered(static_cast<usize>(m));
-  for (index_t d = 0; d < m; ++d) {
-    layered[static_cast<usize>(m - 1 - d)] = best.path[static_cast<usize>(d)];
-  }
-  out.hard.indices = to_antenna_order(pre, layered);
+  std::vector<index_t> layered;
+  path_to_antenna_order(pre, best.path, layered, out.hard.indices);
   out.hard.metric = best.metric;
   materialize_symbols(*c_, out.hard);
 
@@ -142,13 +93,9 @@ SoftDecodeResult ListSphereDecoder::decode_soft(const CMat& h,
   last_.bits.clear();
   last_.bits_per_vector = static_cast<usize>(m) * static_cast<usize>(bits);
   std::vector<std::uint8_t> bit_buf(static_cast<usize>(bits));
+  std::vector<index_t> cand_ant;
   for (const Candidate& cand : candidates) {
-    std::vector<index_t> cand_layered(static_cast<usize>(m));
-    for (index_t d = 0; d < m; ++d) {
-      cand_layered[static_cast<usize>(m - 1 - d)] =
-          cand.path[static_cast<usize>(d)];
-    }
-    const std::vector<index_t> cand_ant = to_antenna_order(pre, cand_layered);
+    path_to_antenna_order(pre, cand.path, layered, cand_ant);
     std::vector<std::uint8_t> labels(last_.bits_per_vector);
     for (index_t ant = 0; ant < m; ++ant) {
       c_->index_to_bits(cand_ant[static_cast<usize>(ant)], bit_buf);

@@ -1,9 +1,12 @@
 // Soft-output sphere decoding (list sphere decoder).
 //
 // Coded links want per-bit reliabilities, not hard decisions. The list
-// sphere decoder runs the same Best-FS search as the paper's detector but
-// keeps the L best leaf candidates instead of only the incumbent; the
-// sphere radius tracks the L-th best metric, so pruning stays effective.
+// sphere decoder runs the Schnorr–Euchner depth-first search of SdDfsDetector
+// (decode/dfs_search.hpp) but keeps the L best leaf candidates instead of
+// only the incumbent; once L are kept, the sphere radius tracks the L-th
+// best metric, so pruning stays effective. An empty sphere is retried on a
+// grown radius, as in DFS, and a search that reaches no leaf answers with the
+// Babai point as its only candidate.
 // Max-log LLRs are then formed from the candidate list (Vikalo, Hassibi &
 // Kailath — the paper's ref. [11] — style iterative receivers build on
 // exactly this detector output).

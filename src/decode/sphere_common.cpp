@@ -205,6 +205,35 @@ void to_antenna_order_into(const Preprocessed& pre,
   }
 }
 
+void path_to_antenna_order(const Preprocessed& pre,
+                           std::span<const index_t> path,
+                           std::vector<index_t>& layered,
+                           std::vector<index_t>& out) {
+  const usize m = path.size();
+  layered.resize(m);
+  for (usize d = 0; d < m; ++d) layered[m - 1 - d] = path[d];
+  to_antenna_order_into(pre, layered, out);
+}
+
+double babai_point(const Preprocessed& pre, const Constellation& c,
+                   std::span<index_t> path) {
+  const index_t m = pre.r.rows();
+  SD_CHECK(path.size() == static_cast<usize>(m), "Babai path length mismatch");
+  double pd = 0.0;
+  for (index_t depth = 0; depth < m; ++depth) {
+    const index_t a = m - 1 - depth;
+    cplx acc{0, 0};
+    for (index_t t = 1; t <= depth; ++t) {
+      acc += pre.r(a, a + t) * c.point(path[static_cast<usize>(depth - t)]);
+    }
+    const cplx b = pre.ybar[static_cast<usize>(a)] - acc;
+    const index_t sym = c.slice(b / pre.r(a, a));
+    path[static_cast<usize>(depth)] = sym;
+    pd += norm2(b - pre.r(a, a) * c.point(sym));
+  }
+  return pd;
+}
+
 double initial_radius_sq(const SdOptions& opts, double sigma2, index_t num_rx) {
   switch (opts.radius_policy) {
     case RadiusPolicy::kInfinite:

@@ -159,6 +159,22 @@ void to_antenna_order_into(const Preprocessed& pre,
                            const std::vector<index_t>& layered,
                            std::vector<index_t>& out);
 
+/// Converts a depth-ordered path (depth d decided column m-1-d) to antenna
+/// order in `out`: flips it to column order in `layered`, then undoes any
+/// SQRD permutation. Both vectors' capacity is reused.
+void path_to_antenna_order(const Preprocessed& pre,
+                           std::span<const index_t> path,
+                           std::vector<index_t>& layered,
+                           std::vector<index_t>& out);
+
+/// The Babai point of `pre`: depth by depth, the symbol nearest to ybar less
+/// the interference of the symbols already decided (successive interference
+/// cancellation). Writes the symbol of each depth to `path` (m entries;
+/// depth d decides column m-1-d) and returns the point's metric. Every tree
+/// search answers with it when it reaches no leaf.
+double babai_point(const Preprocessed& pre, const Constellation& c,
+                   std::span<index_t> path);
+
 /// Initial squared radius for the configured policy.
 [[nodiscard]] double initial_radius_sq(const SdOptions& opts, double sigma2,
                                        index_t num_rx);

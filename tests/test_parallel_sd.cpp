@@ -9,6 +9,7 @@
 #include "decode/channel_prep.hpp"
 #include "decode/ml.hpp"
 #include "decode/sd_dfs.hpp"
+#include "decode/sd_gemm.hpp"
 #include "mimo/scenario.hpp"
 
 namespace sd {
@@ -116,10 +117,10 @@ TEST(ParallelSd, ResultsInvariantToNumThreads) {
 
 // Regression companion to the shrink-safety audit at the radius-publication
 // site in parallel_sd.cpp: with many workers racing to publish leaves on a
-// wide low-SNR tree, the mutex-serialized monotone store must behave exactly
-// like a CAS-min — the published radius can only tighten, so the decode
-// stays exact. Runs under the TSan CI job (name matches its -R filter),
-// which additionally proves the publication is race-free.
+// wide low-SNR tree, the lock-free CAS-min may only tighten the frame's
+// radius, so the decode stays exact. Runs under the TSan CI job (name
+// matches its -R filter), which additionally proves the publication is
+// race-free.
 TEST(ParallelSd, RadiusPublicationUnderContention) {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   ParallelSdOptions contended;
@@ -243,6 +244,40 @@ TEST(ParallelSd, RejectsBadSplitDepth) {
   ParallelSdOptions opts;
   opts.split_depth = 0;
   EXPECT_THROW(ParallelSdDetector(c, opts), invalid_argument_error);
+}
+
+TEST(ParallelSd, RefusesAFiniteInitialRadius) {
+  // The sub-trees start unbounded; a noise-scaled policy used to be
+  // rewritten to the unbounded one without a word.
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  ParallelSdOptions opts;
+  opts.base.radius_policy = RadiusPolicy::kNoiseScaled;
+  EXPECT_THROW(ParallelSdDetector(c, opts), invalid_argument_error);
+}
+
+TEST(ParallelSd, NodeBudgetHoldsPerWorkerAndFrame) {
+  // One worker, split 1, an 8-level tree: the partition expands the root,
+  // then the first sub-tree stops at the fourth expansion, before any
+  // leaf, and the remaining sub-trees are skipped. The Babai point answers.
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  ParallelSdOptions opts;
+  opts.num_threads = 1;
+  opts.base.max_nodes = 4;
+  ParallelSdDetector par(c, opts);
+  // Best-FS out of budget after the root answers with the same Babai point.
+  SdOptions one_expansion;
+  one_expansion.max_nodes = 1;
+  SdGemmDetector babai(c, one_expansion);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Trial t = make_trial(8, Modulation::kQam4, 8.0, seed);
+    const DecodeResult r = par.decode(t.h, t.y, t.sigma2);
+    EXPECT_TRUE(r.stats.node_budget_hit) << "seed=" << seed;
+    EXPECT_EQ(r.stats.nodes_expanded, 1u + 4u) << "seed=" << seed;
+    EXPECT_EQ(r.stats.leaves_reached, 0u) << "seed=" << seed;
+    const DecodeResult want = babai.decode(t.h, t.y, t.sigma2);
+    EXPECT_EQ(r.indices, want.indices) << "seed=" << seed;
+    EXPECT_EQ(r.metric, want.metric) << "seed=" << seed;
+  }
 }
 
 }  // namespace

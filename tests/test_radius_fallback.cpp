@@ -5,9 +5,11 @@
 // (next_radius_sq) then switches the search to an unbounded radius exactly
 // once, counted in DecodeStats::radius_fallbacks, and the detector answers.
 // Inside a fused BFS batch the degenerate frame must not disturb the others.
-// A NaN sample makes every PD NaN: BFS, Best-FS and DFS prune it like a PD
-// outside the sphere, so the search ends in a handful of expansions instead
-// of filling the frontier or walking the whole tree.
+// A NaN sample makes every PD NaN: BFS, Best-FS, DFS, the list sphere
+// decoder and the parallel sub-tree SD prune it like a PD outside the
+// sphere, so the search ends in a handful of expansions instead of filling
+// the frontier or walking the whole tree, and a search that reaches no leaf
+// answers with the Babai point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +21,9 @@
 
 #include "core/sphere_decoder.hpp"
 #include "core/spec_parse.hpp"
+#include "decode/parallel_sd.hpp"
 #include "decode/sd_gemm_bfs.hpp"
+#include "decode/soft_output.hpp"
 #include "obs/counters.hpp"
 #include "test_util.hpp"
 
@@ -199,6 +203,123 @@ TEST(RadiusFallbackNaN, DfsNanSampleIsAnsweredInBoundedWork) {
     EXPECT_EQ(r.stats.radius_fallbacks, spec == "dfs" ? 0u : 1u) << spec;
     EXPECT_LE(r.stats.nodes_expanded, 100u) << spec;
   }
+}
+
+TEST(RadiusFallbackNaN, MultiPeNonFiniteFrameIsAnsweredInBoundedWork) {
+  // One NaN receive sample, or one inf channel entry, through the parallel
+  // sub-tree SD at one and two workers. Under the NaN sample every sub-tree
+  // root's PD is NaN and fails pd < radius, so no sub-tree is searched. The
+  // inf in column 5 makes R's row 5 and ybar[5] NaN but leaves rows 6-9
+  // finite: the unbounded search walks the whole 4-level tree above
+  // (1 + 4 + 16 + 64 + 256 = 341 expansions) and prunes every child at the
+  // NaN level. Either way no leaf is reached and the Babai point answers;
+  // the search used to end in `invariant failed: found_leaf`.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  const CMat h = testing::random_cmat(kN, kN, 81);
+  const CVec y = testing::random_cvec(kN, 82);
+  CVec nan_y = y;
+  nan_y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  CMat inf_h = h;
+  inf_h(2, 5) = cplx{std::numeric_limits<real>::infinity(), 0.0F};
+  for (const std::string spec :
+       {"multipe:threads=1", "multipe:threads=2", "multipe:threads=2,split=2"}) {
+    auto det = make_detector(sys, parse_decoder_spec(spec));
+    for (const bool bad_h : {false, true}) {
+      const std::string what = spec + (bad_h ? " inf H" : " NaN y");
+      const DecodeResult r =
+          det->decode(bad_h ? inf_h : h, bad_h ? y : nan_y, 0.1);
+      ASSERT_EQ(r.indices.size(), static_cast<usize>(kN)) << what;
+      for (index_t idx : r.indices) {
+        EXPECT_GE(idx, 0) << what;
+        EXPECT_LT(idx, 4) << what;
+      }
+      EXPECT_EQ(r.stats.leaves_reached, 0u) << what;
+      EXPECT_LE(r.stats.nodes_expanded, bad_h ? 341u : 100u) << what;
+    }
+  }
+}
+
+TEST(RadiusFallbackNaN, MultiPeWideBatchAnswersANanFrameBesideGoodOnes) {
+  // The NaN frame shares a fused batch with finite frames; they keep the
+  // answers and counters of their one-frame decodes.
+  constexpr index_t kN = 8;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  auto det = make_detector(sys, parse_decoder_spec("multipe:threads=1"));
+  std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
+  std::vector<CVec> ys;
+  for (std::uint64_t f = 0; f < 3; ++f) {
+    preps.push_back(
+        det->preprocess(ChannelHandle(testing::random_cmat(kN, kN, 90 + f))));
+    ys.push_back(testing::random_cvec(kN, 95 + f));
+  }
+  ys[1][0] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  std::vector<DecodeResult> solo(3);
+  for (usize f = 0; f < 3; ++f) det->decode_with(*preps[f], ys[f], 0.1, solo[f]);
+  std::vector<DecodeResult> wide(3);
+  std::vector<Detector::WideItem> items;
+  for (usize f = 0; f < 3; ++f) {
+    items.push_back({preps[f].get(), ys[f], 0.1, &wide[f]});
+  }
+  det->decode_wide(items);
+  for (usize f = 0; f < 3; ++f) {
+    EXPECT_EQ(wide[f].indices, solo[f].indices) << f;
+    EXPECT_EQ(wide[f].stats.nodes_expanded, solo[f].stats.nodes_expanded) << f;
+    EXPECT_EQ(wide[f].stats.leaves_reached, solo[f].stats.leaves_reached) << f;
+  }
+  EXPECT_EQ(wide[1].stats.leaves_reached, 0u);
+  EXPECT_GT(wide[0].stats.leaves_reached, 0u);
+}
+
+TEST(RadiusFallbackNaN, ListSdNanSampleAnswersWithTheBabaiCandidate) {
+  // The list sphere decoder on the NaN frame: the SE search prunes the NaN
+  // root children, the sphere stays empty at every radius, and the Babai
+  // point is the one candidate, so every LLR sits at the clamp. It used to
+  // fail its `list sphere decoder found no leaf` check.
+  constexpr index_t kN = 10;
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  const CMat h = testing::random_cmat(kN, kN, 81);
+  CVec y = testing::random_cvec(kN, 82);
+  y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  for (const bool noise_scaled : {false, true}) {
+    ListSdOptions opts;
+    if (noise_scaled) opts.base.radius_policy = RadiusPolicy::kNoiseScaled;
+    ListSphereDecoder lsd(c, opts);
+    const SoftDecodeResult r = lsd.decode_soft(h, y, 0.1);
+    ASSERT_EQ(r.hard.indices.size(), static_cast<usize>(kN)) << noise_scaled;
+    for (index_t idx : r.hard.indices) {
+      EXPECT_GE(idx, 0);
+      EXPECT_LT(idx, 4);
+    }
+    EXPECT_EQ(r.candidates, 1u);
+    EXPECT_EQ(r.hard.stats.leaves_reached, 0u);
+    EXPECT_EQ(r.hard.stats.radius_fallbacks, noise_scaled ? 1u : 0u);
+    EXPECT_LE(r.hard.stats.nodes_expanded, 100u);
+    ASSERT_EQ(r.llrs.size(), static_cast<usize>(2 * kN));
+    for (double l : r.llrs) EXPECT_EQ(std::abs(l), opts.llr_clamp);
+  }
+}
+
+TEST(RadiusFallback, ListSdZeroNoiseVarianceGrowsToAnUnboundedSphere) {
+  // A noise-scaled list search at sigma2 = 0 starts on radius 0, which
+  // holds no leaf; the shared retry switches it to an unbounded sphere,
+  // where it fills its list as the unbounded search does.
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  const CMat h = testing::random_cmat(kM, kM, 83);
+  const CVec y = testing::random_cvec(kM, 84);
+  ListSdOptions scaled;
+  scaled.list_size = 8;
+  scaled.base.radius_policy = RadiusPolicy::kNoiseScaled;
+  ListSdOptions unbounded;
+  unbounded.list_size = 8;
+  ListSphereDecoder a(c, scaled);
+  ListSphereDecoder b(c, unbounded);
+  const SoftDecodeResult got = a.decode_soft(h, y, 0.0);
+  const SoftDecodeResult want = b.decode_soft(h, y, 0.0);
+  EXPECT_EQ(got.hard.stats.radius_fallbacks, 1u);
+  EXPECT_EQ(got.candidates, 8u);
+  EXPECT_EQ(got.hard.indices, want.hard.indices);
+  EXPECT_EQ(a.last_candidates().metrics, b.last_candidates().metrics);
 }
 
 }  // namespace

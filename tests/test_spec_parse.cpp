@@ -89,7 +89,7 @@ TEST(SpecParse, TreeSearchOptionsReachTheDetectorsOptions) {
   EXPECT_EQ(bfs.bfs.base.radius_policy, RadiusPolicy::kNoiseScaled);
   EXPECT_DOUBLE_EQ(bfs.bfs.base.radius_alpha, 2.5);
   EXPECT_FALSE(bfs.sd.sorted_qr);  // untouched: BFS never reads spec.sd
-  // Neither the BFS nor the parallel sub-tree SD reads max_nodes.
+  // The BFS reads no max_nodes.
   EXPECT_THROW((void)parse_decoder_spec("bfs:sorted,alpha=2.5,max-nodes=100"),
                invalid_argument_error);
 
@@ -104,11 +104,13 @@ TEST(SpecParse, TreeSearchOptionsReachTheDetectorsOptions) {
 
   // Detectors that read no SdOptions reject the keys instead of ignoring
   // them, and so does any detector a key would not reach: a node budget
-  // where the search has none, an FPGA datapath precision on the CPU.
+  // where the spec serves none, a radius where the search starts unbounded
+  // only, an FPGA datapath precision on the CPU.
   for (const char* spec :
        {"zf:sorted", "mmse:alpha=2", "kbest:max-nodes=9", "fsd:sorted",
         "ml:sorted", "mmse-neumann:sorted", "bfs:max-nodes=10",
         "multipe:max-nodes=10", "multipe:threads=2,max-nodes=10",
+        "multipe:alpha=2", "multipe:threads=2,alpha=inf",
         "sphere:fp16", "sphere@cpu:int16", "dfs:fp16", "bfs:int16",
         "multipe:fp16", "sphere-scalar:int16"}) {
     EXPECT_THROW((void)parse_decoder_spec(spec), invalid_argument_error)
