@@ -46,7 +46,7 @@ FpgaPipeline::FpgaPipeline(const FpgaConfig& config)
            config.hbm_latency, config.hbm_words_per_cycle),
       uram_("URAM", static_cast<usize>(U280Totals::kUram) * 288 * 1024 / 8,
             config.bram_latency, 1),
-      prefetch_(config.optimized, hbm_),
+      prefetch_(config.optimized),
       sorter_(config.sort_stage_latency) {}
 
 // Charges the pipeline's units between the steps of the Best-FS loop.
@@ -93,7 +93,7 @@ struct FpgaPipeline::Observer : BestFsObserver {
     {
       SD_TRACE_SPAN("fpga.prefetch");
       cyc.prefetch_exposed +=
-          pipe.prefetch_.stage(fetch_bytes, prev_compute_cycles);
+          pipe.prefetch_.stage(pipe.hbm_, fetch_bytes, prev_compute_cycles);
     }
 
     // --- Phase 2: evaluation. The optimized design streams the full

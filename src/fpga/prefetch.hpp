@@ -19,14 +19,16 @@ class PrefetchUnit {
  public:
   /// `enabled` = optimized design (double buffering); the baseline design
   /// fetches on demand and always exposes the full source latency.
-  PrefetchUnit(bool enabled, MemoryBank& source) noexcept
-      : enabled_(enabled), source_(&source) {}
+  explicit PrefetchUnit(bool enabled) noexcept : enabled_(enabled) {}
 
-  /// Stages `bytes` of operands for the next expansion. `overlap_budget` is
-  /// the compute time (cycles) of the expansion this fetch can hide behind.
-  /// Returns the cycles exposed on the critical path.
-  std::uint64_t stage(usize bytes, std::uint64_t overlap_budget) noexcept {
-    const std::uint64_t fetch = source_->read(bytes);
+  /// Stages `bytes` of operands from `source` for the next expansion.
+  /// `overlap_budget` is the compute time (cycles) of the expansion this
+  /// fetch can hide behind. Returns the cycles exposed on the critical path.
+  /// The bank is an argument, not a member, so a copied pipeline reads its
+  /// own bank.
+  std::uint64_t stage(MemoryBank& source, usize bytes,
+                      std::uint64_t overlap_budget) noexcept {
+    const std::uint64_t fetch = source.read(bytes);
     ++fetches_;
     if (!enabled_) {
       exposed_ += fetch;
@@ -52,7 +54,6 @@ class PrefetchUnit {
 
  private:
   bool enabled_;
-  MemoryBank* source_;
   std::uint64_t fetches_ = 0;
   std::uint64_t hidden_ = 0;
   std::uint64_t exposed_ = 0;

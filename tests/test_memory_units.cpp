@@ -54,8 +54,8 @@ TEST(MemoryBank, ResidencyHighWaterAndOverflow) {
 
 TEST(Prefetch, DisabledExposesFullLatency) {
   MemoryBank hbm("HBM", 1 << 20, 64, 8);
-  PrefetchUnit unit(/*enabled=*/false, hbm);
-  const auto exposed = unit.stage(64, /*overlap_budget=*/1000);
+  PrefetchUnit unit(/*enabled=*/false);
+  const auto exposed = unit.stage(hbm, 64, /*overlap_budget=*/1000);
   EXPECT_EQ(exposed, 65u);
   EXPECT_EQ(unit.hidden_cycles(), 0u);
   EXPECT_EQ(unit.exposed_cycles(), 65u);
@@ -63,20 +63,20 @@ TEST(Prefetch, DisabledExposesFullLatency) {
 
 TEST(Prefetch, EnabledHidesBehindComputeBudget) {
   MemoryBank hbm("HBM", 1 << 20, 64, 8);
-  PrefetchUnit unit(/*enabled=*/true, hbm);
+  PrefetchUnit unit(/*enabled=*/true);
   // Fetch costs 65 cycles; 100 cycles of compute fully hide it.
-  EXPECT_EQ(unit.stage(64, 100), 0u);
+  EXPECT_EQ(unit.stage(hbm, 64, 100), 0u);
   EXPECT_EQ(unit.hidden_cycles(), 65u);
   // Only 40 cycles of compute: 25 exposed.
-  EXPECT_EQ(unit.stage(64, 40), 25u);
+  EXPECT_EQ(unit.stage(hbm, 64, 40), 25u);
   EXPECT_EQ(unit.exposed_cycles(), 25u);
   EXPECT_EQ(unit.fetches(), 2u);
 }
 
 TEST(Prefetch, ZeroBudgetExposesEverything) {
   MemoryBank hbm("HBM", 1 << 20, 64, 8);
-  PrefetchUnit unit(true, hbm);
-  EXPECT_EQ(unit.stage(64, 0), 65u);
+  PrefetchUnit unit(true);
+  EXPECT_EQ(unit.stage(hbm, 64, 0), 65u);
 }
 
 TEST(SortUnit, BitonicStageCount) {

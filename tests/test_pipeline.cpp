@@ -103,6 +103,22 @@ TEST(FpgaPipeline, PrefetchHidesMemoryInOptimizedDesign) {
             r_base.cycles.prefetch_exposed);
 }
 
+TEST(FpgaPipeline, CopyChargesItsOwnHbmBank) {
+  // A copied pipeline used to stage its prefetches from the HBM bank of the
+  // pipeline it was copied from, and reported hbm_bytes = 0.
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  FpgaPipeline source(FpgaConfig::optimized_design(8, 8, Modulation::kQam4));
+  FpgaPipeline copy = source;
+  const Trial t = make_trial(8, Modulation::kQam4, 8.0, 3);
+  const Preprocessed pre = preprocess(t.h, t.y, false);
+  const FpgaRunReport from_copy = copy.run(pre, c, t.sigma2);
+  const FpgaRunReport from_source = source.run(pre, c, t.sigma2);
+  EXPECT_GT(from_source.hbm_bytes, 0u);
+  EXPECT_EQ(from_copy.hbm_bytes, from_source.hbm_bytes);
+  EXPECT_EQ(from_copy.cycles.prefetch_exposed,
+            from_source.cycles.prefetch_exposed);
+}
+
 TEST(FpgaPipeline, TransferTimeIsSmallFraction) {
   // The paper: PCIe staging is under 3% of overall execution (measured on
   // their ms-scale decodes). Reproduce that on a comparably heavy decode
