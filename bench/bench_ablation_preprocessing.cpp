@@ -8,10 +8,10 @@
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "decode/kbest.hpp"
 #include "decode/linear.hpp"
 #include "decode/lr_sic.hpp"
 #include "decode/sd_gemm.hpp"
+#include "decode/sd_gemm_bfs.hpp"
 #include "mimo/metrics.hpp"
 #include "mimo/scenario.hpp"
 
@@ -39,7 +39,7 @@ int main() {
     sorted_opts.sorted_qr = true;
     SdGemmDetector sd_sorted(c, sorted_opts);
     LinearDetector zf(LinearKind::kZf, c);
-    KBestDetector sic(c, KBestOptions{1, true});
+    SdGemmBfsDetector sic(c, kbest_options(1));
     LrSicDetector lr_sic(c);
 
     struct Row {

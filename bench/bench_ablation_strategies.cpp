@@ -46,7 +46,7 @@ int main() {
   {
     DecoderSpec s;
     s.strategy = Strategy::kKBest;
-    s.kbest.k = 16;
+    s.bfs.max_frontier = 16;
     entries.push_back({"K-Best (K=16)", s});
   }
   {

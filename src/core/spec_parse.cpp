@@ -96,6 +96,7 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     spec.strategy = Strategy::kMrc;
   } else if (name == "kbest") {
     spec.strategy = Strategy::kKBest;
+    spec.bfs = kbest_options();
   } else if (name == "fsd") {
     spec.strategy = Strategy::kFsd;
   } else if (name == "multipe") {
@@ -162,7 +163,7 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
     } else if (opt.key == "int16" && opt.value.empty() && fpga) {
       spec.fpga_precision = Precision::kInt16;
     } else if (opt.key == "k" && spec.strategy == Strategy::kKBest) {
-      spec.kbest.k = static_cast<usize>(spec_option_int(opt));
+      spec.bfs.max_frontier = static_cast<usize>(spec_option_int(opt));
     } else if (opt.key == "k" && spec.strategy == Strategy::kMmseNeumann) {
       spec.mmse_neumann.k = static_cast<usize>(spec_option_int(opt));
     } else if (opt.key == "tol" && spec.strategy == Strategy::kMmseNeumann) {

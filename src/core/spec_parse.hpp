@@ -10,7 +10,7 @@
 //   "sphere@fpga-base"        -> ... on the baseline design point
 //   "dfs" "bfs" "ml"          -> other tree searches
 //   "zf" "mmse" "mrc"         -> linear detectors
-//   "kbest:k=32"              -> K-Best with options
+//   "kbest:k=32"              -> K-Best: BFS, no radius, 32 survivors
 //   "fsd:levels=2"            -> FSD with two full levels
 //   "multipe:threads=4,split=2"
 //   "bfs:sorted"              -> SQRD layer ordering (sorted=0 turns it off)

@@ -77,11 +77,16 @@ std::unique_ptr<Detector> make_detector(const SystemConfig& sys,
     case Strategy::kDfs:
       return std::make_unique<SdDfsDetector>(c, spec.sd);
     case Strategy::kGemmBfs:
-      return std::make_unique<SdGemmBfsDetector>(c, spec.bfs);
+    case Strategy::kKBest:
+      SD_CHECK(sys.num_tx <= kGemmKc,
+               "BFS and K-Best support at most kGemmKc (128) transmit "
+               "antennas");
+      return std::make_unique<SdGemmBfsDetector>(
+          c, spec.strategy == Strategy::kKBest
+                 ? kbest_options(spec.bfs.max_frontier)
+                 : spec.bfs);
     case Strategy::kFsd:
       return std::make_unique<FsdDetector>(c, spec.fsd);
-    case Strategy::kKBest:
-      return std::make_unique<KBestDetector>(c, spec.kbest);
     case Strategy::kMultiPe:
       return std::make_unique<ParallelSdDetector>(c, spec.multi_pe);
     case Strategy::kMmseNeumann:

@@ -12,7 +12,6 @@
 
 #include "decode/detector.hpp"
 #include "decode/fsd.hpp"
-#include "decode/kbest.hpp"
 #include "decode/mmse_neumann.hpp"
 #include "decode/parallel_sd.hpp"
 #include "decode/sd_gemm_bfs.hpp"
@@ -39,7 +38,7 @@ enum class Strategy : std::uint8_t {
   kDfs,           ///< classic SE depth-first SD (Geosphere traversal)
   kGemmBfs,       ///< GEMM + breadth-first (the GPU baseline of [1])
   kFsd,           ///< fixed-complexity SD (related work)
-  kKBest,         ///< K-Best (related work)
+  kKBest,         ///< K-Best (related work): the BFS with no radius
   kMultiPe,       ///< multi-threaded sub-tree SD (paper §V future work)
   kMmseNeumann,   ///< Gram-domain MMSE, Neumann-series inverse (massive MIMO)
 };
@@ -58,21 +57,22 @@ enum class TargetDevice : std::uint8_t {
 [[nodiscard]] std::string_view device_name(TargetDevice d) noexcept;
 
 /// Full detector specification. Only the sub-options matching `strategy`
-/// are consulted.
+/// are consulted. K-Best reads `bfs.max_frontier` as its K and builds
+/// kbest_options(K).
 struct DecoderSpec {
   Strategy strategy = Strategy::kBestFsGemm;
   TargetDevice device = TargetDevice::kCpu;
   SdOptions sd = {};
   BfsOptions bfs = {};
   FsdOptions fsd = {};
-  KBestOptions kbest = {};
   ParallelSdOptions multi_pe = {};
   MmseNeumannOptions mmse_neumann = {};
   Precision fpga_precision = Precision::kFp32;
 };
 
 /// Builds a detector. Throws sd::invalid_argument_error on inconsistent
-/// specs (e.g. an FPGA device with a non-Best-FS strategy).
+/// specs (e.g. an FPGA device with a non-Best-FS strategy, or BFS and
+/// K-Best for more than kGemmKc transmit antennas).
 [[nodiscard]] std::unique_ptr<Detector> make_detector(const SystemConfig& sys,
                                                       const DecoderSpec& spec);
 

@@ -67,6 +67,12 @@ DecodeResult FsdDetector::decode(const CMat& h, std::span<const cplx> y,
     }
   }
   result.stats.nodes_expanded = num_paths;
+  // No PD compared below +inf (non-finite input): answer like every tree
+  // search that reaches no leaf.
+  if (best_path.empty()) {
+    best_path.resize(static_cast<usize>(m));
+    best_pd = babai_point(pre, *c_, best_path);
+  }
 
   std::vector<index_t> layered(static_cast<usize>(m));
   for (index_t d = 0; d < m; ++d) {

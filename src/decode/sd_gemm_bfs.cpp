@@ -60,6 +60,7 @@ struct SdGemmBfsDetector::Frame {
   std::vector<std::uint8_t> paths;
   std::vector<std::uint8_t> next_paths;
   std::vector<std::int16_t> qsyms;  ///< constellation under this frame's spec
+  std::vector<index_t> path;        ///< the answer's symbol at each depth
   std::vector<index_t> layered;
   double radius_sq = 0.0;
   std::int32_t radius_q = 0;
@@ -411,8 +412,7 @@ struct SdGemmBfsDetector::Engine {
         return;
       }
       // Even an unbounded sphere came up empty: every PD is +inf or NaN
-      // (non-finite input). Nothing is left to try; the answer below is all
-      // symbol 0.
+      // (non-finite input). Nothing is left to try; the Babai point answers.
       if (std::isinf(fr.radius_sq)) break;
       // Empty sphere: enlarge the radius and re-run the whole BFS — the
       // standard recovery, and the cost is charged (stats accumulate).
@@ -421,7 +421,7 @@ struct SdGemmBfsDetector::Engine {
     }
 
     const usize m = static_cast<usize>(fr.m);
-    fr.layered.assign(m, 0);
+    fr.path.resize(m);
     if (lvls.width != 0) {
       // Leaf level survivors: the minimum-PD one is the solution, and its
       // path row holds its symbol at every depth.
@@ -431,12 +431,13 @@ struct SdGemmBfsDetector::Engine {
           [](const Node<Pd>& x, const Node<Pd>& y2) { return x.pd < y2.pd; });
       out.stats.leaves_reached += lvls.width;
       ++out.stats.radius_updates;
-      const std::uint8_t* row =
-          &fr.paths[static_cast<usize>(best - leaves) * m];
-      for (usize l = 0; l < m; ++l) fr.layered[m - 1 - l] = row[l];
+      std::copy_n(&fr.paths[static_cast<usize>(best - leaves) * m], m,
+                  fr.path.begin());
       out.metric = Arith::metric(fr, best->pd);
+    } else {
+      out.metric = babai_point(fr.pre, *d.c_, fr.path);
     }
-    to_antenna_order_into(fr.pre, fr.layered, out.indices);
+    path_to_antenna_order(fr.pre, fr.path, fr.layered, out.indices);
     materialize_symbols(*d.c_, out);
   }
 };
@@ -446,11 +447,15 @@ SdGemmBfsDetector::SdGemmBfsDetector(const Constellation& constellation,
     : c_(&constellation),
       opts_(options),
       frame_(std::make_unique<Frame>()) {
-  // BFS cannot prune without a finite radius; an unbounded sphere would make
-  // the frontier exactly |Omega|^level, i.e. exhaustive ML.
-  if (opts_.base.radius_policy == RadiusPolicy::kInfinite) {
-    opts_.base.radius_policy = RadiusPolicy::kNoiseScaled;
-  }
+  SD_CHECK(opts_.max_frontier >= 1, "the BFS frontier must hold a node");
+}
+
+BfsOptions kbest_options(usize k) {
+  BfsOptions opts;
+  opts.base.radius_policy = RadiusPolicy::kInfinite;
+  opts.base.sorted_qr = true;
+  opts.max_frontier = k;
+  return opts;
 }
 
 SdGemmBfsDetector::~SdGemmBfsDetector() = default;

@@ -9,6 +9,10 @@
 // reached, so the frontier — and the GEMM volume — grows far beyond what the
 // Best-FS decoder touches. The node/GEMM counts recorded here are exact and
 // feed the A100 timing model.
+//
+// K-Best is the same level engine with an unbounded radius: nothing is
+// pruned by the sphere, so the frontier cut alone bounds the search, keeping
+// the K lowest-PD nodes of every level (kbest_options).
 #pragma once
 
 #include <memory>
@@ -27,6 +31,7 @@ struct BfsOptions {
   /// it, only the best `max_frontier` nodes are kept — the "heuristic to
   /// limit the search space" that GPU implementations resort to (§IV-F),
   /// potentially costing BER. Exceeding the cap is reported in the stats.
+  /// Under an unbounded radius this is K-Best's K. At least 1.
   usize max_frontier = 1u << 18;
   /// Run the fixed-point (int16 storage / int32 PD) datapath calibrated to
   /// the FPGA's arithmetic: int16 level GEMMs, exact integer PD comparisons,
@@ -35,6 +40,10 @@ struct BfsOptions {
   /// radius saturates without finding a leaf.
   bool quantized = false;
 };
+
+/// K-Best with K survivors per level: an unbounded radius, SQRD order and
+/// `max_frontier = K`. K = 16 is the `kbest` spec's default.
+[[nodiscard]] BfsOptions kbest_options(usize k = 16);
 
 /// Every decode entry point feeds one level engine. The detector supports at
 /// most kGemmKc (128) transmit antennas, the depth of one K panel of the
@@ -47,7 +56,9 @@ class SdGemmBfsDetector final : public Detector {
   ~SdGemmBfsDetector() override;  // Frame is an incomplete type here
 
   [[nodiscard]] std::string_view name() const override {
-    return opts_.quantized ? "SD-GEMM-BFS-i16" : "SD-GEMM-BFS";
+    if (opts_.quantized) return "SD-GEMM-BFS-i16";
+    return opts_.base.radius_policy == RadiusPolicy::kInfinite ? "K-Best"
+                                                               : "SD-GEMM-BFS";
   }
 
   [[nodiscard]] const BfsOptions& options() const noexcept { return opts_; }

@@ -10,8 +10,8 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/spec_parse.hpp"
-#include "decode/kbest.hpp"
 #include "decode/linear.hpp"
+#include "decode/sd_gemm_bfs.hpp"
 #include "mimo/constellation.hpp"
 #include "obs/trace.hpp"
 
@@ -71,11 +71,13 @@ Backend::Backend(SystemConfig system, BackendConfig config)
   // Which overload-ladder rungs this substrate can serve. A linear primary
   // has nothing cheaper to degrade to; fixed-complexity searches skip the
   // K-Best rung (they already are one); an MMSE-Neumann primary skips its
-  // own rung and degrades straight to linear.
+  // own rung and degrades straight to linear. The K-Best rung is the BFS
+  // level engine, which refuses more than kGemmKc transmit antennas.
   ladder_.push_back(serve::DecodeTier::kPrimary);
   if (!is_linear_strategy(cfg_.decoder.strategy)) {
     if (!is_fixed_complexity(cfg_.decoder.strategy) &&
-        cfg_.decoder.strategy != Strategy::kMmseNeumann) {
+        cfg_.decoder.strategy != Strategy::kMmseNeumann &&
+        system_.num_tx <= kGemmKc) {
       ladder_.push_back(serve::DecodeTier::kKBest);
     }
     if (cfg_.decoder.strategy != Strategy::kMmseNeumann) {
@@ -315,7 +317,7 @@ struct Backend::Lane {
   Lane(const SystemConfig& system, const DecoderSpec& decoder, unsigned lane)
       : id(lane),
         primary(make_detector(system, decoder)),
-        kbest(Constellation::get(system.modulation), KBestOptions{8}),
+        kbest(Constellation::get(system.modulation), kbest_options(8)),
         mmse(MmseNeumannOptions{}, Constellation::get(system.modulation)),
         linear(LinearKind::kZf, Constellation::get(system.modulation)) {}
 
@@ -331,7 +333,7 @@ struct Backend::Lane {
 
   unsigned id;
   std::unique_ptr<Detector> primary;
-  KBestDetector kbest;
+  SdGemmBfsDetector kbest;
   MmseNeumannDetector mmse;
   LinearDetector linear;
   // Run scratch, indexed parallel to the run's frames (`live` and `items`

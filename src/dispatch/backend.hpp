@@ -192,9 +192,9 @@ class Backend {
 
   /// The overload-ladder tiers this backend can serve, cheapest last. Always
   /// starts with kPrimary; SD-family decoders degrade through kKBest and
-  /// kMmseApprox to kLinear, fixed-complexity decoders skip the kKBest rung,
-  /// an MMSE-Neumann primary degrades straight to kLinear, and linear
-  /// decoders not at all.
+  /// kMmseApprox to kLinear, fixed-complexity decoders and systems wider
+  /// than kGemmKc transmit antennas skip the kKBest rung, an MMSE-Neumann
+  /// primary degrades straight to kLinear, and linear decoders not at all.
   [[nodiscard]] const std::vector<serve::DecodeTier>& ladder() const noexcept {
     return ladder_;
   }

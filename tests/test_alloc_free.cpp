@@ -194,6 +194,15 @@ TEST_F(AllocFree, BfsCachedPrepDecodeIsAllocationFreeAfterWarmup) {
   expect_cached_prep_alloc_free(det, "SD-GEMM-BFS/decode_with");
 }
 
+TEST_F(AllocFree, KBestDecodeIsAllocationFreeAfterWarmup) {
+  // Every lane's overload rung: K-Best on the BFS level engine, through both
+  // entry points.
+  auto det = make_detector({kM, kM, Modulation::kQam16},
+                           parse_decoder_spec("kbest:k=8"));
+  expect_steady_state_alloc_free(*det, "K-Best");
+  expect_cached_prep_alloc_free(*det, "K-Best/decode_with");
+}
+
 TEST_F(AllocFree, QuantBfsDecodeIsAllocationFreeAfterWarmup) {
   BfsOptions opts;
   opts.quantized = true;

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "decode/kbest.hpp"
 #include "decode/linear.hpp"
 #include "decode/parallel_sd.hpp"
 #include "decode/sd_gemm.hpp"
@@ -93,7 +92,9 @@ std::vector<NamedDetector> detector_zoo() {
     return std::make_unique<SdGemmDetector>(c, o);
   });
   add("bfs", [&c] { return std::make_unique<SdGemmBfsDetector>(c); });
-  add("kbest", [&c] { return std::make_unique<KBestDetector>(c); });
+  add("kbest", [&c] {
+    return std::make_unique<SdGemmBfsDetector>(c, kbest_options());
+  });
   add("zf", [&c] {
     return std::make_unique<LinearDetector>(LinearKind::kZf, c);
   });
@@ -217,8 +218,8 @@ TEST(CoherentBatch, FusedBfsSoaKernelMatchesSequential) {
 TEST(CoherentBatch, BaseBatchLoopsDecodeWith) {
   // Detectors without a fused override get the base loop — same contract.
   const Constellation& c = Constellation::get(Modulation::kQam4);
-  KBestDetector seq(c);
-  KBestDetector batched(c);
+  SdGemmBfsDetector seq(c, kbest_options());
+  SdGemmBfsDetector batched(c, kbest_options());
   const ChannelHandle channel(testing::random_cmat(kM, kM, 1300));
   auto prep = seq.preprocess(channel);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "linalg/gemm.hpp"
 #include "mimo/scenario.hpp"
 
 namespace sd {
@@ -65,6 +66,25 @@ TEST(Factory, FpgaWithWrongStrategyThrows) {
   spec.device = TargetDevice::kFpgaOptimized;
   spec.strategy = Strategy::kDfs;
   EXPECT_THROW((void)make_detector(sys, spec), invalid_argument_error);
+}
+
+TEST(Factory, RefusesBfsAndKBestWiderThanOneGemmPanel) {
+  // BFS and K-Best run on the level engine, whose GEMM takes at most
+  // kGemmKc transmit antennas; a wider system is refused when the detector
+  // is built, not when its first frame is decoded.
+  const SystemConfig wide{kGemmKc + 1, kGemmKc + 1, Modulation::kQam4};
+  for (const Strategy strat : {Strategy::kGemmBfs, Strategy::kKBest}) {
+    DecoderSpec spec;
+    spec.strategy = strat;
+    EXPECT_THROW((void)make_detector(wide, spec), invalid_argument_error)
+        << strategy_name(strat);
+  }
+  const SystemConfig widest{kGemmKc, kGemmKc, Modulation::kQam4};
+  for (const Strategy strat : {Strategy::kGemmBfs, Strategy::kKBest}) {
+    DecoderSpec spec;
+    spec.strategy = strat;
+    EXPECT_NE(make_detector(widest, spec), nullptr) << strategy_name(strat);
+  }
 }
 
 TEST(Factory, RejectsUnderdeterminedSystem) {

@@ -24,6 +24,7 @@
 #include "decode/linear.hpp"
 #include "dispatch/backend.hpp"
 #include "dispatch/cost_model.hpp"
+#include "linalg/gemm.hpp"
 #include "mimo/constellation.hpp"
 #include "mimo/scenario.hpp"
 #include "obs/counters.hpp"
@@ -119,7 +120,7 @@ TEST(DispatchPool, ParseBackendPool) {
   EXPECT_EQ(pool[2].kind, BackendKind::kCpu);
   EXPECT_EQ(pool[2].lanes, 2u);
   EXPECT_EQ(pool[2].decoder.strategy, Strategy::kKBest);
-  EXPECT_EQ(pool[2].decoder.kbest.k, 32u);
+  EXPECT_EQ(pool[2].decoder.bfs.max_frontier, 32u);
 
   EXPECT_EQ(pool[3].kind, BackendKind::kParallelSd);
   EXPECT_EQ(pool[3].decoder.strategy, Strategy::kMultiPe);
@@ -161,6 +162,16 @@ TEST(DispatchPool, LaddersMatchDecoderFamily) {
   // MMSE primary: degrading to the kbest/mmse rungs would be a promotion.
   EXPECT_EQ(ladder_of("mmse-neumann").size(), 2u);
   EXPECT_EQ(ladder_of("zf").size(), 1u);      // nothing cheaper than linear
+
+  // The K-Best rung is the BFS level engine, which takes at most kGemmKc
+  // transmit antennas: a wider system's SD ladder leaves it out.
+  const SystemConfig wide{kGemmKc + 1, kGemmKc + 1, Modulation::kQam4};
+  std::vector<BackendConfig> pool = parse_backend_pool("cpu", pd);
+  const std::vector<DecodeTier> wide_ladder =
+      make_backend(wide, std::move(pool[0]))->ladder();
+  EXPECT_EQ(wide_ladder, (std::vector<DecodeTier>{DecodeTier::kPrimary,
+                                                  DecodeTier::kMmseApprox,
+                                                  DecodeTier::kLinear}));
 }
 
 TEST(DispatchPool, BackendKindChecksItsDecoder) {

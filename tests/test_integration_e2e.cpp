@@ -96,7 +96,7 @@ TEST(EndToEnd, AllDetectorsAgreeOnBerOrdering) {
   auto exact = make_detector(sys, DecoderSpec{});
   DecoderSpec kbest_spec;
   kbest_spec.strategy = Strategy::kKBest;
-  kbest_spec.kbest.k = 2;
+  kbest_spec.bfs.max_frontier = 2;
   auto kbest = make_detector(sys, kbest_spec);
   DecoderSpec zf_spec;
   zf_spec.strategy = Strategy::kZf;

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "decode/kbest.hpp"
 #include "decode/linear.hpp"
 #include "decode/ml.hpp"
+#include "decode/sd_gemm_bfs.hpp"
 #include "mimo/metrics.hpp"
 #include "mimo/scenario.hpp"
 
@@ -63,7 +63,7 @@ TEST(LrSic, BetweenSicAndMlAtModerateSnr) {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   LrSicDetector lr(c);
   MlDetector ml(c);
-  KBestDetector sic(c, KBestOptions{1, true});  // K=1 = sorted SIC
+  SdGemmBfsDetector sic(c, kbest_options(1));  // K=1 = sorted SIC
   ErrorCounter lr_errors(c), ml_errors(c), sic_errors(c);
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const Trial t = make_trial(4, Modulation::kQam4, 12.0, seed);

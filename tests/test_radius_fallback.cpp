@@ -5,11 +5,12 @@
 // (next_radius_sq) then switches the search to an unbounded radius exactly
 // once, counted in DecodeStats::radius_fallbacks, and the detector answers.
 // Inside a fused BFS batch the degenerate frame must not disturb the others.
-// A NaN sample makes every PD NaN: BFS, Best-FS, DFS, the list sphere
-// decoder and the parallel sub-tree SD prune it like a PD outside the
-// sphere, so the search ends in a handful of expansions instead of filling
-// the frontier or walking the whole tree, and a search that reaches no leaf
-// answers with the Babai point.
+// A NaN sample makes every PD NaN: BFS (K-Best with it), Best-FS, DFS, the
+// list sphere decoder and the parallel sub-tree SD prune it like a PD
+// outside the sphere, so the search ends in a handful of expansions instead
+// of filling the frontier or walking the whole tree, and a search that
+// reaches no leaf answers with the Babai point, as FSD does when no path
+// wins.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -124,30 +125,65 @@ TEST(RadiusFallbackWide, ZeroNoiseFrameIsAnsweredAndOthersStayExact) {
   }
 }
 
+/// The Babai point of (h, y) in antenna order, under plain or SQRD order.
+std::vector<index_t> babai_answer(const CMat& h, const CVec& y,
+                                  const Constellation& c, bool sorted_qr) {
+  const Preprocessed pre = preprocess(h, y, sorted_qr);
+  std::vector<index_t> path(static_cast<usize>(pre.r.rows()));
+  (void)babai_point(pre, c, path);
+  std::vector<index_t> layered;
+  std::vector<index_t> out;
+  path_to_antenna_order(pre, path, layered, out);
+  return out;
+}
+
 TEST(RadiusFallbackNaN, NanSampleIsAnsweredInBoundedWork) {
   // 10x10 4-QAM, one NaN receive sample. Every level-0 PD is NaN, so each
   // radius doubling expands only the root, then the unbounded sphere comes
-  // up empty too and the answer is all symbol 0. Without the NaN prune the
+  // up empty too and the Babai point answers. Without the NaN prune the
   // search kept every node: 349,525 expansions up to the frontier cap.
+  // K-Best (the lanes' k = 8 rung) starts unbounded, so it answers after
+  // the one root expansion, with no fallback.
   constexpr index_t kN = 10;
   const Constellation& c = Constellation::get(Modulation::kQam4);
   const CMat h = testing::random_cmat(kN, kN, 81);
   CVec y = testing::random_cvec(kN, 82);
   y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
-  for (const BfsOptions& opts : {BfsOptions{}, BfsOptions{.quantized = true}}) {
+  for (const BfsOptions& opts :
+       {BfsOptions{}, BfsOptions{.quantized = true}, kbest_options(8)}) {
     SdGemmBfsDetector det(c, opts);
     const auto prep = det.preprocess(ChannelHandle(h));
     DecodeResult r;
     det.decode_with(*prep, y, 0.1, r);
     const std::string what(det.name());
     ASSERT_EQ(r.indices.size(), static_cast<usize>(kN)) << what;
-    for (index_t idx : r.indices) EXPECT_EQ(idx, 0) << what;
-    EXPECT_EQ(r.stats.radius_fallbacks, 1u) << what;
+    EXPECT_EQ(r.indices, babai_answer(h, y, c, opts.base.sorted_qr)) << what;
+    const bool unbounded = opts.base.radius_policy == RadiusPolicy::kInfinite;
+    EXPECT_EQ(r.stats.radius_fallbacks, unbounded ? 0u : 1u) << what;
     EXPECT_EQ(r.stats.leaves_reached, 0u) << what;
     EXPECT_LE(r.stats.nodes_expanded, 100u) << what;
     // The int16 search quantizes the NaN to a saturated target, exhausts
     // its integer sphere and reruns on the float policy.
     EXPECT_EQ(r.stats.quant_fallbacks, opts.quantized ? 1u : 0u) << what;
+  }
+}
+
+TEST(RadiusFallbackNaN, FsdNanSampleIsAnsweredWithTheBabaiPoint) {
+  // FSD keeps a path whose PD compares below the best so far; no NaN PD
+  // does, so no path wins and the Babai point answers. FSD used to read the
+  // empty winning path and crash.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  const Constellation& c = Constellation::get(sys.modulation);
+  const CMat h = testing::random_cmat(kN, kN, 81);
+  CVec y = testing::random_cvec(kN, 82);
+  y[3] = cplx{std::numeric_limits<real>::quiet_NaN(), 0.0F};
+  for (const std::string spec : {"fsd", "fsd:levels=2"}) {
+    auto det = make_detector(sys, parse_decoder_spec(spec));
+    const DecodeResult r = det->decode(h, y, 0.1);
+    ASSERT_EQ(r.indices.size(), static_cast<usize>(kN)) << spec;
+    EXPECT_EQ(r.indices, babai_answer(h, y, c, true)) << spec;
+    EXPECT_EQ(r.stats.radius_updates, 0u) << spec;
   }
 }
 

@@ -39,7 +39,7 @@ TEST(SpecParse, Devices) {
 
 TEST(SpecParse, Options) {
   const DecoderSpec kbest = parse_decoder_spec("kbest:k=48");
-  EXPECT_EQ(kbest.kbest.k, 48u);
+  EXPECT_EQ(kbest.bfs.max_frontier, 48u);
 
   const DecoderSpec fsd = parse_decoder_spec("fsd:levels=2");
   EXPECT_EQ(fsd.fsd.full_levels, 2);
