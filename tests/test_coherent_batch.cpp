@@ -1,9 +1,11 @@
 // Coherence-block decoding must be invisible in the bits.
 //
 // Two equivalences underwrite the whole reuse stack:
-//  (1) decode_with(preprocess(H), y) == decode_into(H, y) for every detector
-//      with a cacheable channel phase — the cached factorization is the same
-//      code on the same bytes, so results AND work counters match exactly.
+//  (1) decode_with(preprocess(H), y) == decode(H, y) for every detector —
+//      the cached factorization is the same code on the same bytes, so
+//      results AND work counters match exactly. The same holds for
+//      decode_into(), for a prep of the wrong kind (decoded from its
+//      channel) and for decode_wide() over mixed prep kinds.
 //  (2) decode_wide(items sharing prep) == sequential decode_with() per frame —
 //      the fused BFS stacks B frames' frontier columns into one level GEMM,
 //      and each output column depends only on A and its own B-column, so
@@ -16,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "core/spec_parse.hpp"
 #include "decode/linear.hpp"
+#include "decode/lr_sic.hpp"
 #include "decode/parallel_sd.hpp"
 #include "decode/sd_gemm.hpp"
 #include "decode/sd_gemm_bfs.hpp"
@@ -55,7 +59,34 @@ void expect_bit_identical(const DecodeResult& a, const DecodeResult& b,
   EXPECT_EQ(a.stats.bytes_touched, b.stats.bytes_touched) << what;
   EXPECT_EQ(a.stats.tree_levels, b.stats.tree_levels) << what;
   EXPECT_EQ(a.stats.peak_list_size, b.stats.peak_list_size) << what;
+  EXPECT_EQ(a.stats.quant_saturations, b.stats.quant_saturations) << what;
+  EXPECT_EQ(a.stats.quant_overflows, b.stats.quant_overflows) << what;
+  EXPECT_EQ(a.stats.quant_requants, b.stats.quant_requants) << what;
+  EXPECT_EQ(a.stats.quant_fallbacks, b.stats.quant_fallbacks) << what;
+  EXPECT_EQ(a.stats.radius_fallbacks, b.stats.radius_fallbacks) << what;
+  EXPECT_EQ(a.stats.neumann_terms, b.stats.neumann_terms) << what;
+  EXPECT_EQ(a.stats.neumann_exact_solves, b.stats.neumann_exact_solves)
+      << what;
+  EXPECT_EQ(a.stats.neumann_fallbacks, b.stats.neumann_fallbacks) << what;
   EXPECT_EQ(a.stats.node_budget_hit, b.stats.node_budget_hit) << what;
+}
+
+/// A result left over from some other frame: every decode entry point must
+/// overwrite all of it.
+DecodeResult dirty_result() {
+  DecodeResult r;
+  r.indices.assign(9, 3);
+  r.symbols.assign(9, cplx{5, -5});
+  r.metric = -1.0;
+  DecodeStats& s = r.stats;
+  s.nodes_expanded = s.nodes_generated = s.nodes_pruned = 11;
+  s.leaves_reached = s.radius_updates = s.gemm_calls = s.flops = 12;
+  s.sort_ops = s.bytes_touched = s.tree_levels = s.peak_list_size = 13;
+  s.quant_saturations = s.quant_overflows = s.quant_requants = 14;
+  s.quant_fallbacks = s.radius_fallbacks = 15;
+  s.neumann_terms = s.neumann_exact_solves = s.neumann_fallbacks = 16;
+  s.node_budget_hit = true;
+  return r;
 }
 
 // ---- (1) cached prep == one-shot, across the detector zoo -----------------
@@ -69,11 +100,19 @@ struct NamedDetector {
   bool timing_dependent_counters = false;
 };
 
+/// One instance of every Detector class, and of each variant of the classes
+/// with more than one search or arithmetic path.
 std::vector<NamedDetector> detector_zoo() {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   std::vector<NamedDetector> zoo;
   auto add = [&zoo](std::string label, auto make, bool timing = false) {
     zoo.push_back({std::move(label), make(), make(), timing});
+  };
+  auto add_spec = [&add](std::string spec) {
+    add(spec, [spec] {
+      return make_detector(SystemConfig{kM, kM, Modulation::kQam4},
+                           parse_decoder_spec(spec));
+    });
   };
   add("bestfs", [&c] { return std::make_unique<SdGemmDetector>(c); });
   add("bestfs-sorted", [&c] {
@@ -111,27 +150,95 @@ std::vector<NamedDetector> detector_zoo() {
         return std::make_unique<ParallelSdDetector>(c, o);
       },
       true);
+  add_spec("mrc");
+  add_spec("mmse");
+  add_spec("ml");
+  add_spec("dfs");
+  add_spec("fsd");
+  add_spec("mmse-neumann");
+  add_spec("bfs:precision=int16");
+  add_spec("sphere@fpga");
+  add_spec("sphere@fpga-base");
+  add("lr-sic", [&c] { return std::make_unique<LrSicDetector>(c); });
   return zoo;
 }
 
+/// The detector's own prep; a plain QR for a detector with no cacheable
+/// phase, which decodes from the prep's channel.
+std::shared_ptr<const PreprocessedChannel> own_prep(
+    const Detector& det, const ChannelHandle& channel) {
+  return build_channel_prep(channel, det.prep_kind() == PrepKind::kNone
+                                         ? PrepKind::kQrPlain
+                                         : det.prep_kind());
+}
+
+/// A prep of some kind the detector does not use.
+std::shared_ptr<const PreprocessedChannel> foreign_prep(
+    const Detector& det, const ChannelHandle& channel) {
+  return build_channel_prep(channel, det.prep_kind() == PrepKind::kZf
+                                         ? PrepKind::kQrPlain
+                                         : PrepKind::kZf);
+}
+
+void expect_same_decode(const NamedDetector& nd, const DecodeResult& expect,
+                        const DecodeResult& got, const std::string& what) {
+  if (nd.timing_dependent_counters) {
+    expect_same_answer(expect, got, what);
+  } else {
+    expect_bit_identical(expect, got, what);
+  }
+}
+
 TEST(CoherentBatch, CachedPrepMatchesOneShotForEveryDetector) {
+  const ChannelHandle channel(testing::random_cmat(kM, kM, 501));
   for (NamedDetector& nd : detector_zoo()) {
-    const ChannelHandle channel(testing::random_cmat(kM, kM, 501));
-    auto prep = nd.det->preprocess(channel);
-    ASSERT_EQ(prep->kind, nd.det->prep_kind()) << nd.label;
-    // Several frames against one prep: the warm path must keep matching.
+    auto prep = own_prep(*nd.det, channel);
+    if (nd.det->prep_kind() != PrepKind::kNone) {
+      ASSERT_EQ(nd.det->preprocess(channel)->kind, prep->kind) << nd.label;
+    }
+    auto foreign = foreign_prep(*nd.det, channel);
+    ASSERT_NE(foreign->kind, nd.det->prep_kind()) << nd.label;
+    // Several frames through one warm detector into reused, dirty results:
+    // every entry point must keep matching a one-shot decode().
+    DecodeResult into = dirty_result();
+    DecodeResult with = dirty_result();
+    DecodeResult with_foreign = dirty_result();
     for (std::uint64_t f = 0; f < 4; ++f) {
       const CVec y = testing::random_cvec(kM, 600 + f);
-      DecodeResult expect;
-      nd.oneshot->decode_into(channel.matrix(), y, kSigma2, expect);
-      DecodeResult got;
-      nd.det->decode_with(*prep, y, kSigma2, got);
+      const DecodeResult expect =
+          nd.oneshot->decode(channel.matrix(), y, kSigma2);
       const std::string what = nd.label + " frame " + std::to_string(f);
-      if (nd.timing_dependent_counters) {
-        expect_same_answer(expect, got, what);
-      } else {
-        expect_bit_identical(expect, got, what);
-      }
+      nd.det->decode_into(channel.matrix(), y, kSigma2, into);
+      expect_same_decode(nd, expect, into, what + " decode_into");
+      nd.det->decode_with(*prep, y, kSigma2, with);
+      expect_same_decode(nd, expect, with, what + " decode_with");
+      nd.det->decode_with(*foreign, y, kSigma2, with_foreign);
+      expect_same_decode(nd, expect, with_foreign,
+                         what + " decode_with(wrong kind)");
+    }
+
+    // One wide call over three channels whose middle frame carries a prep
+    // of the wrong kind.
+    std::vector<ChannelHandle> channels;
+    std::vector<CVec> ys;
+    for (usize i = 0; i < 3; ++i) {
+      channels.emplace_back(testing::random_cmat(kM, kM, 510 + i));
+      ys.push_back(testing::random_cvec(kM, 610 + i));
+    }
+    const std::shared_ptr<const PreprocessedChannel> preps[3] = {
+        own_prep(*nd.det, channels[0]), foreign_prep(*nd.det, channels[1]),
+        own_prep(*nd.det, channels[2])};
+    std::vector<DecodeResult> got(3, dirty_result());
+    std::vector<Detector::WideItem> items;
+    for (usize i = 0; i < 3; ++i) {
+      items.push_back({preps[i].get(), ys[i], kSigma2, &got[i]});
+    }
+    nd.det->decode_wide(items);
+    for (usize i = 0; i < 3; ++i) {
+      const DecodeResult expect =
+          nd.oneshot->decode(channels[i].matrix(), ys[i], kSigma2);
+      expect_same_decode(nd, expect, got[i],
+                         nd.label + " wide frame " + std::to_string(i));
     }
   }
 }
@@ -399,7 +506,7 @@ TEST(WideBatch, DefaultDecodeWideLoopsDecodeWithAcrossZoo) {
     for (usize i = 0; i < 3; ++i) {
       const ChannelHandle channel(
           testing::random_cmat(kM, kM, 6000 + 10 * i));
-      preps.push_back(nd.det->preprocess(channel));
+      preps.push_back(own_prep(*nd.det, channel));
       ys.push_back(testing::random_cvec(kM, 6100 + i));
     }
     std::vector<DecodeResult> expect(3);
