@@ -37,17 +37,26 @@ void DecodeStats::export_counters(obs::CounterRegistry& registry,
   registry.set(p + "search_seconds", search_seconds);
 }
 
+DecodeResult Detector::decode(const CMat& h, std::span<const cplx> y,
+                              double sigma2) {
+  DecodeResult result;
+  decode_into(h, y, sigma2, result);
+  return result;
+}
+
 void Detector::decode_into(const CMat& h, std::span<const cplx> y,
                            double sigma2, DecodeResult& out) {
-  out = decode(h, y, sigma2);
+  SD_TRACE_SPAN("decode");
+  out.reset();
+  decode_frame(h, nullptr, y, sigma2, out);
 }
 
 void Detector::decode_with(const PreprocessedChannel& prep,
                            std::span<const cplx> y, double sigma2,
                            DecodeResult& out) {
-  // Base fallback: detectors without a cacheable phase (or handed a prep of
-  // the wrong kind) decode from the shared channel matrix directly.
-  decode_into(prep.channel.matrix(), y, sigma2, out);
+  SD_TRACE_SPAN("decode");
+  out.reset();
+  decode_frame(prep.channel.matrix(), matching_prep(prep), y, sigma2, out);
 }
 
 void Detector::decode_wide(std::span<WideItem> items) {

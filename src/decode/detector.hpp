@@ -75,11 +75,17 @@ struct DecodeResult {
   }
 };
 
-/// Abstract detector. decode() is safe to call repeatedly with different
-/// channels, but an instance may own reusable search scratch
-/// (decode/decode_scratch.hpp), so a single instance must NOT be driven from
-/// multiple threads concurrently — clone one per thread, as the serve and
-/// dispatch runtimes do per lane.
+/// Abstract detector. A detector implements one per-frame hook,
+/// decode_frame(); the public entry points decode(), decode_into() and
+/// decode_with() are wrappers in this class that reset the output, pick the
+/// prep the hook may use and call it, so every entry point gives the same
+/// bits for the same frame. decode_wide() loops the hook too, unless a
+/// detector overrides it with a fused multi-frame search.
+///
+/// decode() is safe to call repeatedly with different channels, but an
+/// instance may own reusable search scratch (decode/decode_scratch.hpp), so a
+/// single instance must NOT be driven from multiple threads concurrently —
+/// clone one per thread, as the serve and dispatch runtimes do per lane.
 class Detector {
  public:
   virtual ~Detector() = default;
@@ -88,18 +94,14 @@ class Detector {
 
   /// Detects the transmitted vector from the received y (length N) given the
   /// channel estimate h (N x M) and noise variance sigma2.
-  [[nodiscard]] virtual DecodeResult decode(const CMat& h,
-                                            std::span<const cplx> y,
-                                            double sigma2) = 0;
+  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
+                                    double sigma2);
 
-  /// Allocation-aware decode: writes into `out`, reusing its capacity (the
-  /// caller need not reset() it first). The base implementation forwards to
-  /// decode(); detectors with internal scratch override this as the primary
-  /// entry point and implement decode() as a wrapper, which together with the
-  /// scratch reuse makes their steady-state decodes heap-allocation-free.
-  /// Results are bitwise-identical to decode() either way.
-  virtual void decode_into(const CMat& h, std::span<const cplx> y,
-                           double sigma2, DecodeResult& out);
+  /// decode() into a caller-owned result, reusing its capacity (the caller
+  /// need not reset() it first). Detectors that keep their scratch across
+  /// frames are heap-allocation-free here in steady state.
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out);
 
   // ---- Two-phase (channel-split) decoding ----------------------------------
   //
@@ -112,8 +114,8 @@ class Detector {
   // bytes, same search. See DESIGN.md §12.
 
   /// Which channel-only factorization this detector can reuse. kNone means
-  /// the detector has no cacheable phase; decode_with() then degrades to
-  /// decode_into() on the handle's matrix.
+  /// the detector has no cacheable phase; decode_with() then decodes from
+  /// the prep's channel matrix.
   [[nodiscard]] virtual PrepKind prep_kind() const noexcept {
     return PrepKind::kNone;
   }
@@ -126,12 +128,12 @@ class Detector {
     return build_channel_prep(channel, prep_kind());
   }
 
-  /// Decodes one frame against an already-factored channel. `prep` must have
-  /// been built for this detector's prep_kind() (a mismatched or kNone prep
-  /// falls back to the one-shot path). Bit-identical to decode_into().
-  virtual void decode_with(const PreprocessedChannel& prep,
-                           std::span<const cplx> y, double sigma2,
-                           DecodeResult& out);
+  /// Decodes one frame against an already-factored channel. A prep of any
+  /// other kind than prep_kind() is not used: the frame is decoded from the
+  /// prep's channel matrix, as decode_into() would. Bit-identical to
+  /// decode_into() either way.
+  void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
+                   double sigma2, DecodeResult& out);
 
   /// One frame of a multi-frame ("wide") batch: each frame carries its OWN
   /// prepared channel. The prep pointers must outlive the call; frames may
@@ -149,6 +151,22 @@ class Detector {
   /// per-frame results bit-identical to sequential decode_with() calls
   /// (pinned by tests/test_coherent_batch.cpp).
   virtual void decode_wide(std::span<WideItem> items);
+
+ protected:
+  /// The per-frame hook behind every entry point: decodes y against h into
+  /// `out`, which the caller has reset(). `prep` is the factorization of h
+  /// when the caller holds one of this detector's prep_kind(), else nullptr,
+  /// and the hook factors h itself.
+  virtual void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                            std::span<const cplx> y, double sigma2,
+                            DecodeResult& out) = 0;
+
+  /// The prep decode_frame() may use for a frame that carries `prep`: the
+  /// prep itself if it is of this detector's kind, else nullptr.
+  [[nodiscard]] const PreprocessedChannel* matching_prep(
+      const PreprocessedChannel& prep) const noexcept {
+    return prep.kind == prep_kind() ? &prep : nullptr;
+  }
 };
 
 /// Convenience: computes ||y - H s||^2 for a candidate, used by detectors to

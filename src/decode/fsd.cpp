@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "obs/trace.hpp"
 
 namespace sd {
 
@@ -14,10 +13,10 @@ FsdDetector::FsdDetector(const Constellation& constellation,
   SD_CHECK(opts_.full_levels >= 1, "FSD needs at least one full level");
 }
 
-DecodeResult FsdDetector::decode(const CMat& h, std::span<const cplx> y,
-                                 double /*sigma2*/) {
-  SD_TRACE_SPAN("decode");
-  DecodeResult result;
+void FsdDetector::decode_frame(const CMat& h,
+                               const PreprocessedChannel* /*prep*/,
+                               std::span<const cplx> y, double /*sigma2*/,
+                               DecodeResult& result) {
   const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
   result.stats.preprocess_seconds = pre.seconds;
 
@@ -82,7 +81,6 @@ DecodeResult FsdDetector::decode(const CMat& h, std::span<const cplx> y,
   result.metric = best_pd;
   result.stats.search_seconds = timer.elapsed_seconds();
   materialize_symbols(*c_, result);
-  return result;
 }
 
 }  // namespace sd

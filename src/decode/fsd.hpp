@@ -27,10 +27,11 @@ class FsdDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "FSD"; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
  private:
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   const Constellation* c_;
   FsdOptions opts_;
 };

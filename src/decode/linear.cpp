@@ -5,7 +5,6 @@
 #include "linalg/gemm.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/solve.hpp"
-#include "obs/trace.hpp"
 #include "mimo/frame.hpp"
 
 namespace sd {
@@ -19,11 +18,11 @@ std::string_view linear_kind_name(LinearKind kind) noexcept {
   return "?";
 }
 
-DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) {
-  SD_TRACE_SPAN("decode");
+void LinearDetector::decode_frame(const CMat& h,
+                                  const PreprocessedChannel* prep,
+                                  std::span<const cplx> y, double sigma2,
+                                  DecodeResult& out) {
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  DecodeResult result;
   const index_t m = h.cols();
 
   Timer pre_timer;
@@ -32,7 +31,7 @@ DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
     case LinearKind::kMrc: {
       // Per-stream matched filter: s_i = h_i^H y / ||h_i||^2. Ignores
       // inter-stream interference entirely (hence its poor BER for M > 1).
-      result.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+      out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
       Timer search_timer;
       for (index_t j = 0; j < m; ++j) {
         cplx dot{0, 0};
@@ -43,45 +42,28 @@ DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
         }
         est[static_cast<usize>(j)] = dot / static_cast<real>(colnorm);
       }
-      result.stats.search_seconds = search_timer.elapsed_seconds();
+      out.stats.search_seconds = search_timer.elapsed_seconds();
       break;
     }
     case LinearKind::kZf:
     case LinearKind::kMmse: {
-      const CMat w = (kind_ == LinearKind::kZf)
-                         ? zf_equalizer(h)
-                         : mmse_equalizer(h, static_cast<real>(sigma2));
-      result.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+      // A cached ZF equalizer was paid once at prep build time
+      // (prep.build_seconds); the per-frame cost is then just W y.
+      CMat built;
+      if (prep == nullptr) {
+        built = (kind_ == LinearKind::kZf)
+                    ? zf_equalizer(h)
+                    : mmse_equalizer(h, static_cast<real>(sigma2));
+        out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+      }
+      const CMat& w = prep != nullptr ? prep->w : built;
       Timer search_timer;
       gemv(Op::kNone, cplx{1, 0}, w, y, cplx{0, 0}, est);
-      result.stats.search_seconds = search_timer.elapsed_seconds();
+      out.stats.search_seconds = search_timer.elapsed_seconds();
       break;
     }
   }
 
-  result.indices = hard_slice(*c_, est);
-  materialize_symbols(*c_, result);
-  result.metric = residual_metric(h, y, result.symbols);
-  return result;
-}
-
-void LinearDetector::decode_with(const PreprocessedChannel& prep,
-                                 std::span<const cplx> y, double sigma2,
-                                 DecodeResult& out) {
-  if (kind_ != LinearKind::kZf || prep.kind != PrepKind::kZf) {
-    Detector::decode_with(prep, y, sigma2, out);
-    return;
-  }
-  SD_TRACE_SPAN("decode");
-  const CMat& h = prep.channel.matrix();
-  SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  out.reset();
-  // The equalizer was paid once at prep build time (prep.build_seconds); the
-  // per-frame cost is just the W y product and the slice.
-  CVec est(static_cast<usize>(h.cols()), cplx{0, 0});
-  Timer search_timer;
-  gemv(Op::kNone, cplx{1, 0}, prep.w, y, cplx{0, 0}, est);
-  out.stats.search_seconds = search_timer.elapsed_seconds();
   out.indices = hard_slice(*c_, est);
   materialize_symbols(*c_, out);
   out.metric = residual_metric(h, y, out.symbols);

@@ -22,9 +22,6 @@ class LinearDetector final : public Detector {
     return linear_kind_name(kind_);
   }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
   /// ZF's equalizer W depends only on H, so it is cacheable. MMSE's W also
   /// depends on sigma2 (a per-frame input) and MRC has no setup worth
   /// caching, so both stay kNone.
@@ -32,11 +29,12 @@ class LinearDetector final : public Detector {
     return kind_ == LinearKind::kZf ? PrepKind::kZf : PrepKind::kNone;
   }
 
-  /// ZF decode against a cached equalizer; bit-identical to decode().
-  void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
-                   double sigma2, DecodeResult& out) override;
-
  private:
+  /// A ZF frame with a cached prep skips building W.
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   LinearKind kind_;
   const Constellation* c_;
 };

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "obs/trace.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/lll.hpp"
 #include "linalg/qr.hpp"
@@ -25,12 +24,12 @@ LrSicDetector::LrSicDetector(const Constellation& constellation,
   SD_ASSERT(axis_scale_ > real{0});
 }
 
-DecodeResult LrSicDetector::decode(const CMat& h, std::span<const cplx> y,
-                                   double /*sigma2*/) {
-  SD_TRACE_SPAN("decode");
+void LrSicDetector::decode_frame(const CMat& h,
+                                 const PreprocessedChannel* /*prep*/,
+                                 std::span<const cplx> y, double /*sigma2*/,
+                                 DecodeResult& result) {
   const index_t m = h.cols();
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  DecodeResult result;
   Timer pre_timer;
 
   // 1. Shift/scale so the transmit alphabet becomes u in {0..L-1}^2 Gaussian
@@ -81,7 +80,6 @@ DecodeResult LrSicDetector::decode(const CMat& h, std::span<const cplx> y,
   materialize_symbols(*c_, result);
   result.metric = residual_metric(h, y, result.symbols);
   result.stats.search_seconds = search_timer.elapsed_seconds();
-  return result;
 }
 
 }  // namespace sd

@@ -21,10 +21,11 @@ class LrSicDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "LR-SIC"; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
  private:
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   const Constellation* c_;
   double delta_;
   int levels_ = 0;      ///< per-axis amplitude levels L

@@ -4,13 +4,13 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "obs/trace.hpp"
 
 namespace sd {
 
-DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
-                                double /*sigma2*/) {
-  SD_TRACE_SPAN("decode");
+void MlDetector::decode_frame(const CMat& h,
+                              const PreprocessedChannel* /*prep*/,
+                              std::span<const cplx> y, double /*sigma2*/,
+                              DecodeResult& result) {
   const index_t m = h.cols();
   const index_t n = h.rows();
   SD_CHECK(n == static_cast<index_t>(y.size()), "y length mismatch");
@@ -23,7 +23,6 @@ DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
   std::uint64_t total = 1;
   for (index_t j = 0; j < m; ++j) total *= static_cast<std::uint64_t>(order);
 
-  DecodeResult result;
   result.indices.assign(static_cast<usize>(m), 0);
   Timer timer;
 
@@ -78,7 +77,6 @@ DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
   result.stats.search_seconds = timer.elapsed_seconds();
   result.metric = best;
   materialize_symbols(*c_, result);
-  return result;
 }
 
 }  // namespace sd

@@ -16,12 +16,13 @@ class MlDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "ML"; }
 
+ private:
   /// Throws sd::invalid_argument_error if |Ω|^M exceeds 2^26 candidates —
   /// beyond that the exhaustive search is a programming error, not a plan.
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
 
- private:
   const Constellation* c_;
 };
 

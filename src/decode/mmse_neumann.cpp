@@ -7,7 +7,6 @@
 #include "linalg/gemm.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/solve.hpp"
-#include "obs/trace.hpp"
 
 namespace sd {
 
@@ -133,54 +132,26 @@ void MmseNeumannDetector::solve_and_slice(const CMat& h,
   out.metric = metric > 0.0 ? metric : 0.0;  // float-G cancellation floor
 }
 
-void MmseNeumannDetector::decode_into(const CMat& h, std::span<const cplx> y,
-                                      double sigma2, DecodeResult& out) {
-  SD_TRACE_SPAN("decode");
+void MmseNeumannDetector::decode_frame(const CMat& h,
+                                       const PreprocessedChannel* prep,
+                                       std::span<const cplx> y, double sigma2,
+                                       DecodeResult& out) {
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  SD_CHECK(h.rows() >= h.cols(), "MMSE-Neumann needs N_r >= N_t");
-  out.reset();
-
   Timer pre_timer;
-  // Identical GEMM call to gram() / build_channel_prep(kGramMmse), so the
-  // one-shot path is bitwise-identical to the cached decode_with() path.
-  g_.reshape(h.cols(), h.cols());
-  gemm_naive(Op::kConjTrans, cplx{1, 0}, h, h, cplx{0, 0}, g_);
-  prepare_system(g_, sigma2, 0);
-  out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
-
-  Timer search_timer;
-  solve_and_slice(h, y, out);
-  out.stats.search_seconds = search_timer.elapsed_seconds();
-  // g_ is scratch; never let a future decode_with() frame reuse this system.
-  cache_fp_ = 0;
-  cache_gdata_ = nullptr;
-}
-
-DecodeResult MmseNeumannDetector::decode(const CMat& h,
-                                         std::span<const cplx> y,
-                                         double sigma2) {
-  DecodeResult out;
-  decode_into(h, y, sigma2, out);
-  return out;
-}
-
-void MmseNeumannDetector::decode_with(const PreprocessedChannel& prep,
-                                      std::span<const cplx> y, double sigma2,
-                                      DecodeResult& out) {
-  if (prep.kind != PrepKind::kGramMmse) {
-    Detector::decode_with(prep, y, sigma2, out);
-    return;
+  if (prep != nullptr) {
+    // The Gram matrix was paid once at prep build time; A = G + sigma2 I is
+    // reused across consecutive frames with the same (channel, sigma2), so
+    // the steady-state per-frame cost is the matched filter plus the solve.
+    prepare_system(prep->g, sigma2, prep->channel.fingerprint());
+  } else {
+    SD_CHECK(h.rows() >= h.cols(), "MMSE-Neumann needs N_r >= N_t");
+    // Identical GEMM call to gram() / build_channel_prep(kGramMmse), so the
+    // one-shot path is bitwise-identical to the cached path. Fingerprint 0
+    // keeps a later cached frame from reusing this scratch system.
+    g_.reshape(h.cols(), h.cols());
+    gemm_naive(Op::kConjTrans, cplx{1, 0}, h, h, cplx{0, 0}, g_);
+    prepare_system(g_, sigma2, 0);
   }
-  SD_TRACE_SPAN("decode");
-  const CMat& h = prep.channel.matrix();
-  SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  out.reset();
-
-  // The Gram matrix was paid once at prep build time; A = G + sigma2 I is
-  // reused across consecutive frames with the same (channel, sigma2), so the
-  // steady-state per-frame cost is the matched filter plus the solve.
-  Timer pre_timer;
-  prepare_system(prep.g, sigma2, prep.channel.fingerprint());
   out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
 
   Timer search_timer;

@@ -33,8 +33,8 @@ struct MmseNeumannOptions {
 /// Two-phase MMSE detector: preprocess() builds G = H^H H once per channel;
 /// decode_with() forms A = G + sigma2 I (cached across frames that share the
 /// same channel AND sigma2), solves A s = H^H y approximately (or exactly),
-/// and slices. decode()/decode_into() recompute G with the identical GEMM, so
-/// cached and one-shot decodes agree bit-for-bit.
+/// and slices. A frame without a cached prep recomputes G with the identical
+/// GEMM, so cached and one-shot decodes agree bit-for-bit.
 class MmseNeumannDetector final : public Detector {
  public:
   MmseNeumannDetector(const MmseNeumannOptions& options,
@@ -45,24 +45,20 @@ class MmseNeumannDetector final : public Detector {
     return "MMSE-Neumann";
   }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
-                   DecodeResult& out) override;
-
   [[nodiscard]] PrepKind prep_kind() const noexcept override {
     return PrepKind::kGramMmse;
   }
-
-  void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
-                   double sigma2, DecodeResult& out) override;
 
   [[nodiscard]] const MmseNeumannOptions& options() const noexcept {
     return opts_;
   }
 
  private:
+  /// Forms A from the cached G, or from G computed here when `prep` is null.
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   /// Shared tail after A is in a_: matched filter, solve, slice, metric.
   void solve_and_slice(const CMat& h, std::span<const cplx> y,
                        DecodeResult& out);
@@ -85,7 +81,7 @@ class MmseNeumannDetector final : public Detector {
 
   // Scratch arena (reshape/assign only — allocation-free at the high-water
   // mark, pinned by tests/test_alloc_free.cpp).
-  CMat g_;                  ///< one-shot Gram scratch (decode_into path)
+  CMat g_;                  ///< Gram scratch of a frame without a prep
   CMat a_;                  ///< A = G + sigma2 I
   CMat l_;                  ///< Cholesky factor of A (exact path / fallback)
   std::vector<real> dinv_;  ///< 1 / diag(A) (the diagonal is real by construction)

@@ -35,23 +35,12 @@ class ParallelSdDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "SD-MultiPE"; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  /// Allocation-aware decode; preprocessing and partition scratch are reused
-  /// across calls (the per-decode thread pool itself still allocates).
-  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
-                   DecodeResult& out) override;
-
   /// Channel-split phase: the QR (plain or SQRD per options) is cacheable.
   /// Workers read the shared prep strictly read-only (exercised under TSan
   /// by tests/test_channel_prep.cpp).
   [[nodiscard]] PrepKind prep_kind() const noexcept override {
     return opts_.base.sorted_qr ? PrepKind::kQrSorted : PrepKind::kQrPlain;
   }
-
-  void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
-                   double sigma2, DecodeResult& out) override;
 
   /// Cross-channel wide decode (DESIGN.md §16): every frame's sub-tree
   /// partition is flattened into ONE work-unit list, interleaved round-robin
@@ -66,6 +55,12 @@ class ParallelSdDetector final : public Detector {
   void decode_wide(std::span<WideItem> items) override;
 
  private:
+  /// Preprocessing and partition scratch are reused across calls (the
+  /// per-decode thread pool itself still allocates).
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   /// Per-frame state of a search: the preprocessed system plus this frame's
   /// flat sub-tree partition. Slots persist across calls so the partition
   /// buffers are recycled.
@@ -80,11 +75,13 @@ class ParallelSdDetector final : public Detector {
     DecodeResult* out = nullptr;
   };
 
-  /// Slot 0 for a one-frame search, grown on first use.
-  WideSlot& solo_slot();
+  /// Preprocesses one frame into slot `si` (grown on first use) and binds
+  /// its output, which the caller has reset().
+  void load_slot(usize si, const CMat& h, const PreprocessedChannel* prep,
+                 std::span<const cplx> y, double sigma2, DecodeResult& out);
 
-  /// Partitions, searches and answers the first `nslots` slots, whose
-  /// systems are preprocessed and whose outputs are reset.
+  /// Partitions, searches and answers the first `nslots` slots, which
+  /// load_slot() has filled.
   void search_slots(usize nslots);
 
   /// Shared partition phase: enumerates the |Omega|^split prefixes of `pre`

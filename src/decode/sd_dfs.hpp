@@ -26,13 +26,14 @@ class SdDfsDetector final : public Detector {
 
   [[nodiscard]] const SdOptions& options() const noexcept { return opts_; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+ private:
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
 
-  /// Tree search on an already-preprocessed system (see SdGemmDetector).
+  /// Tree search on an already-preprocessed system.
   void search(const Preprocessed& pre, double sigma2, DecodeResult& result);
 
- private:
   const Constellation* c_;
   SdOptions opts_;
 };

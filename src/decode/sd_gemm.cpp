@@ -10,33 +10,11 @@ SdGemmDetector::SdGemmDetector(const Constellation& constellation,
                                SdOptions options)
     : c_(&constellation), opts_(options) {}
 
-DecodeResult SdGemmDetector::decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) {
-  DecodeResult result;
-  decode_into(h, y, sigma2, result);
-  return result;
-}
-
-void SdGemmDetector::decode_into(const CMat& h, std::span<const cplx> y,
-                                 double sigma2, DecodeResult& out) {
-  SD_TRACE_SPAN("decode");
-  out.reset();
-  preprocess_into(h, y, opts_.sorted_qr, scratch_.prep, scratch_.pre);
-  out.stats.preprocess_seconds = scratch_.pre.seconds;
-  search(sigma2, out);
-  materialize_symbols(*c_, out);
-}
-
-void SdGemmDetector::decode_with(const PreprocessedChannel& prep,
-                                 std::span<const cplx> y, double sigma2,
-                                 DecodeResult& out) {
-  if (prep.kind != prep_kind()) {
-    Detector::decode_with(prep, y, sigma2, out);
-    return;
-  }
-  SD_TRACE_SPAN("decode");
-  out.reset();
-  preprocess_with_channel(prep, y, scratch_.prep, scratch_.pre);
+void SdGemmDetector::decode_frame(const CMat& h,
+                                  const PreprocessedChannel* prep,
+                                  std::span<const cplx> y, double sigma2,
+                                  DecodeResult& out) {
+  preprocess_frame(h, prep, y, opts_.sorted_qr, scratch_.prep, scratch_.pre);
   out.stats.preprocess_seconds = scratch_.pre.seconds;
   search(sigma2, out);
   materialize_symbols(*c_, out);

@@ -25,25 +25,18 @@ class SdGemmDetector final : public Detector {
 
   [[nodiscard]] const SdOptions& options() const noexcept { return opts_; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  /// Primary entry point: allocation-free in steady state (the scratch and
-  /// `out` reach their high-water capacity and are then recycled).
-  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
-                   DecodeResult& out) override;
-
   /// Channel-split phase: the QR (plain or SQRD per options) is cacheable.
   [[nodiscard]] PrepKind prep_kind() const noexcept override {
     return opts_.sorted_qr ? PrepKind::kQrSorted : PrepKind::kQrPlain;
   }
 
-  /// Decode against a cached factorization; allocation-free in steady state
-  /// and bit-identical to decode_into() on the same channel.
-  void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
-                   double sigma2, DecodeResult& out) override;
-
  private:
+  /// Allocation-free in steady state: the scratch and `out` reach their
+  /// high-water capacity and are then recycled.
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   /// Runs best_fs_search() on scratch_.pre and times it.
   void search(double sigma2, DecodeResult& result);
 

@@ -63,15 +63,6 @@ class SdGemmBfsDetector final : public Detector {
 
   [[nodiscard]] const BfsOptions& options() const noexcept { return opts_; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  /// Primary entry point: allocation-free in steady state (the engine's
-  /// per-frame state and `out` reach their high-water capacity and are then
-  /// recycled).
-  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
-                   DecodeResult& out) override;
-
   /// Channel-split phase: the QR (plain or SQRD per options) is cacheable.
   /// The quantized variant requests the matching quant kind — the same float
   /// factorization plus the int16-calibrated R planes — which occupies its
@@ -85,19 +76,21 @@ class SdGemmBfsDetector final : public Detector {
     return opts_.base.sorted_qr ? PrepKind::kQrSorted : PrepKind::kQrPlain;
   }
 
-  /// Decode against a cached factorization; bit-identical to decode_into().
-  /// Multi-frame batches take the base decode_wide(), one frame after the
-  /// other: each frame's level products come from its own paths, so frames
-  /// share no work (DESIGN.md §14).
-  void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
-                   double sigma2, DecodeResult& out) override;
-
   /// True if the last decode had to truncate a frontier (BER no longer
   /// guaranteed ML-optimal). After decode_wide() this reports the LAST frame
   /// of the batch.
   [[nodiscard]] bool last_truncated() const noexcept { return truncated_; }
 
  private:
+  /// Allocation-free in steady state (the engine's per-frame state and `out`
+  /// reach their high-water capacity and are then recycled). Multi-frame
+  /// batches take the base decode_wide(), one frame after the other: each
+  /// frame's level products come from its own paths, so frames share no
+  /// work (DESIGN.md §14).
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   // The level engine (sd_gemm_bfs.cpp), templated on the arithmetic policy —
   // fp32 (row-0 products from a per-level table, real PDs) or int16
   // (exact int32 products from per-level tables, requantize, int32 PDs).
@@ -113,7 +106,7 @@ class SdGemmBfsDetector final : public Detector {
   const Constellation* c_;
   BfsOptions opts_;
   std::unique_ptr<Frame> frame_;
-  quant::QuantChannelPrep qlocal_;  ///< decode_into calibration
+  quant::QuantChannelPrep qlocal_;  ///< calibration of an uncached frame
 
   bool truncated_ = false;
 };

@@ -1,7 +1,6 @@
 #include "fpga/fpga_detector.hpp"
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace sd {
 
@@ -13,16 +12,10 @@ FpgaDetector::FpgaDetector(const Constellation& constellation,
            "one design per modulation)");
 }
 
-DecodeResult FpgaDetector::decode(const CMat& h, std::span<const cplx> y,
-                                  double sigma2) {
-  DecodeResult result;
-  decode_into(h, y, sigma2, result);
-  return result;
-}
-
-void FpgaDetector::decode_into(const CMat& h, std::span<const cplx> y,
-                               double sigma2, DecodeResult& out) {
-  SD_TRACE_SPAN("decode");
+void FpgaDetector::decode_frame(const CMat& h,
+                                const PreprocessedChannel* /*prep*/,
+                                std::span<const cplx> y, double sigma2,
+                                DecodeResult& out) {
   preprocess_into(h, y, opts_.sorted_qr, scratch_.prep, scratch_.pre);
   pipeline_.run_into(scratch_.pre, *c_, sigma2, opts_, scratch_, last_);
   out = last_.result;  // copy-assign; reuses out's capacity

@@ -1,6 +1,6 @@
 // Detector facade over the FPGA pipeline simulator.
 //
-// decode_into() runs the host-side preprocessing (QR of the channel
+// Each decode runs the host-side preprocessing (QR of the channel
 // estimate, as the paper's system does once per channel), then drives the
 // simulated pipeline; both reuse the detector's DecodeScratch, so a warm
 // decode allocates nothing. NOTE the timing semantics: stats.search_seconds
@@ -27,13 +27,6 @@ class FpgaDetector final : public Detector {
     return pipeline_.config().optimized ? "FPGA-optimized" : "FPGA-baseline";
   }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  /// Primary entry point: allocation-free in steady state.
-  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
-                   DecodeResult& out) override;
-
   /// Per-unit cycle breakdown and memory statistics of the last decode.
   [[nodiscard]] const FpgaRunReport& last_report() const noexcept {
     return last_;
@@ -44,6 +37,11 @@ class FpgaDetector final : public Detector {
   }
 
  private:
+  /// Allocation-free in steady state.
+  void decode_frame(const CMat& h, const PreprocessedChannel* prep,
+                    std::span<const cplx> y, double sigma2,
+                    DecodeResult& out) override;
+
   const Constellation* c_;
   SdOptions opts_;
   FpgaPipeline pipeline_;
