@@ -274,7 +274,9 @@ void best_fs_search(const Preprocessed& pre, const Constellation& c,
     obs.pushed(depth, n);
   };
 
-  for (int attempt = 0;; ++attempt) {
+  // A non-finite R is not searched; the Babai fallback below answers.
+  const bool searchable = finite_triangle(pre.r);
+  for (int attempt = 0; searchable; ++attempt) {
     top = 0;
     obs.attempt();
     expand(0, real{0});
@@ -316,8 +318,8 @@ void best_fs_search(const Preprocessed& pre, const Constellation& c,
       std::span<const std::uint64_t>(expansions, static_cast<usize>(m)),
       sorts);
 
-  // No leaf before the budget ran out, or an empty unbounded sphere: the
-  // Babai point answers.
+  // No leaf before the budget ran out, an empty unbounded sphere, or a
+  // non-finite R: the Babai point answers.
   if (!found_leaf) best_pd = babai_point(pre, c, best_path);
 
   path_to_antenna_order(pre, best_path, scratch.layered, result.indices);

@@ -132,13 +132,15 @@ void dfs_search(const Preprocessed& pre, const Constellation& c, index_t start,
   }
 }
 
-/// Runs `attempt(radius_sq)`, a search under that squared radius that
-/// returns whether it reached a leaf, first at `radius_sq`, then at each
-/// next_radius_sq() while the sphere comes up empty, the radius is bounded
-/// and the node budget is not hit.
+/// Runs `attempt(radius_sq)`, a search of `pre` under that squared radius
+/// that returns whether it reached a leaf, first at `radius_sq`, then at
+/// each next_radius_sq() while the sphere comes up empty, the radius is
+/// bounded and the node budget is not hit. A non-finite R (finite_triangle)
+/// is not searched at all; the caller's Babai fallback answers.
 template <typename Attempt>
-void search_growing_radius(double radius_sq, DecodeStats& stats,
-                           Attempt&& attempt) {
+void search_growing_radius(const Preprocessed& pre, double radius_sq,
+                           DecodeStats& stats, Attempt&& attempt) {
+  if (!finite_triangle(pre.r)) return;
   for (int n = 0;; ++n) {
     if (attempt(radius_sq) || stats.node_budget_hit || std::isinf(radius_sq)) {
       return;

@@ -49,7 +49,7 @@ SoftDecodeResult ListSphereDecoder::decode_soft(const CMat& h,
   DfsScratch s;
   s.begin(m);
   search_growing_radius(
-      initial_radius_sq(opts_.base, sigma2, m), out.hard.stats,
+      pre, initial_radius_sq(opts_.base, sigma2, m), out.hard.stats,
       [&](double r) {
         dfs_search(
             pre, *c_, 0, real{0}, opts_.base.max_nodes, s, out.hard.stats,

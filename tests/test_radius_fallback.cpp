@@ -246,10 +246,11 @@ TEST(RadiusFallbackNaN, MultiPeNonFiniteFrameIsAnsweredInBoundedWork) {
   // sub-tree SD at one and two workers. Under the NaN sample every sub-tree
   // root's PD is NaN and fails pd < radius, so no sub-tree is searched. The
   // inf in column 5 makes R's row 5 and ybar[5] NaN but leaves rows 6-9
-  // finite: the unbounded search walks the whole 4-level tree above
-  // (1 + 4 + 16 + 64 + 256 = 341 expansions) and prunes every child at the
-  // NaN level. Either way no leaf is reached and the Babai point answers;
-  // the search used to end in `invariant failed: found_leaf`.
+  // finite: the unbounded search walked the whole 4-level tree above
+  // (1 + 4 + 16 + 64 + 256 = 341 expansions) and pruned every child at the
+  // NaN level; the check on R now skips the search. Either way no leaf is
+  // reached and the Babai point answers; the search used to end in
+  // `invariant failed: found_leaf`.
   constexpr index_t kN = 10;
   const SystemConfig sys{kN, kN, Modulation::kQam4};
   const CMat h = testing::random_cmat(kN, kN, 81);
@@ -273,6 +274,32 @@ TEST(RadiusFallbackNaN, MultiPeNonFiniteFrameIsAnsweredInBoundedWork) {
       EXPECT_EQ(r.stats.leaves_reached, 0u) << what;
       EXPECT_LE(r.stats.nodes_expanded, bad_h ? 341u : 100u) << what;
     }
+  }
+}
+
+TEST(RadiusFallbackNaN, InfChannelEntryIsAnsweredInBoundedWork) {
+  // One inf channel entry in column 1: R's rows 2-9 stay finite and row 1
+  // turns NaN, so an unbounded search walked every path through the eight
+  // finite levels (87,381 expansions for DFS, Best-FS and multi-PE, and
+  // 5.3 million for BFS retrying on grown radii) before the NaN level pruned
+  // them all and the Babai point answered. The int16 datapath saturated the
+  // NaN instead, expanded 2.2 million nodes and answered with one of 35,280
+  // leaves of its clamped arithmetic. Every search now checks R first and
+  // answers with the Babai point at once.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  const Constellation& c = Constellation::get(sys.modulation);
+  CMat h = testing::random_cmat(kN, kN, 81);
+  h(2, 1) = cplx{std::numeric_limits<real>::infinity(), 0.0F};
+  const CVec y = testing::random_cvec(kN, 82);
+  for (const std::string spec :
+       {"dfs", "sphere:sorted=0,alpha=inf", "multipe:threads=1", "bfs",
+        "bfs:precision=int16"}) {
+    auto det = make_detector(sys, parse_decoder_spec(spec));
+    const DecodeResult r = det->decode(h, y, 0.1);
+    EXPECT_EQ(r.indices, babai_answer(h, y, c, false)) << spec;
+    EXPECT_EQ(r.stats.leaves_reached, 0u) << spec;
+    EXPECT_LE(r.stats.nodes_expanded, 100u) << spec;
   }
 }
 
