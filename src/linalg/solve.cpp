@@ -1,6 +1,9 @@
 #include "linalg/solve.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/gemm.hpp"
@@ -118,10 +121,15 @@ void cholesky_solve_in_place(const CMat& l, std::span<cplx> x) {
   }
 }
 
-Lu lu_decompose(const CMat& a) {
+namespace {
+
+/// lu_decompose() without the throw: false at the first pivot at or below
+/// kPivotEps, leaving `f` partly factored.
+bool lu_factor(const CMat& a, Lu& f) {
   const index_t m = a.rows();
   SD_CHECK(a.cols() == m, "LU needs a square matrix");
-  Lu f{a, std::vector<index_t>(static_cast<usize>(m))};
+  f.lu = a;
+  f.pivot.resize(static_cast<usize>(m));
   for (index_t k = 0; k < m; ++k) {
     // Partial pivoting: pick the largest-magnitude element in column k.
     index_t pivot_row = k;
@@ -133,7 +141,7 @@ Lu lu_decompose(const CMat& a) {
         pivot_row = i;
       }
     }
-    SD_CHECK(best > kPivotEps, "singular matrix in LU decomposition");
+    if (!(best > kPivotEps)) return false;
     f.pivot[static_cast<usize>(k)] = pivot_row;
     if (pivot_row != k) {
       for (index_t j = 0; j < m; ++j) {
@@ -149,6 +157,82 @@ Lu lu_decompose(const CMat& a) {
       }
     }
   }
+  return true;
+}
+
+/// The inverse of the matrix `f` factors, one lu_solve() per column.
+CMat lu_inverse(const Lu& f) {
+  const index_t m = f.lu.rows();
+  CMat inv(m, m);
+  CVec e(static_cast<usize>(m));
+  for (index_t col = 0; col < m; ++col) {
+    std::fill(e.begin(), e.end(), cplx{0, 0});
+    e[static_cast<usize>(col)] = cplx{1, 0};
+    const CVec x = lu_solve(f, e);
+    for (index_t i = 0; i < m; ++i) {
+      inv(i, col) = x[static_cast<usize>(i)];
+    }
+  }
+  return inv;
+}
+
+/// ZF of a channel whose Gram matrix LU cannot invert. Modified Gram-Schmidt
+/// runs over H's columns in order; a column whose residual is at the
+/// rounding floor of the sorted QR (qr_sorted_into) adds no direction, so
+/// the receiver cannot see that stream and its W row stays zero. The seen
+/// streams are zero-forced among themselves through their thin QR,
+/// W = R^-1 Q^H, whose pivots are all above the floor.
+CMat zf_seen_streams(const CMat& h) {
+  const index_t n = h.rows();
+  const index_t m = h.cols();
+  CMat q = h;
+  CMat r(m, m);
+  std::vector<bool> seen(static_cast<usize>(m), false);
+  double max_norm_sq = 0.0;
+  for (index_t j = 0; j < m; ++j) {
+    double norm_sq = 0.0;
+    for (index_t i = 0; i < n; ++i) norm_sq += norm2(h(i, j));
+    max_norm_sq = std::max(max_norm_sq, norm_sq);
+  }
+  const double floor_eps =
+      static_cast<double>(n) * std::numeric_limits<real>::epsilon();
+  const double floor_sq = floor_eps * floor_eps * max_norm_sq;
+  for (index_t k = 0; k < m; ++k) {
+    for (index_t j = 0; j < k; ++j) {
+      if (!seen[static_cast<usize>(j)]) continue;
+      cplx dot{0, 0};
+      for (index_t i = 0; i < n; ++i) dot += std::conj(q(i, j)) * q(i, k);
+      r(j, k) = dot;
+      for (index_t i = 0; i < n; ++i) q(i, k) -= dot * q(i, j);
+    }
+    double norm_sq = 0.0;
+    for (index_t i = 0; i < n; ++i) norm_sq += norm2(q(i, k));
+    if (!(norm_sq > floor_sq)) continue;
+    const real nrm = static_cast<real>(std::sqrt(norm_sq));
+    r(k, k) = cplx{nrm, 0};
+    for (index_t i = 0; i < n; ++i) q(i, k) /= nrm;
+    seen[static_cast<usize>(k)] = true;
+  }
+  // Back substitution by rows: R W = Q^H over the seen streams.
+  CMat w(m, n);
+  for (index_t k = m - 1; k >= 0; --k) {
+    if (!seen[static_cast<usize>(k)]) continue;
+    for (index_t i = 0; i < n; ++i) {
+      cplx acc = std::conj(q(i, k));
+      for (index_t j = k + 1; j < m; ++j) {
+        if (seen[static_cast<usize>(j)]) acc -= r(k, j) * w(j, i);
+      }
+      w(k, i) = acc / r(k, k);
+    }
+  }
+  return w;
+}
+
+}  // namespace
+
+Lu lu_decompose(const CMat& a) {
+  Lu f;
+  SD_CHECK(lu_factor(a, f), "singular matrix in LU decomposition");
   return f;
 }
 
@@ -175,21 +259,7 @@ CVec lu_solve(const Lu& f, std::span<const cplx> b) {
   return x;
 }
 
-CMat inverse(const CMat& a) {
-  const index_t m = a.rows();
-  const Lu f = lu_decompose(a);
-  CMat inv(m, m);
-  CVec e(static_cast<usize>(m));
-  for (index_t col = 0; col < m; ++col) {
-    std::fill(e.begin(), e.end(), cplx{0, 0});
-    e[static_cast<usize>(col)] = cplx{1, 0};
-    const CVec x = lu_solve(f, e);
-    for (index_t i = 0; i < m; ++i) {
-      inv(i, col) = x[static_cast<usize>(i)];
-    }
-  }
-  return inv;
-}
+CMat inverse(const CMat& a) { return lu_inverse(lu_decompose(a)); }
 
 CMat gram(const CMat& h) {
   CMat g(h.cols(), h.cols());
@@ -198,8 +268,9 @@ CMat gram(const CMat& h) {
 }
 
 CMat zf_equalizer(const CMat& h) {
-  const CMat g = gram(h);
-  const CMat g_inv = inverse(g);
+  Lu f;
+  if (!lu_factor(gram(h), f)) return zf_seen_streams(h);
+  const CMat g_inv = lu_inverse(f);
   const CMat hh = hermitian(h);
   CMat w(h.cols(), h.rows());
   gemm_naive(Op::kNone, cplx{1, 0}, g_inv, hh, cplx{0, 0}, w);

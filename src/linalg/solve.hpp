@@ -51,7 +51,10 @@ struct Lu {
 /// Gram matrix H^H H (M x M, Hermitian PSD).
 [[nodiscard]] CMat gram(const CMat& h);
 
-/// Zero-Forcing equalizer W = (H^H H)^{-1} H^H, so that s_hat = W y.
+/// Zero-Forcing equalizer W = (H^H H)^{-1} H^H, so that s_hat = W y. Never
+/// throws: when H^H H is singular, a stream the channel cannot see (an
+/// all-zero column, or one at the rounding floor of the columns before it)
+/// gets a zero W row, and the others are zero-forced among themselves.
 [[nodiscard]] CMat zf_equalizer(const CMat& h);
 
 /// MMSE equalizer W = (H^H H + sigma2 I)^{-1} H^H.

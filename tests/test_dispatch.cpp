@@ -629,7 +629,8 @@ TEST(DispatchRankDeficient, ZeroColumnFrameIsAnsweredByTheServedSphere) {
   // A finite H with one all-zero column passes the trust checks above. The
   // served `sphere` factors it with SQRD, which used to throw on the zero
   // pivot and end the lane in std::terminate. The frame has no deadline, so
-  // the ZF expiry fallback (which still throws on a singular H) never runs.
+  // the ZF expiry fallback never runs; ExpiredZeroColumnFrameFallsBackToZf
+  // below sends it one that does.
   constexpr index_t kN = 10;
   const SystemConfig sys{kN, kN, Modulation::kQam4};
   ScenarioConfig sc;
@@ -660,6 +661,49 @@ TEST(DispatchRankDeficient, ZeroColumnFrameIsAnsweredByTheServedSphere) {
   const DecodeResult expect = det->decode(t.h, t.y, t.sigma2);
   EXPECT_EQ(results[0].result.indices, expect.indices);
   EXPECT_EQ(results[0].result.metric, expect.metric);
+}
+
+TEST(DispatchRankDeficient, ExpiredZeroColumnFrameFallsBackToZf) {
+  // The same zero-column frame, expired by the time the lane dequeues it, is
+  // answered by the ZF expiry fallback, whose equalizer used to throw on the
+  // singular H^H H and end the lane. A finite frame after it is still served.
+  constexpr index_t kN = 10;
+  const SystemConfig sys{kN, kN, Modulation::kQam4};
+  ScenarioConfig sc;
+  sc.num_tx = kN;
+  sc.num_rx = kN;
+  sc.modulation = Modulation::kQam4;
+  sc.snr_db = 8.0;
+  sc.seed = kSeed;
+  Scenario scenario(sc);
+  Trial t = scenario.next();
+  for (index_t i = 0; i < kN; ++i) t.h(i, 4) = cplx{0, 0};
+  const Trial next = scenario.next();
+
+  Recorder rec;
+  DispatcherOptions dopts;
+  dopts.degrade_on_deadline = false;  // place it at the primary tier
+  PoolDefaults pd;
+  pd.primary = parse_decoder_spec("sphere");
+  Dispatcher d(sys, parse_backend_pool("cpu:1", pd), dopts,
+               [&rec](const serve::FrameResult& r) { rec.add(r); });
+  EXPECT_EQ(d.submit(make_frame(t, 0, 1e-12)), serve::SubmitStatus::kAccepted);
+  rec.wait_for(1);
+  EXPECT_EQ(d.submit(make_frame(next, 1)), serve::SubmitStatus::kAccepted);
+  rec.wait_for(2);
+  d.drain();
+
+  const std::vector<serve::FrameResult> results = rec.take();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].id, 0u);
+  EXPECT_EQ(results[0].status, serve::FrameStatus::kExpiredFallback);
+  EXPECT_EQ(results[0].tier, serve::DecodeTier::kLinear);
+  auto zf = make_detector(sys, parse_decoder_spec("zf"));
+  const DecodeResult expect = zf->decode(t.h, t.y, t.sigma2);
+  EXPECT_EQ(results[0].result.indices, expect.indices);
+  EXPECT_EQ(results[0].result.metric, expect.metric);
+  EXPECT_EQ(results[1].id, 1u);
+  EXPECT_EQ(results[1].status, serve::FrameStatus::kCompleted);
 }
 
 // ---------------------------------------------------------------------------

@@ -130,6 +130,27 @@ TEST(ZfEqualizer, InvertsChannelExactly) {
   EXPECT_LT(max_abs_diff(wh, CMat::identity(6)), 1e-3);
 }
 
+TEST(ZfEqualizer, ZeroColumnGivesAZeroRow) {
+  // Stream 2 has no channel: H^H H is singular, which LU refuses. The
+  // equalizer gives that stream a zero row and still zero-forces the other
+  // five, W H = I on their columns.
+  CMat h = testing::random_cmat(10, 6, 15);
+  for (index_t i = 0; i < 10; ++i) h(i, 2) = cplx{0, 0};
+  const CMat w = zf_equalizer(h);
+  ASSERT_EQ(w.rows(), 6);
+  ASSERT_EQ(w.cols(), 10);
+  for (index_t i = 0; i < 10; ++i) EXPECT_EQ(w(2, i), (cplx{0, 0})) << i;
+  CMat wh(6, 6);
+  gemm_naive(Op::kNone, cplx{1, 0}, w, h, cplx{0, 0}, wh);
+  for (index_t r = 0; r < 6; ++r) {
+    if (r == 2) continue;
+    for (index_t c = 0; c < 6; ++c) {
+      const cplx want = c == r ? cplx{1, 0} : cplx{0, 0};
+      EXPECT_LT(std::abs(wh(r, c) - want), 1e-4f) << r << "," << c;
+    }
+  }
+}
+
 TEST(MmseEqualizer, ApproachesZfAsNoiseVanishes) {
   const CMat h = testing::random_cmat(8, 5, 16);
   const CMat w_zf = zf_equalizer(h);
