@@ -70,8 +70,10 @@ int main() {
       std::log2(static_cast<double>(Constellation::get(sys.modulation)
                                         .order()))));
   ExperimentRunner qrunner(sys, trials, 7);
-  auto bfs32 = make_detector(sys, parse_decoder_spec("bfs"));
-  auto bfs16 = make_detector(sys, parse_decoder_spec("bfs:precision=int16"));
+  // The paper's BFS settings: plain QR, noise-scaled radius.
+  auto bfs32 = make_detector(sys, parse_decoder_spec("bfs:sorted=0,alpha=2"));
+  auto bfs16 = make_detector(
+      sys, parse_decoder_spec("bfs:sorted=0,alpha=2,precision=int16"));
   Table qt({"SNR (dB)", "BER fp32", "BER int16", "SER int16", "bits"});
   for (double snr : {4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0}) {
     const SweepPoint q32 = qrunner.run_point(*bfs32, snr);
