@@ -145,6 +145,8 @@ DecoderSpec parse_decoder_spec(std::string_view text) {
 
   if (spec.strategy == Strategy::kBestFsGemm && !fpga) {
     spec.sd = kServedBestFs;
+  } else if (spec.strategy == Strategy::kGemmBfs && !fpga) {
+    spec.bfs.base = kServedBfs;
   }
 
   for (const SpecOption& opt : parse_spec_options(options_text)) {
@@ -227,7 +229,8 @@ std::string_view decoder_spec_help() noexcept {
          "sphere-scalar, dfs and @fpga; "
          "fp16, int16 on @fpga; bfs:precision=int16|fp32; sphere on the "
          "cpu serves sorted,alpha=2, and sphere:sorted=0,alpha=inf is the "
-         "paper's Best-FS";
+         "paper's Best-FS; bfs on the cpu serves sorted with a Babai-capped "
+         "radius, and bfs:sorted=0,alpha=2 is the paper's BFS";
 }
 
 }  // namespace sd

@@ -92,9 +92,15 @@ std::shared_ptr<const PreprocessedChannel> build_channel_prep(
     case PrepKind::kQrPlain:
       prep->qr.factor(h);
       break;
+    // A non-finite H is factored plain, as preprocess_into() does; its
+    // prep then holds no permutation (sqrd_applicable).
     case PrepKind::kQrSorted: {
       std::vector<double> col_norm_sq;
-      qr_sorted_into(h, prep->q, prep->r, prep->perm, col_norm_sq);
+      if (sqrd_applicable(h)) {
+        qr_sorted_into(h, prep->q, prep->r, prep->perm, col_norm_sq);
+      } else {
+        prep->qr.factor(h);
+      }
       break;
     }
     case PrepKind::kZf:
@@ -110,8 +116,13 @@ std::shared_ptr<const PreprocessedChannel> build_channel_prep(
       break;
     case PrepKind::kQrSortedQuant: {
       std::vector<double> col_norm_sq;
-      qr_sorted_into(h, prep->q, prep->r, prep->perm, col_norm_sq);
-      quant::quantize_channel_prep(prep->r, prep->qprep);
+      if (sqrd_applicable(h)) {
+        qr_sorted_into(h, prep->q, prep->r, prep->perm, col_norm_sq);
+        quant::quantize_channel_prep(prep->r, prep->qprep);
+      } else {
+        prep->qr.factor(h);
+        quant::quantize_channel_prep(prep->qr.r(), prep->qprep);
+      }
       break;
     }
     case PrepKind::kGramMmse:

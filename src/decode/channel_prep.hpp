@@ -106,7 +106,9 @@ struct PreprocessedChannel {
   // per-frame ybar = Q^H y applies reflectors without forming Q.
   QrFactorization qr;
 
-  // kQrSorted: explicit thin Q, R, and the layer->antenna permutation.
+  // kQrSorted: explicit thin Q, R, and the layer->antenna permutation. A
+  // non-finite H is factored plain into `qr` instead and leaves `perm`
+  // empty (sqrd_applicable in linalg/ordering.hpp).
   CMat q;
   CMat r;
   std::vector<index_t> perm;

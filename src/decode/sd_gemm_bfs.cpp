@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -62,6 +63,10 @@ struct SdGemmBfsDetector::Frame {
   std::vector<std::int16_t> qsyms;  ///< constellation under this frame's spec
   std::vector<index_t> path;        ///< the answer's symbol at each depth
   std::vector<index_t> layered;
+  bool searchable = false;  ///< R is finite (finite_triangle)
+  /// kBabaiCapped: the Babai point's path row, which caps the radius; empty
+  /// when the cap does not apply to the frame.
+  std::vector<std::uint8_t> babai;
   double radius_sq = 0.0;
   std::int32_t radius_q = 0;
   int attempt = 0;
@@ -129,6 +134,11 @@ struct SdGemmBfsDetector::Fp32Arith {
   [[nodiscard]] static double radius(const Frame& fr) { return fr.radius_sq; }
   [[nodiscard]] static double metric(const Frame&, real pd) {
     return static_cast<double>(pd);
+  }
+  /// The least radius whose keep test passes a node of PD `pd`.
+  [[nodiscard]] static double radius_above(const Frame&, real pd) {
+    return std::nextafter(static_cast<double>(pd),
+                          std::numeric_limits<double>::infinity());
   }
 };
 
@@ -264,6 +274,14 @@ struct SdGemmBfsDetector::I16Arith {
   [[nodiscard]] static double metric(const Frame& fr, std::int32_t pd) {
     return static_cast<double>(pd) * fr.qprep->spec.inv_scale2;
   }
+  /// The float radius that begin_attempt() maps to pd + 1, exactly: the
+  /// scale is a power of two. A saturated PD sets no cap.
+  [[nodiscard]] static double radius_above(const Frame& fr, std::int32_t pd) {
+    if (pd >= quant::kQuantPdMax) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return (static_cast<double>(pd) + 1.0) * fr.qprep->spec.inv_scale2;
+  }
 };
 
 /// The level engine over one arithmetic policy: the level loop, the retry
@@ -276,10 +294,45 @@ struct SdGemmBfsDetector::Engine {
 
   void solve(Frame& fr) {
     SD_TRACE_SPAN("decode.search");
-    start(fr);
     Timer timer;
+    fr.searchable = finite_triangle(fr.pre.r);
+    find_babai(fr);
+    start(fr);
     finish(fr);
     fr.out->stats.search_seconds = timer.elapsed_seconds();
+  }
+
+  /// kBabaiCapped: the Babai point's path, once per frame. The cap does not
+  /// apply, and the noise sphere starts the search as under kNoiseScaled,
+  /// for a non-finite R, a sigma2 that is not positive and finite (which
+  /// takes the radius fallback) or a non-finite Babai metric (a NaN sample).
+  void find_babai(Frame& fr) const {
+    fr.babai.clear();
+    if (d.opts_.base.radius_policy != RadiusPolicy::kBabaiCapped ||
+        !fr.searchable || !(fr.sigma2 > 0.0) || !std::isfinite(fr.sigma2)) {
+      return;
+    }
+    fr.path.resize(static_cast<usize>(fr.m));
+    if (!std::isfinite(babai_point(fr.pre, *d.c_, fr.path))) return;
+    for (const index_t sym : fr.path) {
+      fr.babai.push_back(static_cast<std::uint8_t>(sym));
+    }
+  }
+
+  /// The Babai leaf's PD in this policy's arithmetic: the level products and
+  /// PD steps the search itself takes along that path, with their counts
+  /// left out of the frame's stats.
+  [[nodiscard]] Pd babai_pd(Frame& fr) {
+    DecodeStats unused;
+    LevelCounts counts;
+    Pd pd{};
+    for (index_t depth = 0; depth < fr.m; ++depth) {
+      const usize du = static_cast<usize>(depth);
+      auto lv = arith.level(fr, fr.m - 1 - depth, depth + 1, unused);
+      Arith::product(fr, lv, {fr.babai.data(), du});
+      pd = Arith::child_pd(lv, pd, fr.babai[du], counts);
+    }
+    return pd;
   }
 
   /// Starts a fresh search: any partial stats of an earlier policy's
@@ -294,6 +347,13 @@ struct SdGemmBfsDetector::Engine {
     fr.attempt = 0;
     fr.radius_sq = initial_radius_sq(d.opts_.base, fr.sigma2, fr.m);
     arith.start(fr);
+    // kBabaiCapped: the Babai leaf, and every leaf no worse, stays inside
+    // the sphere. Any radius above the answer's PD reaches the same answer
+    // (DESIGN.md §3), so the cap changes only the work.
+    if (!fr.babai.empty()) {
+      fr.radius_sq =
+          std::min(fr.radius_sq, Arith::radius_above(fr, babai_pd(fr)));
+    }
     begin_attempt(fr);
   }
 
@@ -399,9 +459,8 @@ struct SdGemmBfsDetector::Engine {
     DecodeResult& out = *fr.out;
     Frame::Levels<Pd>& lvls = Arith::levels(fr);
     // A non-finite R is not searched; the Babai point answers.
-    const bool searchable = finite_triangle(fr.pre.r);
-    if (!searchable) lvls.width = 0;
-    while (searchable) {
+    if (!fr.searchable) lvls.width = 0;
+    while (fr.searchable) {
       while (lvls.width != 0 && fr.depth < fr.m) expand_level(fr);
       if (lvls.width != 0) break;  // leaves reached
       if (Arith::saturated(fr)) {

@@ -141,7 +141,7 @@ void preprocess_into(const CMat& h, std::span<const cplx> y, bool sorted_qr,
   SD_TRACE_SPAN("decode.preprocess.qr");
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
   Timer timer;
-  if (sorted_qr) {
+  if (sorted_qr && sqrd_applicable(h)) {
     qr_sorted_into(h, scratch.q, pre.r, pre.perm, scratch.col_norm_sq);
     // ybar = Q^H y with the explicit thin Q from the sorted factorization.
     pre.ybar.assign(static_cast<usize>(h.cols()), cplx{0, 0});
@@ -167,11 +167,15 @@ void preprocess_with_channel(const PreprocessedChannel& prep,
     // int16 planes, so the per-frame ybar path is byte-for-byte shared.
     case PrepKind::kQrSorted:
     case PrepKind::kQrSortedQuant:
-      pre.r = prep.r;  // copy-assign; reuses pre's storage
-      pre.perm.assign(prep.perm.begin(), prep.perm.end());
-      pre.ybar.assign(static_cast<usize>(h.cols()), cplx{0, 0});
-      gemv(Op::kConjTrans, cplx{1, 0}, prep.q, y, cplx{0, 0}, pre.ybar);
-      break;
+      if (!prep.perm.empty()) {
+        pre.r = prep.r;  // copy-assign; reuses pre's storage
+        pre.perm.assign(prep.perm.begin(), prep.perm.end());
+        pre.ybar.assign(static_cast<usize>(h.cols()), cplx{0, 0});
+        gemv(Op::kConjTrans, cplx{1, 0}, prep.q, y, cplx{0, 0}, pre.ybar);
+        break;
+      }
+      // A non-finite channel was factored plain (sqrd_applicable).
+      [[fallthrough]];
     case PrepKind::kQrPlain:
     case PrepKind::kQrPlainQuant:
       pre.r = prep.qr.r();
@@ -258,6 +262,7 @@ double initial_radius_sq(const SdOptions& opts, double sigma2, index_t num_rx) {
     case RadiusPolicy::kInfinite:
       return std::numeric_limits<double>::infinity();
     case RadiusPolicy::kNoiseScaled:
+    case RadiusPolicy::kBabaiCapped:
       SD_CHECK(opts.radius_alpha > 0.0, "radius_alpha must be positive");
       return opts.radius_alpha * sigma2 * static_cast<double>(num_rx);
   }

@@ -18,9 +18,14 @@ namespace sd {
 /// How the initial sphere radius r is chosen (paper Eq. 3: user-set, then
 /// tightened at run time whenever a leaf improves on it).
 enum class RadiusPolicy : std::uint8_t {
-  kInfinite,   ///< start unbounded; the first leaf (Babai point) sets r
-  kNoiseScaled ///< r^2 = radius_alpha * sigma^2 * N (the heuristic used by
-               ///< the BFS/GPU variant, which needs a finite radius to prune)
+  kInfinite,    ///< start unbounded; the first leaf (Babai point) sets r
+  kNoiseScaled, ///< r^2 = radius_alpha * sigma^2 * N (the heuristic used by
+                ///< the BFS/GPU variant, which needs a finite radius to prune)
+  kBabaiCapped  ///< r^2 = min(radius_alpha * sigma^2 * N, just above the
+                ///< Babai leaf's PD): the served BFS's sphere. Only the BFS
+                ///< engine applies the cap, since it cannot shrink r before
+                ///< its last level; the depth-first searches shrink r at
+                ///< every leaf and read this as kNoiseScaled.
 };
 
 /// Shape of Best-FS's per-expansion evaluation GEMM.
@@ -128,7 +133,9 @@ struct PreprocessScratch {
   std::vector<double> col_norm_sq;
 };
 
-/// Runs QR (plain Householder or SQRD) and computes ybar.
+/// Runs QR (plain Householder or SQRD) and computes ybar. SQRD falls back to
+/// the plain factorization on a non-finite H (sqrd_applicable), leaving
+/// `perm` empty.
 [[nodiscard]] Preprocessed preprocess(const CMat& h, std::span<const cplx> y,
                                       bool sorted_qr);
 
@@ -188,7 +195,8 @@ double babai_point(const Preprocessed& pre, const Constellation& c,
 /// fails this check with babai_point() before their first expansion.
 [[nodiscard]] bool finite_triangle(const CMat& r) noexcept;
 
-/// Initial squared radius for the configured policy.
+/// Initial squared radius for the configured policy. kBabaiCapped returns
+/// the noise sphere; the BFS engine applies its cap.
 [[nodiscard]] double initial_radius_sq(const SdOptions& opts, double sigma2,
                                        index_t num_rx);
 

@@ -87,6 +87,15 @@ void qr_sorted_into(const CMat& h, CMat& q, CMat& r, std::vector<index_t>& perm,
   }
 }
 
+bool sqrd_applicable(const CMat& h) noexcept {
+  for (index_t i = 0; i < h.rows(); ++i) {
+    for (const cplx v : h.row(i)) {
+      if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) return false;
+    }
+  }
+  return true;
+}
+
 CVec unpermute(const std::vector<index_t>& perm, const CVec& layered) {
   SD_CHECK(perm.size() == layered.size(), "permutation length mismatch");
   CVec out(layered.size());

@@ -39,6 +39,14 @@ struct SortedQr {
 void qr_sorted_into(const CMat& h, CMat& q, CMat& r, std::vector<index_t>& perm,
                     std::vector<double>& col_norm_sq);
 
+/// True if every entry of `h` is finite, which SQRD needs. On an inf or NaN
+/// entry the rank floor, scaled by the largest column norm, is itself not
+/// finite, so qr_sorted() would floor every pivot and return an all-zero R,
+/// on which every tree path ties at PD 0. The preprocessing therefore takes
+/// the plain Householder factorization of such an H: its R turns non-finite,
+/// which the tree searches answer with the Babai point at once.
+[[nodiscard]] bool sqrd_applicable(const CMat& h) noexcept;
+
 /// Undoes the permutation: given symbols in layer order, returns them in
 /// original antenna order.
 [[nodiscard]] CVec unpermute(const std::vector<index_t>& perm,

@@ -144,8 +144,38 @@ TEST(SpecParse, SphereOnTheCpuStartsFromTheServedOptions) {
                            "dfs", "geosphere"}) {
     EXPECT_EQ(parse_decoder_spec(text).sd, SdOptions{}) << text;
   }
-  EXPECT_EQ(parse_decoder_spec("bfs").bfs.base, BfsOptions{}.base);
   EXPECT_EQ(parse_decoder_spec("multipe").multi_pe.base, SdOptions{});
+}
+
+TEST(SpecParse, BfsOnTheCpuStartsFromTheServedOptions) {
+  for (const char* text : {"bfs", "bfs@cpu", "bfs:precision=int16",
+                           "bfs:precision=fp32", "bfs:frontier=16"}) {
+    EXPECT_EQ(parse_decoder_spec(text).bfs.base, kServedBfs) << text;
+  }
+  EXPECT_TRUE(parse_decoder_spec("bfs:precision=int16").bfs.quantized);
+  EXPECT_EQ(parse_decoder_spec("bfs:frontier=16").bfs.max_frontier, 16u);
+  EXPECT_TRUE(kServedBfs.sorted_qr);
+  EXPECT_EQ(kServedBfs.radius_policy, RadiusPolicy::kBabaiCapped);
+  EXPECT_DOUBLE_EQ(kServedBfs.radius_alpha, 2.0);
+
+  // An explicit alpha selects the plain noise (or infinite) radius, so the
+  // paper's BFS is spelled sorted=0,alpha=2 and is BfsOptions{}.base.
+  EXPECT_EQ(parse_decoder_spec("bfs:sorted=0,alpha=2").bfs.base,
+            BfsOptions{}.base);
+  const DecoderSpec sorted = parse_decoder_spec("bfs:sorted,alpha=2");
+  EXPECT_EQ(sorted.bfs.base.radius_policy, RadiusPolicy::kNoiseScaled);
+  EXPECT_TRUE(sorted.bfs.base.sorted_qr);
+  EXPECT_EQ(parse_decoder_spec("bfs:alpha=inf").bfs.base.radius_policy,
+            RadiusPolicy::kInfinite);
+  const DecoderSpec plain = parse_decoder_spec("bfs:sorted=0");
+  EXPECT_EQ(plain.bfs.base.radius_policy, RadiusPolicy::kBabaiCapped);
+  EXPECT_FALSE(plain.bfs.base.sorted_qr);
+
+  // The FPGA model, K-Best and the options struct keep the paper's settings.
+  EXPECT_EQ(parse_decoder_spec("bfs@fpga").sd, SdOptions{});
+  EXPECT_EQ(parse_decoder_spec("kbest").bfs.base, kbest_options().base);
+  EXPECT_EQ(BfsOptions{}.base.radius_policy, RadiusPolicy::kNoiseScaled);
+  EXPECT_FALSE(BfsOptions{}.base.sorted_qr);
 }
 
 TEST(SpecParse, SortedTakesAnOptionalBoolean) {
