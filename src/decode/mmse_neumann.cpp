@@ -19,6 +19,9 @@ void MmseNeumannDetector::prepare_system(const CMat& g, double sigma2,
     return;  // same (channel, sigma2) as the previous frame: A (and any
              // factor of it) are still valid.
   }
+  // The rebuild below may throw half way; until it completes no key names
+  // a_, so a later frame cannot reuse a half-built system.
+  cache_fp_ = 0;
   a_.reshape(m, m);
   const auto src = g.flat();
   const auto dst = a_.flat();

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "decode/channel_prep.hpp"
@@ -154,6 +155,30 @@ TEST(MmseNeumann, CachedSystemReusedAcrossFramesOfOneBlock) {
     det.decode_with(*prep, t0.y, t0.sigma2, r);
     EXPECT_EQ(r.indices, t0.tx.indices) << "rep " << rep;
   }
+}
+
+TEST(MmseNeumann, ThrowingRebuildDoesNotPoisonTheCache) {
+  // A NaN sigma2 fails the positive-diagonal check half way through the
+  // rebuild of A. The next frame on the previous (channel, sigma2) must not
+  // reuse that half-built system: it answers as a fresh detector does.
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  const Trial t = rect_trial(32, 8, Modulation::kQam4, 10.0, 26);
+  MmseNeumannDetector det(MmseNeumannOptions{}, c);
+  const auto prep = det.preprocess(ChannelHandle{CMat(t.h)});
+  ASSERT_EQ(prep->kind, PrepKind::kGramMmse);
+
+  DecodeResult r;
+  det.decode_with(*prep, t.y, 0.1, r);
+  EXPECT_THROW(det.decode_with(*prep, t.y,
+                               std::numeric_limits<double>::quiet_NaN(), r),
+               invalid_argument_error);
+  det.decode_with(*prep, t.y, 0.1, r);
+
+  MmseNeumannDetector fresh(MmseNeumannOptions{}, c);
+  DecodeResult expect;
+  fresh.decode_with(*prep, t.y, 0.1, expect);
+  EXPECT_TRUE(same_result_bits(r, expect))
+      << "metric " << r.metric << " vs a fresh detector's " << expect.metric;
 }
 
 TEST(MmseNeumann, GramPrepIsADistinctCacheEntry) {
