@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/spec_parse.hpp"
@@ -140,12 +141,10 @@ TEST_F(AllocFree, BestFsCachedPrepDecodeIsAllocationFreeAfterWarmup) {
   expect_cached_prep_alloc_free(det, "SD-GEMM-BestFS/decode_with");
 }
 
-TEST_F(AllocFree, ServedSphereDecodeIsAllocationFreeAfterWarmup) {
-  // The served `sphere` factors every frame with SQRD into the detector's
-  // scratch. A fresh channel per decode, as on an i.i.d. uplink.
+/// Runs `detector` on a fresh channel per decode, as on an i.i.d. uplink:
+/// the served searches factor every frame with SQRD into their scratch.
+void expect_fresh_channel_alloc_free(Detector& detector, const char* what) {
   constexpr usize kChannels = 4;
-  auto det = make_detector({kM, kM, Modulation::kQam16},
-                           parse_decoder_spec("sphere"));
   std::vector<CMat> hs;
   std::vector<CVec> ys;
   for (usize i = 0; i < kChannels; ++i) {
@@ -155,20 +154,40 @@ TEST_F(AllocFree, ServedSphereDecodeIsAllocationFreeAfterWarmup) {
   DecodeResult result;
   for (int warm = 0; warm < 3; ++warm) {
     for (usize i = 0; i < kChannels; ++i) {
-      det->decode_into(hs[i], ys[i], kSigma2, result);
+      detector.decode_into(hs[i], ys[i], kSigma2, result);
     }
   }
   const obs::AllocCounts before = obs::alloc_counts();
   for (int rep = 0; rep < 10; ++rep) {
     const usize i = static_cast<usize>(rep) % kChannels;
-    det->decode_into(hs[i], ys[i], kSigma2, result);
+    detector.decode_into(hs[i], ys[i], kSigma2, result);
   }
   const obs::AllocCounts after = obs::alloc_counts();
   EXPECT_EQ(after.allocations, before.allocations)
-      << "served sphere: steady-state decode_into allocated ("
+      << what << ": steady-state decode_into allocated ("
       << (after.allocations - before.allocations) << " allocations over 10 "
       << "decodes)";
-  EXPECT_EQ(after.deallocations, before.deallocations);
+  EXPECT_EQ(after.deallocations, before.deallocations) << what;
+}
+
+TEST_F(AllocFree, ServedSphereDecodeIsAllocationFreeAfterWarmup) {
+  auto det = make_detector({kM, kM, Modulation::kQam16},
+                           parse_decoder_spec("sphere"));
+  expect_fresh_channel_alloc_free(*det, "served sphere");
+}
+
+TEST_F(AllocFree, ServedBfsDecodeIsAllocationFreeAfterWarmup) {
+  // The served `bfs` also finds each frame's Babai point, into the path
+  // buffer the answer later reuses, at both precisions.
+  for (const char* spec : {"bfs", "bfs:precision=int16"}) {
+    auto det = make_detector({kM, kM, Modulation::kQam16},
+                             parse_decoder_spec(spec));
+    ASSERT_EQ(det->prep_kind(), spec == std::string("bfs")
+                                    ? PrepKind::kQrSorted
+                                    : PrepKind::kQrSortedQuant);
+    expect_fresh_channel_alloc_free(*det, spec);
+    expect_cached_prep_alloc_free(*det, spec);
+  }
 }
 
 TEST_F(AllocFree, ServedSphereCachedPrepDecodeIsAllocationFreeAfterWarmup) {
