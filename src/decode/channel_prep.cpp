@@ -1,6 +1,8 @@
 #include "decode/channel_prep.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <list>
 #include <mutex>
@@ -17,15 +19,27 @@ namespace sd {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// Fingerprint constants: xxHash64's lane multipliers and its seed-0 lane
+// starting values; the finalizer is murmur3's fmix64.
+constexpr std::uint64_t kLaneMul = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kLaneOut = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kLaneSeed[4] = {
+    0x60EA27EEADC0B5D6ull, 0xC2B2AE3D27D4EB4Full, 0x0000000000000000ull,
+    0x61C8864E7A143579ull};
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, usize bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (usize i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+/// One lane step. For a fixed lane state it is a bijection of `word` (odd
+/// multiplies, an add, a rotate), and for a fixed word one of the state.
+[[nodiscard]] constexpr std::uint64_t lane_round(std::uint64_t acc,
+                                                 std::uint64_t word) noexcept {
+  return std::rotl(acc + word * kLaneMul, 31) * kLaneOut;
+}
+
+[[nodiscard]] constexpr std::uint64_t avalanche(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
   return h;
 }
 
@@ -43,23 +57,57 @@ bool same_content(const CMat& a, const CMat& b) noexcept {
 }  // namespace
 
 std::uint64_t channel_fingerprint(const CMat& h) noexcept {
-  std::uint64_t fp = kFnvOffset;
-  const std::uint64_t rows = static_cast<std::uint64_t>(h.rows());
-  const std::uint64_t cols = static_cast<std::uint64_t>(h.cols());
-  fp = fnv1a(fp, &rows, sizeof(rows));
-  fp = fnv1a(fp, &cols, sizeof(cols));
+  static_assert(sizeof(cplx) == sizeof(std::uint64_t),
+                "one complex entry must be one 64-bit hash word");
+  static_assert(std::endian::native == std::endian::little,
+                "the fingerprint reads each entry's bytes in wire order");
   const auto flat = h.flat();
-  fp = fnv1a(fp, flat.data(), flat.size() * sizeof(cplx));
-  return fp;
+  const usize n = flat.size();
+  std::uint64_t lane[4] = {kLaneSeed[0], kLaneSeed[1], kLaneSeed[2],
+                           kLaneSeed[3]};
+  usize i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (usize l = 0; l < 4; ++l)
+      lane[l] = lane_round(lane[l], std::bit_cast<std::uint64_t>(flat[i + l]));
+  }
+  for (usize l = 0; i < n; ++i, ++l)
+    lane[l] = lane_round(lane[l], std::bit_cast<std::uint64_t>(flat[i]));
+  // Each rotate-and-add is a bijection of its lane with the others fixed;
+  // the shape word goes in by xor, so equal contents of a different shape
+  // reach the avalanche (itself a bijection) with a different word.
+  std::uint64_t fp = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                     std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  fp ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(h.rows()))
+         << 32) |
+        static_cast<std::uint32_t>(h.cols());
+  return avalanche(fp);
+}
+
+ChannelSummary ChannelSummary::of(const CMat& h) noexcept {
+  ChannelSummary s;
+  for (index_t c = 0; c < h.cols(); ++c) {
+    double norm2 = 0.0;
+    for (index_t r = 0; r < h.rows(); ++r) {
+      const double re = h(r, c).real();
+      const double im = h(r, c).imag();
+      norm2 += re * re + im * im;
+    }
+    s.finite = s.finite && std::isfinite(norm2);
+    s.min_col_norm2 = std::min(s.min_col_norm2, norm2);
+    s.max_col_norm2 = std::max(s.max_col_norm2, norm2);
+  }
+  return s;
 }
 
 ChannelHandle::ChannelHandle(CMat h)
-    : h_(std::make_shared<const CMat>(std::move(h))) {
-  fp_ = channel_fingerprint(*h_);
-}
+    : h_(std::make_shared<const CMat>(std::move(h))),
+      fp_(channel_fingerprint(*h_)),
+      summary_(ChannelSummary::of(*h_)) {}
 
 ChannelHandle::ChannelHandle(CMat h, std::uint64_t fingerprint)
-    : h_(std::make_shared<const CMat>(std::move(h))), fp_(fingerprint) {}
+    : h_(std::make_shared<const CMat>(std::move(h))),
+      fp_(fingerprint),
+      summary_(ChannelSummary::of(*h_)) {}
 
 const CMat& ChannelHandle::matrix() const {
   SD_CHECK(h_ != nullptr, "empty ChannelHandle");

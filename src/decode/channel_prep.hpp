@@ -7,9 +7,11 @@
 // coherence interval, so the serving stack can pay the channel part once per
 // interval instead of once per frame. Three pieces make that safe:
 //
-//  - ChannelHandle: an immutable, refcounted H plus a content fingerprint.
-//    Frames sharing a channel share ONE allocation through every queue hop
-//    (FrameRequest used to deep-copy the dense matrix per hop).
+//  - ChannelHandle: an immutable, refcounted H plus a content fingerprint
+//    and a column-norm summary. Frames sharing a channel share ONE
+//    allocation through every queue hop (FrameRequest used to deep-copy the
+//    dense matrix per hop), and admission and placement read the summary
+//    instead of scanning H again per frame.
 //  - PreprocessedChannel: the channel-only factorization output for one
 //    detector family (PrepKind). Frame state (ybar) is NOT in here — it is
 //    derived per frame by preprocess_with_channel() in sphere_common.
@@ -25,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -35,33 +38,58 @@
 
 namespace sd {
 
-/// FNV-1a over the matrix dimensions and element bytes. Deterministic across
-/// runs and platforms with identical doubles; equal matrices always get equal
-/// fingerprints, unequal ones collide with probability ~2^-64 (and collisions
-/// are handled by content verification in the cache, not assumed away).
+/// Content fingerprint of H: each complex entry is one 64-bit word (its
+/// two floats in little-endian byte order), the words are hashed in four
+/// interleaved multiply-rotate lanes, and the lanes, the dimensions and a
+/// final avalanche fold them into one word. Every step is a bijection of
+/// the changed input, so matrices that differ in one entry, or only in
+/// shape, always get different fingerprints; unrelated matrices collide
+/// with probability ~2^-64 (and collisions are handled by content
+/// verification in the cache, not assumed away). Deterministic across runs
+/// and platforms. The wire protocol carries this value (kWireVersion 2).
 [[nodiscard]] std::uint64_t channel_fingerprint(const CMat& h) noexcept;
 
-/// Immutable shared channel estimate: refcounted H + content fingerprint.
-/// Copying a handle shares the matrix storage; the dense data is allocated
-/// exactly once no matter how many frames or queue hops reference it.
+/// Column-norm summary of H: the smallest and largest column ||.||^2,
+/// summed in double from exact squares of the float entries in ascending
+/// row order, and whether every entry is finite. This is everything the
+/// cost model's FrameFeatures reads from H (dispatch/cost_model.hpp).
+struct ChannelSummary {
+  double min_col_norm2 = std::numeric_limits<double>::infinity();
+  double max_col_norm2 = 0.0;
+  /// A column norm is finite exactly when its whole column is, so this is
+  /// "every H entry is finite".
+  bool finite = true;
+
+  /// One O(N*M) pass over `h`.
+  [[nodiscard]] static ChannelSummary of(const CMat& h) noexcept;
+};
+
+/// Immutable shared channel estimate: refcounted H + content fingerprint +
+/// column-norm summary. Copying a handle shares the matrix storage; the
+/// dense data is allocated exactly once no matter how many frames or queue
+/// hops reference it.
 class ChannelHandle {
  public:
   ChannelHandle() = default;
 
-  /// Takes ownership of `h` and fingerprints it eagerly (one O(N*M) pass;
-  /// amortized over every frame of the coherence block sharing the handle).
+  /// Takes ownership of `h`, fingerprints and summarizes it eagerly (two
+  /// O(N*M) passes, amortized over every frame of the coherence block
+  /// sharing the handle).
   explicit ChannelHandle(CMat h);
 
   /// Attaches a fingerprint the caller already holds for `h` — the wire
   /// decoder's verified one, so the ingress does not hash H twice. Tests
   /// also attach an arbitrary fingerprint, e.g. to force two distinct
   /// matrices onto one cache key and exercise collision handling
-  /// deterministically.
+  /// deterministically. The summary is still computed from `h`.
   ChannelHandle(CMat h, std::uint64_t fingerprint);
 
   [[nodiscard]] bool valid() const noexcept { return h_ != nullptr; }
   [[nodiscard]] const CMat& matrix() const;
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fp_; }
+  [[nodiscard]] const ChannelSummary& summary() const noexcept {
+    return summary_;
+  }
 
   /// True iff both handles reference the same underlying allocation — the
   /// O(1) fast path for "same channel" checks along the coherent run.
@@ -74,6 +102,7 @@ class ChannelHandle {
  private:
   std::shared_ptr<const CMat> h_;
   std::uint64_t fp_ = 0;
+  ChannelSummary summary_;
 };
 
 /// Which channel-only factorization a detector needs. One cache entry per

@@ -148,11 +148,10 @@ void MmseNeumannDetector::decode_frame(const CMat& h,
     prepare_system(prep->g, sigma2, prep->channel.fingerprint());
   } else {
     SD_CHECK(h.rows() >= h.cols(), "MMSE-Neumann needs N_r >= N_t");
-    // Identical GEMM call to gram() / build_channel_prep(kGramMmse), so the
+    // The kernel behind gram() / build_channel_prep(kGramMmse), so the
     // one-shot path is bitwise-identical to the cached path. Fingerprint 0
     // keeps a later cached frame from reusing this scratch system.
-    g_.reshape(h.cols(), h.cols());
-    gemm_naive(Op::kConjTrans, cplx{1, 0}, h, h, cplx{0, 0}, g_);
+    gram_into(h, g_);
     prepare_system(g_, sigma2, 0);
   }
   out.stats.preprocess_seconds = pre_timer.elapsed_seconds();

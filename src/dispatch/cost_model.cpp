@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "mimo/channel.hpp"
@@ -11,8 +12,10 @@
 
 namespace sd::dispatch {
 
-FrameFeatures FrameFeatures::extract(const CMat& h, double sigma2,
-                                     index_t mod_order) {
+FrameFeatures FrameFeatures::extract(const ChannelHandle& channel,
+                                     double sigma2, index_t mod_order) {
+  const CMat& h = channel.matrix();
+  const ChannelSummary& summary = channel.summary();
   FrameFeatures f;
   f.num_tx = h.cols();
   f.num_rx = h.rows();
@@ -20,19 +23,9 @@ FrameFeatures FrameFeatures::extract(const CMat& h, double sigma2,
   f.sigma2 = sigma2;
   f.snr_db = sigma2 > 0.0 && h.cols() > 0 ? sigma2_to_snr_db(sigma2, h.cols())
                                           : 60.0;
-  double min_norm = std::numeric_limits<double>::infinity();
-  double max_norm = 0.0;
-  for (index_t c = 0; c < h.cols(); ++c) {
-    double norm2 = 0.0;
-    for (index_t r = 0; r < h.rows(); ++r) {
-      const double re = h(r, c).real();
-      const double im = h(r, c).imag();
-      norm2 += re * re + im * im;
-    }
-    f.finite_h = f.finite_h && std::isfinite(norm2);
-    min_norm = std::min(min_norm, norm2);
-    max_norm = std::max(max_norm, norm2);
-  }
+  f.finite_h = summary.finite;
+  const double min_norm = summary.min_col_norm2;
+  const double max_norm = summary.max_col_norm2;
   f.cond_proxy =
       min_norm > 0.0 ? std::sqrt(max_norm / min_norm) : 16.0;  // clamp target
   f.cond_proxy = std::clamp(f.cond_proxy, 1.0, 16.0);
@@ -49,6 +42,8 @@ int CostModel::register_backend(std::string label, double seconds_per_node,
                                 double overhead_s, std::string precision) {
   SD_CHECK(seconds_per_node > 0.0 && overhead_s >= 0.0,
            "cost-model rate priors must be positive");
+  SD_CHECK(precision.size() <= kMaxPrecisionChars,
+           "cost-model precision name is too long");
   std::lock_guard<std::mutex> lock(mu_);
   rates_.push_back(
       {std::move(label), seconds_per_node, overhead_s, std::move(precision)});
@@ -93,25 +88,53 @@ double CostModel::prior_nodes(const FrameFeatures& f, DecodeTier tier) {
   return m * order * std::pow(order, 0.25 * m * gamma) * std::sqrt(cond);
 }
 
-std::string CostModel::bucket_key(const FrameFeatures& f, int backend,
-                                  DecodeTier tier, bool prep_hit) const {
+void CostModel::KeyBuffer::append(std::string_view text) noexcept {
+  std::memcpy(chars.data() + size, text.data(), text.size());
+  size += text.size();
+}
+
+void CostModel::KeyBuffer::append(long long v) noexcept {
+  char* const first = chars.data();
+  size = static_cast<usize>(
+      std::to_chars(first + size, first + chars.size(), v).ptr - first);
+}
+
+std::string_view CostModel::bucket_key(const FrameFeatures& f, int backend,
+                                       DecodeTier tier, bool prep_hit,
+                                       KeyBuffer& out) const {
   const long snr_bucket =
       std::lround(std::floor(f.snr_db / opts_.snr_bucket_db));
   const long cond_bucket = std::lround(
       std::floor(std::log2(std::clamp(f.cond_proxy, 1.0, 16.0))));
-  std::ostringstream key;
-  key << 'b' << backend << ".t" << static_cast<int>(tier) << ".m" << f.num_tx
-      << ".q" << f.mod_order << ".s" << snr_bucket << ".c" << cond_bucket;
+  out.size = 0;
+  out.append("b");
+  out.append(backend);
+  out.append(".t");
+  out.append(static_cast<int>(tier));
+  out.append(".m");
+  out.append(f.num_tx);
+  out.append(".q");
+  out.append(f.mod_order);
+  out.append(".s");
+  out.append(snr_bucket);
+  out.append(".c");
+  out.append(cond_bucket);
   // Rectangular channels calibrate separately (a 128x8 decode costs nothing
   // like an 8x8 one); square frames keep the historical key shape so v1-v3
   // exports warm-start the same buckets they always did.
-  if (f.num_rx > 0 && f.num_rx != f.num_tx) key << ".r" << f.num_rx;
-  key << (prep_hit ? ".h1" : ".h0");
+  if (f.num_rx > 0 && f.num_rx != f.num_tx) {
+    out.append(".r");
+    out.append(f.num_rx);
+  }
+  out.append(prep_hit ? ".h1" : ".h0");
   // Non-fp32 datapaths calibrate separately; fp32/empty keeps the historical
   // key shape so v1/v2 exports warm-start the same buckets they always did.
   const std::string& precision = rates_[static_cast<usize>(backend)].precision;
-  if (!precision.empty() && precision != "fp32") key << ".p" << precision;
-  return key.str();
+  if (!precision.empty() && precision != "fp32") {
+    out.append(".p");
+    out.append(precision);
+  }
+  return out.view();
 }
 
 CostPrediction CostModel::predict(const FrameFeatures& f, int backend,
@@ -121,7 +144,8 @@ CostPrediction CostModel::predict(const FrameFeatures& f, int backend,
            "cost-model backend id out of range");
   const Rate& rate = rates_[static_cast<usize>(backend)];
   CostPrediction p;
-  const auto it = buckets_.find(bucket_key(f, backend, tier, prep_hit));
+  KeyBuffer key;
+  const auto it = buckets_.find(bucket_key(f, backend, tier, prep_hit, key));
   if (it != buckets_.end() && it->second.count > 0) {
     p.warm = true;
     p.nodes = it->second.nodes_ewma;
@@ -142,7 +166,12 @@ void CostModel::observe(const FrameFeatures& f, int backend, DecodeTier tier,
   std::lock_guard<std::mutex> lock(mu_);
   SD_CHECK(backend >= 0 && static_cast<usize>(backend) < rates_.size(),
            "cost-model backend id out of range");
-  Bucket& b = buckets_[bucket_key(f, backend, tier, prep_hit)];
+  KeyBuffer key_buf;
+  const std::string_view key = bucket_key(f, backend, tier, prep_hit, key_buf);
+  auto it = buckets_.find(key);
+  if (it == buckets_.end())
+    it = buckets_.emplace(std::string(key), Bucket{}).first;
+  Bucket& b = it->second;
   // Node counts are heavy-tailed (rare frames explore 10x the typical tree),
   // so the smoothing runs in log domain: the bucket tracks the geometric
   // mean, which predicts the *typical* frame instead of being dragged up by
@@ -348,6 +377,9 @@ void CostModel::import_json(std::string_view json) {
             r.overhead_s = p.parse_number();
           } else if (field == "precision") {
             r.precision = p.parse_string();
+            if (r.precision.size() > kMaxPrecisionChars) {
+              p.fail("backend precision name is too long");
+            }
           } else {
             p.fail("unknown backend field '" + field + "'");
           }

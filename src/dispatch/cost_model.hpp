@@ -20,6 +20,7 @@
 // imports its state as JSON so soaks can start warm.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "decode/channel_prep.hpp"
 #include "linalg/matrix.hpp"
 #include "serve/frame.hpp"
 
@@ -37,6 +39,8 @@ using serve::DecodeTier;
 
 /// Features extracted from one frame at submit time. Extraction is a pure
 /// function of (h, sigma2, geometry) — deterministic across runs.
+/// Everything read from H is its ChannelSummary, which a ChannelHandle
+/// carries from construction.
 struct FrameFeatures {
   index_t num_tx = 0;
   index_t num_rx = 0;  ///< receive antennas; drives the tall-channel prior
@@ -49,9 +53,10 @@ struct FrameFeatures {
   /// its whole column is.
   bool finite_h = true;
 
-  /// O(N*M) scan of the channel estimate; no QR is performed.
-  [[nodiscard]] static FrameFeatures extract(const CMat& h, double sigma2,
-                                             index_t mod_order);
+  /// O(1): reads the handle's ChannelSummary, computed when the handle
+  /// was built; no pass over H and no QR.
+  [[nodiscard]] static FrameFeatures extract(const ChannelHandle& channel,
+                                             double sigma2, index_t mod_order);
 };
 
 struct CostModelOptions {
@@ -87,6 +92,10 @@ class CostModel {
   /// historical bucket keys, so existing exports warm-start unchanged.
   int register_backend(std::string label, double seconds_per_node,
                        double overhead_s, std::string precision = "");
+
+  /// Longest precision name a backend may carry (it is part of every bucket
+  /// key of that backend).
+  static constexpr usize kMaxPrecisionChars = 32;
 
   [[nodiscard]] usize backend_count() const;
 
@@ -144,8 +153,23 @@ class CostModel {
     std::string precision;  ///< ""/"fp32" = historical keys, else ".p<name>"
   };
 
-  [[nodiscard]] std::string bucket_key(const FrameFeatures& f, int backend,
-                                       DecodeTier tier, bool prep_hit) const;
+  /// A bucket key formatted on the stack, so a lookup on an existing bucket
+  /// allocates nothing. The longest key, every numeric field at its widest
+  /// plus a kMaxPrecisionChars precision suffix, fits.
+  struct KeyBuffer {
+    std::array<char, 160> chars;
+    usize size = 0;
+    void append(std::string_view text) noexcept;
+    void append(long long v) noexcept;
+    [[nodiscard]] std::string_view view() const noexcept {
+      return {chars.data(), size};
+    }
+  };
+
+  [[nodiscard]] std::string_view bucket_key(const FrameFeatures& f,
+                                            int backend, DecodeTier tier,
+                                            bool prep_hit,
+                                            KeyBuffer& out) const;
 
   CostModelOptions opts_;
   std::vector<Rate> rates_;

@@ -272,7 +272,7 @@ serve::SubmitStatus Dispatcher::submit(serve::FrameRequest frame) {
   }
 
   const FrameFeatures f =
-      FrameFeatures::extract(frame.h(), frame.sigma2, mod_order_);
+      FrameFeatures::extract(frame.channel, frame.sigma2, mod_order_);
   const bool finite_y =
       std::all_of(frame.y.begin(), frame.y.end(), [](const cplx& v) {
         return std::isfinite(v.real()) && std::isfinite(v.imag());

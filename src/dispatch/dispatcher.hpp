@@ -9,7 +9,8 @@
 // before the deadline. The Dispatcher makes that call per frame:
 //
 //   submit(frame)
-//     -> FrameFeatures::extract          (SNR, geometry, conditioning proxy)
+//     -> FrameFeatures::extract          (SNR, geometry, conditioning proxy
+//                                         from the channel handle's summary)
 //     -> CostModel::predict per backend  (EWMA-calibrated analytic prior)
 //     -> placement policy                (round-robin / least-loaded /
 //                                         cost-aware + overload ladder)

@@ -1,5 +1,6 @@
 #include "linalg/gemm.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +23,13 @@ void check_gemm_shapes(Op op_a, const CMat& a, const CMat& b, const CMat& c) {
 /// Element of op(A) at logical position (r, c).
 inline cplx op_at(Op op, const CMat& a, index_t r, index_t c) noexcept {
   return detail::gemm_op_at(op, a, r, c);
+}
+
+/// True iff any value is NaN. Branch-free, so it vectorizes.
+bool any_nan(std::span<const real> v) noexcept {
+  bool nan = false;
+  for (const real x : v) nan |= x != x;
+  return nan;
 }
 
 GemmKernel parse_kernel_env() noexcept {
@@ -327,8 +335,35 @@ void gemv(Op op_a, cplx alpha, const CMat& a, std::span<const cplx> x,
       y[i] = overwrite ? alpha * acc : alpha * acc + beta * y[i];
     }
   } else {
-    // y = alpha * A^H x: accumulate column-wise to keep A row-major friendly.
-    // The accumulator lives in the workspace, not on the heap per call.
+    // y = alpha * A^H x: accumulate row by row so A streams in storage
+    // order; every output still reduces over the rows in ascending order.
+    const auto planes = ws.acc_planes(static_cast<usize>(m));
+    real* const acc_re = planes.data();
+    real* const acc_im = planes.data() + m;
+    std::fill(planes.begin(), planes.end(), real{0});
+    for (index_t r = 0; r < a.rows(); ++r) {
+      const real* row = reinterpret_cast<const real*>(a.row(r).data());
+      const real xr = x[static_cast<usize>(r)].real();
+      const real xi = x[static_cast<usize>(r)].imag();
+      for (index_t i = 0; i < m; ++i) {
+        // acc[i] += conj(row[i]) * x[r], in the float operations of
+        // std::complex's multiply and add.
+        const real ur = row[2 * i];
+        const real ui = -row[2 * i + 1];
+        acc_re[i] += ur * xr - ui * xi;
+        acc_im[i] += ur * xi + ui * xr;
+      }
+    }
+    if (!any_nan(planes)) {
+      for (index_t i = 0; i < m; ++i) {
+        const cplx acc(acc_re[i], acc_im[i]);
+        y[i] = overwrite ? alpha * acc : alpha * acc + beta * y[i];
+      }
+      return;
+    }
+    // A NaN sum: some product may have taken std::complex's NaN-recovery
+    // path, which the real form skips, so the whole product is redone the
+    // std::complex way.
     const auto acc = ws.gemv_acc(static_cast<usize>(m));
     std::fill(acc.begin(), acc.end(), cplx{0, 0});
     for (index_t r = 0; r < a.rows(); ++r) {
@@ -340,6 +375,55 @@ void gemv(Op op_a, cplx alpha, const CMat& a, std::span<const cplx> x,
     }
     for (index_t i = 0; i < m; ++i) {
       y[i] = overwrite ? alpha * acc[i] : alpha * acc[i] + beta * y[i];
+    }
+  }
+}
+
+void gram_into(const CMat& h, CMat& g) {
+  gram_into(h, g, GemmWorkspace::thread_local_instance());
+}
+
+void gram_into(const CMat& h, CMat& g, GemmWorkspace& ws) {
+  const index_t m = h.cols();
+  const usize mm = static_cast<usize>(m) * static_cast<usize>(m);
+  g.reshape(m, m);
+  // Real plane: the m*m real sums, then row p's m real parts; imag plane
+  // likewise.
+  const auto planes = ws.acc_planes(mm + static_cast<usize>(m));
+  real* const acc_re = planes.data();
+  real* const row_re = acc_re + mm;
+  real* const acc_im = row_re + m;
+  real* const row_im = acc_im + mm;
+  std::fill(acc_re, acc_re + mm, real{0});
+  std::fill(acc_im, acc_im + mm, real{0});
+  for (index_t p = 0; p < h.rows(); ++p) {
+    const auto hp = h.row(p);
+    for (index_t j = 0; j < m; ++j) {
+      row_re[j] = hp[static_cast<usize>(j)].real();
+      row_im[j] = hp[static_cast<usize>(j)].imag();
+    }
+    for (index_t i = 0; i < m; ++i) {
+      // G(i, j) += conj(H(p, i)) * H(p, j), as gemm_naive's std::complex
+      // multiply and add compute it.
+      const real ur = row_re[i];
+      const real ui = -row_im[i];
+      real* const gre = acc_re + static_cast<usize>(i) * m;
+      real* const gim = acc_im + static_cast<usize>(i) * m;
+      for (index_t j = 0; j < m; ++j) {
+        gre[j] += ur * row_re[j] - ui * row_im[j];
+        gim[j] += ur * row_im[j] + ui * row_re[j];
+      }
+    }
+  }
+  if (any_nan({acc_re, mm}) || any_nan({acc_im, mm})) {
+    gemm_naive(Op::kConjTrans, cplx{1, 0}, h, h, cplx{0, 0}, g);
+    return;
+  }
+  const cplx alpha{1, 0};
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < m; ++j) {
+      const usize e = static_cast<usize>(i) * m + static_cast<usize>(j);
+      g(i, j) = alpha * cplx(acc_re[e], acc_im[e]);
     }
   }
 }

@@ -129,12 +129,24 @@ void gemm_grouped(cplx alpha, const CMat& a_stack, index_t k, const CMat& b,
                   GemmWorkspace& ws);
 
 /// y = alpha * op(A) * x + beta * y (BLAS-2). Shapes: op(A) is m x k, x has
-/// length k, y has length m. The conjugate-transpose path accumulates in a
-/// workspace buffer (thread-local default when none is given).
+/// length k, y has length m. The conjugate-transpose path (the matched
+/// filter H^H y) accumulates in workspace buffers (thread-local default
+/// when none is given), in explicit real arithmetic that keeps each
+/// output's ascending-row reduction and its bits; like gram_into, it falls
+/// back to the std::complex loop when a sum turns NaN.
 void gemv(Op op_a, cplx alpha, const CMat& a, std::span<const cplx> x,
           cplx beta, std::span<cplx> y);
 void gemv(Op op_a, cplx alpha, const CMat& a, std::span<const cplx> x,
           cplx beta, std::span<cplx> y, GemmWorkspace& ws);
+
+/// Gram matrix G = H^H H into `g` (reshaped to cols x cols). Bitwise equal
+/// to gemm_naive(Op::kConjTrans, 1, h, h, 0, g): every element reduces over
+/// the rows in ascending order with the same float operations, written as
+/// explicit real arithmetic the compiler vectorizes. An input that makes
+/// any sum NaN is recomputed by the std::complex loop, whose NaN recovery
+/// the real form does not reproduce.
+void gram_into(const CMat& h, CMat& g);
+void gram_into(const CMat& h, CMat& g, GemmWorkspace& ws);
 
 /// Complex multiply-add FLOP count of one m x n x k GEMM. One complex MAC is
 /// 8 real FLOPs (4 mul + 4 add); used by the device timing models.

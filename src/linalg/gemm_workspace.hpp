@@ -54,6 +54,13 @@ class GemmWorkspace {
   /// Column accumulator of the conjugate-transpose gemv path.
   [[nodiscard]] std::span<cplx> gemv_acc(usize n) { return ensure(acc_, n); }
 
+  /// Split-complex accumulators of the real-arithmetic gemv / Gram
+  /// kernels: 2*n floats, the real plane in [0, n), the imag plane in
+  /// [n, 2n).
+  [[nodiscard]] std::span<real> acc_planes(usize n) {
+    return ensure(acc_planes_, 2 * n);
+  }
+
   [[nodiscard]] const GemmWorkspaceStats& stats() const noexcept {
     return stats_;
   }
@@ -91,6 +98,7 @@ class GemmWorkspace {
   std::vector<cplx> acc_;
   std::vector<real> a_planes_;
   std::vector<real> b_planes_;
+  std::vector<real> acc_planes_;
   GemmWorkspaceStats stats_;
 };
 

@@ -262,8 +262,8 @@ CVec lu_solve(const Lu& f, std::span<const cplx> b) {
 CMat inverse(const CMat& a) { return lu_inverse(lu_decompose(a)); }
 
 CMat gram(const CMat& h) {
-  CMat g(h.cols(), h.cols());
-  gemm_naive(Op::kConjTrans, cplx{1, 0}, h, h, cplx{0, 0}, g);
+  CMat g;
+  gram_into(h, g);
   return g;
 }
 

@@ -37,8 +37,9 @@ AdmissionController::AdmissionController(AdmissionOptions opts,
       Constellation::get(dispatcher_.system().modulation).order();
 }
 
-AdmitDecision AdmissionController::decide(const CMat& h, double sigma2,
-                                          double deadline_s, QosClass qos) {
+AdmitDecision AdmissionController::decide(const ChannelHandle& channel,
+                                          double sigma2, double deadline_s,
+                                          QosClass qos) {
   AdmitDecision d;
   const auto q = static_cast<usize>(qos);
   d.budget_s = deadline_s > 0.0 ? deadline_s : opts_.class_deadline_s[q];
@@ -50,7 +51,7 @@ AdmitDecision AdmissionController::decide(const CMat& h, double sigma2,
   if (!std::isfinite(d.budget_s)) d.budget_s = 0.0;
 
   const dispatch::FrameFeatures f =
-      dispatch::FrameFeatures::extract(h, sigma2, mod_order_);
+      dispatch::FrameFeatures::extract(channel, sigma2, mod_order_);
   const unsigned lanes = std::max(1u, dispatcher_.total_lanes());
 
   // Cheapest predicted service time at a tier, across the backends whose

@@ -102,9 +102,11 @@ class AdmissionController {
   /// Decides one frame. On kAdmit the caller must submit it (with
   /// FrameRequest::start_tier = decision.tier) and later report its terminal
   /// FrameResult via on_complete — the outstanding count and service EWMA
-  /// depend on that contract. Thread-safe.
-  [[nodiscard]] AdmitDecision decide(const CMat& h, double sigma2,
-                                     double deadline_s, QosClass qos);
+  /// depend on that contract. Thread-safe. The channel's features come from
+  /// the handle's stored summary, not from a pass over H.
+  [[nodiscard]] AdmitDecision decide(const ChannelHandle& channel,
+                                     double sigma2, double deadline_s,
+                                     QosClass qos);
 
   /// Terminal-state hook for every admitted frame.
   void on_complete(const serve::FrameResult& r);

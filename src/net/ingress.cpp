@@ -37,6 +37,7 @@ void NetStats::export_counters(obs::CounterRegistry& registry,
 IngressServer::IngressServer(ShardedServer& shards, IngressOptions options)
     : shards_(shards), opts_(std::move(options)) {
   SD_CHECK(opts_.read_chunk_bytes >= 64, "ingress read chunk too small");
+  read_buf_.resize(opts_.read_chunk_bytes);
   SD_CHECK(opts_.channel_cache_capacity >= 1,
            "ingress channel cache needs room for one channel");
   if (!opts_.uds_path.empty()) uds_listener_ = listen_uds(opts_.uds_path);
@@ -106,13 +107,15 @@ void IngressServer::io_loop() {
           std::move(accepted), opts_.max_message_bytes,
           opts_.channel_cache_capacity));
     }
-    // Snapshot: handle_readable may drop connections out of conns_.
-    std::vector<std::shared_ptr<Connection>> readable;
+    // Snapshot: handle_readable may drop connections out of conns_. The
+    // vector keeps its capacity across wakes; clearing it after the pass
+    // releases dropped connections at once.
     for (usize i = first_conn; i < pfds.size(); ++i) {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
-        readable.push_back(conns_[i - first_conn]);
+        readable_.push_back(conns_[i - first_conn]);
     }
-    for (const auto& c : readable) handle_readable(c);
+    for (const auto& c : readable_) handle_readable(c);
+    readable_.clear();
   }
   // Stop accepting; close the read side of every connection. Responses for
   // frames already in the pool still flow on lane threads.
@@ -121,7 +124,7 @@ void IngressServer::io_loop() {
 }
 
 void IngressServer::handle_readable(const std::shared_ptr<Connection>& conn) {
-  std::vector<std::uint8_t> chunk(opts_.read_chunk_bytes);
+  std::vector<std::uint8_t>& chunk = read_buf_;
   for (;;) {
     const ssize_t n = ::read(conn->sock.fd(), chunk.data(), chunk.size());
     if (n < 0) {

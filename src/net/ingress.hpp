@@ -169,6 +169,11 @@ class IngressServer {
   bool stopped_ = false;
 
   std::vector<std::shared_ptr<Connection>> conns_;  ///< IO thread only
+  /// IO thread only: the one read buffer every connection's reads land in
+  /// (read_chunk_bytes, allocated once), and the per-wake snapshot of
+  /// readable connections, reused across wakes.
+  std::vector<std::uint8_t> read_buf_;
+  std::vector<std::shared_ptr<Connection>> readable_;
 
   /// Server-assigned frame id -> response routing. Lane threads erase.
   mutable std::mutex pending_mu_;

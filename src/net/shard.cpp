@@ -58,7 +58,7 @@ ShardSubmit ShardedServer::submit(std::uint32_t cell_id,
                                   AdmitDecision* decision) {
   Shard& sh = *shards_[router_.route(cell_id)];
   const AdmitDecision d =
-      sh.admission->decide(frame.h(), frame.sigma2, frame.deadline_s, qos);
+      sh.admission->decide(frame.channel, frame.sigma2, frame.deadline_s, qos);
   if (decision != nullptr) *decision = d;
   if (d.action == AdmitAction::kShed) return ShardSubmit::kShed;
   frame.start_tier = d.tier;

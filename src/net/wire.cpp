@@ -11,54 +11,37 @@ namespace sd::net {
 
 namespace {
 
-// Explicit little-endian serialization: the wire format is defined, not
-// "whatever this host's memcpy does", so heterogeneous peers interoperate.
+// The wire format is little-endian by definition. On a little-endian host
+// an integer's or float's memory bytes ARE its wire bytes, and a
+// std::complex<float> array is its (re, im) f32 pairs in wire order, so
+// whole headers and H / y arrays move with memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "the bulk wire codec assumes a little-endian host");
+static_assert(sizeof(cplx) == 2 * sizeof(float));
+static_assert(sizeof(index_t) == sizeof(std::uint32_t));
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+template <typename T>
+void store(std::uint8_t* p, T v) noexcept {
+  std::memcpy(p, &v, sizeof(T));
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-[[nodiscard]] std::uint16_t get_u16(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+template <typename T>
+[[nodiscard]] T load(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
   return v;
 }
 
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[nodiscard]] float get_f32(const std::uint8_t* p) noexcept {
-  return std::bit_cast<float>(get_u32(p));
-}
-
-[[nodiscard]] double get_f64(const std::uint8_t* p) noexcept {
-  return std::bit_cast<double>(get_u64(p));
+/// True iff none of the `n` f32 values at `p` is an Inf or a NaN (all
+/// exponent bits set). One branch-free sweep the compiler vectorizes.
+[[nodiscard]] bool all_finite(const cplx* p, usize n) noexcept {
+  const auto* f = reinterpret_cast<const float*>(p);
+  std::uint32_t bad = 0;
+  for (usize i = 0; i < 2 * n; ++i) {
+    const auto bits = std::bit_cast<std::uint32_t>(f[i]);
+    bad |= static_cast<std::uint32_t>((bits & 0x7F800000u) == 0x7F800000u);
+  }
+  return bad == 0;
 }
 
 // Message envelope: [u32 magic][u8 version][u8 type] after the length field.
@@ -75,10 +58,13 @@ constexpr usize kResponseFixedBytes = 8 + 4 + 1 + 1 + 1 + 1 + 8 + 2;
 constexpr std::uint8_t kFlagHasChannel = 0x01;
 constexpr std::uint8_t kKnownFlags = kFlagHasChannel;
 
-void put_envelope(std::vector<std::uint8_t>& out, WireType type) {
-  put_u32(out, kWireMagic);
-  out.push_back(kWireVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
+/// Writes the length prefix and the envelope of a `total`-byte message
+/// (prefix included) at `p`.
+void put_envelope(std::uint8_t* p, usize total, WireType type) noexcept {
+  store(p, static_cast<std::uint32_t>(total - 4));
+  store(p + 4, kWireMagic);
+  p[8] = kWireVersion;
+  p[9] = static_cast<std::uint8_t>(type);
 }
 
 }  // namespace
@@ -150,57 +136,51 @@ void encode_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
                cols >= 1 && cols <= static_cast<index_t>(kMaxWireDim),
            "wire frame dimensions out of range");
 
+  const usize total = encoded_frame_bytes(rows, cols, frame.has_channel);
   const usize start = out.size();
-  put_u32(out, 0);  // length back-patched below
-  put_envelope(out, WireType::kFrame);
-  put_u32(out, frame.cell_id);
-  put_u64(out, frame.frame_id);
-  out.push_back(static_cast<std::uint8_t>(frame.qos));
-  out.push_back(frame.has_channel ? kFlagHasChannel : 0);
-  put_u16(out, static_cast<std::uint16_t>(rows));
-  put_u16(out, static_cast<std::uint16_t>(cols));
-  put_u16(out, 0);  // reserved
-  put_f64(out, frame.deadline_s);
-  put_f64(out, frame.sigma2);
-  put_u64(out, frame.channel_fp);
+  out.resize(start + total);
+  std::uint8_t* p = out.data() + start;
+  put_envelope(p, total, WireType::kFrame);
+  std::uint8_t* q = p + 4 + kEnvelopeBytes;
+  store(q, frame.cell_id);
+  store(q + 4, frame.frame_id);
+  q[12] = static_cast<std::uint8_t>(frame.qos);
+  q[13] = frame.has_channel ? kFlagHasChannel : 0;
+  store(q + 14, static_cast<std::uint16_t>(rows));
+  store(q + 16, static_cast<std::uint16_t>(cols));
+  store(q + 18, std::uint16_t{0});  // reserved
+  store(q + 20, frame.deadline_s);
+  store(q + 28, frame.sigma2);
+  store(q + 36, frame.channel_fp);
+  q += kFrameFixedBytes;
   if (frame.has_channel) {
-    for (index_t r = 0; r < rows; ++r) {
-      for (index_t c = 0; c < cols; ++c) {
-        put_f32(out, frame.h(r, c).real());
-        put_f32(out, frame.h(r, c).imag());
-      }
-    }
+    const usize h_bytes = frame.h.size() * sizeof(cplx);
+    std::memcpy(q, frame.h.data(), h_bytes);
+    q += h_bytes;
   }
-  for (const cplx& v : frame.y) {
-    put_f32(out, v.real());
-    put_f32(out, v.imag());
-  }
-  const auto len = static_cast<std::uint32_t>(out.size() - start - 4);
-  for (int i = 0; i < 4; ++i)
-    out[start + static_cast<usize>(i)] =
-        static_cast<std::uint8_t>(len >> (8 * i));
+  std::memcpy(q, frame.y.data(), frame.y.size() * sizeof(cplx));
 }
 
 void encode_response(const WireResponse& resp, std::vector<std::uint8_t>& out) {
   SD_CHECK(resp.indices.size() <= kMaxWireDim,
            "wire response carries too many indices");
+  const usize index_bytes = resp.indices.size() * sizeof(std::uint32_t);
+  const usize total = 4 + kEnvelopeBytes + kResponseFixedBytes + index_bytes;
   const usize start = out.size();
-  put_u32(out, 0);
-  put_envelope(out, WireType::kResponse);
-  put_u64(out, resp.frame_id);
-  put_u32(out, resp.cell_id);
-  out.push_back(static_cast<std::uint8_t>(resp.status));
-  out.push_back(static_cast<std::uint8_t>(resp.tier));
-  out.push_back(static_cast<std::uint8_t>(resp.qos));
-  out.push_back(0);  // reserved
-  put_f64(out, resp.metric);
-  put_u16(out, static_cast<std::uint16_t>(resp.indices.size()));
-  for (index_t idx : resp.indices)
-    put_u32(out, static_cast<std::uint32_t>(idx));
-  const auto len = static_cast<std::uint32_t>(out.size() - start - 4);
-  for (int i = 0; i < 4; ++i)
-    out[start + static_cast<usize>(i)] =
-        static_cast<std::uint8_t>(len >> (8 * i));
+  out.resize(start + total);
+  std::uint8_t* p = out.data() + start;
+  put_envelope(p, total, WireType::kResponse);
+  std::uint8_t* q = p + 4 + kEnvelopeBytes;
+  store(q, resp.frame_id);
+  store(q + 8, resp.cell_id);
+  q[12] = static_cast<std::uint8_t>(resp.status);
+  q[13] = static_cast<std::uint8_t>(resp.tier);
+  q[14] = static_cast<std::uint8_t>(resp.qos);
+  q[15] = 0;  // reserved
+  store(q + 16, resp.metric);
+  store(q + 24, static_cast<std::uint16_t>(resp.indices.size()));
+  if (index_bytes > 0)
+    std::memcpy(q + kResponseFixedBytes, resp.indices.data(), index_bytes);
 }
 
 WireDecoder::WireDecoder(usize max_message_bytes)
@@ -227,7 +207,7 @@ WireDecoder::Next WireDecoder::next(WireFrame& frame, WireResponse& resp) {
   const usize avail = buf_.size() - pos_;
   if (avail < 4) return Next::kNeedMore;
   const std::uint8_t* base = buf_.data() + pos_;
-  const std::uint32_t len = get_u32(base);
+  const std::uint32_t len = load<std::uint32_t>(base);
   // The length check runs BEFORE waiting for the payload: a hostile 4 GiB
   // prefix must not make the server buffer anything.
   if (len > max_message_) return fail(WireError::kOversized);
@@ -235,7 +215,7 @@ WireDecoder::Next WireDecoder::next(WireFrame& frame, WireResponse& resp) {
   if (avail < 4 + static_cast<usize>(len)) return Next::kNeedMore;
 
   const std::uint8_t* p = base + 4;
-  if (get_u32(p) != kWireMagic) return fail(WireError::kBadMagic);
+  if (load<std::uint32_t>(p) != kWireMagic) return fail(WireError::kBadMagic);
   if (p[4] != kWireVersion) return fail(WireError::kBadVersion);
   const std::uint8_t type = p[5];
   const std::uint8_t* payload = p + kEnvelopeBytes;
@@ -259,21 +239,21 @@ WireDecoder::Next WireDecoder::next(WireFrame& frame, WireResponse& resp) {
 WireDecoder::Next WireDecoder::parse_frame(const std::uint8_t* p, usize n,
                                            WireFrame& frame) {
   if (n < kFrameFixedBytes) return fail(WireError::kTruncated);
-  frame.cell_id = get_u32(p);
-  frame.frame_id = get_u64(p + 4);
+  frame.cell_id = load<std::uint32_t>(p);
+  frame.frame_id = load<std::uint64_t>(p + 4);
   const std::uint8_t qos = p[12];
   const std::uint8_t flags = p[13];
-  const std::uint16_t rows = get_u16(p + 14);
-  const std::uint16_t cols = get_u16(p + 16);
+  const std::uint16_t rows = load<std::uint16_t>(p + 14);
+  const std::uint16_t cols = load<std::uint16_t>(p + 16);
   if (!qos_class_valid(qos)) return fail(WireError::kBadField);
   if ((flags & ~kKnownFlags) != 0) return fail(WireError::kBadField);
   if (rows < 1 || rows > kMaxWireDim || cols < 1 || cols > kMaxWireDim)
     return fail(WireError::kBadField);
   frame.qos = static_cast<QosClass>(qos);
   frame.has_channel = (flags & kFlagHasChannel) != 0;
-  frame.deadline_s = get_f64(p + 20);
-  frame.sigma2 = get_f64(p + 28);
-  frame.channel_fp = get_u64(p + 36);
+  frame.deadline_s = load<double>(p + 20);
+  frame.sigma2 = load<double>(p + 28);
+  frame.channel_fp = load<std::uint64_t>(p + 36);
   // A detector needs a positive, finite noise variance: sigma2 = 0 sends a
   // noise-scaled radius to zero and an unbounded search to its frontier cap.
   if (!(frame.deadline_s >= 0.0) || !(frame.sigma2 > 0.0) ||
@@ -290,41 +270,30 @@ WireDecoder::Next WireDecoder::parse_frame(const std::uint8_t* p, usize n,
   const std::uint8_t* q = p + kFrameFixedBytes;
   if (frame.has_channel) {
     frame.h.reshape(rows, cols);
-    for (index_t r = 0; r < rows; ++r) {
-      for (index_t c = 0; c < cols; ++c) {
-        const float re = get_f32(q);
-        const float im = get_f32(q + 4);
-        if (!std::isfinite(re) || !std::isfinite(im))
-          return fail(WireError::kBadField);
-        frame.h(r, c) = cplx(re, im);
-        q += 8;
-      }
-    }
+    std::memcpy(frame.h.data(), q, h_bytes);
+    if (!all_finite(frame.h.data(), frame.h.size()))
+      return fail(WireError::kBadField);
     // The declared fingerprint must be the content hash of the shipped
     // bytes; otherwise later by-reference frames would silently bind to the
     // wrong channel. Verified here, at the protocol boundary.
     if (channel_fingerprint(frame.h) != frame.channel_fp)
       return fail(WireError::kFingerprintMismatch);
+    q += h_bytes;
   } else {
     frame.h.reshape(0, 0);
   }
   frame.y.resize(rows);
-  for (std::uint16_t r = 0; r < rows; ++r) {
-    const float re = get_f32(q);
-    const float im = get_f32(q + 4);
-    if (!std::isfinite(re) || !std::isfinite(im))
-      return fail(WireError::kBadField);
-    frame.y[r] = cplx(re, im);
-    q += 8;
-  }
+  std::memcpy(frame.y.data(), q, y_bytes);
+  if (!all_finite(frame.y.data(), frame.y.size()))
+    return fail(WireError::kBadField);
   return Next::kFrame;
 }
 
 WireDecoder::Next WireDecoder::parse_response(const std::uint8_t* p, usize n,
                                               WireResponse& resp) {
   if (n < kResponseFixedBytes) return fail(WireError::kTruncated);
-  resp.frame_id = get_u64(p);
-  resp.cell_id = get_u32(p + 8);
+  resp.frame_id = load<std::uint64_t>(p);
+  resp.cell_id = load<std::uint32_t>(p + 8);
   const std::uint8_t status = p[12];
   const std::uint8_t tier = p[13];
   const std::uint8_t qos = p[14];
@@ -336,17 +305,15 @@ WireDecoder::Next WireDecoder::parse_response(const std::uint8_t* p, usize n,
   resp.status = static_cast<WireFrameStatus>(status);
   resp.tier = static_cast<serve::DecodeTier>(tier);
   resp.qos = static_cast<QosClass>(qos);
-  resp.metric = get_f64(p + 16);
-  const std::uint16_t count = get_u16(p + 24);
+  resp.metric = load<double>(p + 16);
+  const std::uint16_t count = load<std::uint16_t>(p + 24);
   if (count > kMaxWireDim) return fail(WireError::kBadField);
   if (n != kResponseFixedBytes + usize{count} * 4)
     return fail(WireError::kBadLength);
-  const std::uint8_t* q = p + kResponseFixedBytes;
   resp.indices.resize(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    resp.indices[i] = static_cast<index_t>(get_u32(q));
-    q += 4;
-  }
+  if (count > 0)
+    std::memcpy(resp.indices.data(), p + kResponseFixedBytes,
+                usize{count} * sizeof(std::uint32_t));
   return Next::kResponse;
 }
 

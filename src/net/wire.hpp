@@ -3,11 +3,15 @@
 //
 // Every message on a connection is [u32 length][u32 magic][u8 version]
 // [u8 type][payload], all little-endian, where `length` counts the bytes
-// after the length field itself. Two message types flow:
+// after the length field itself. Floats travel as IEEE-754 binary32/64, and
+// H and y as (re, im) f32 pairs, so on a little-endian host (the codec
+// static_asserts one) headers and arrays are copied in bulk. Two message
+// types flow:
 //
 //   kFrame    client -> server: one received MIMO vector. The header carries
 //             cell id, frame id, QoS class, deadline budget, sigma2, and the
-//             channel's content fingerprint; the channel matrix itself is
+//             channel's content fingerprint (channel_fingerprint in
+//             decode/channel_prep.hpp); the channel matrix itself is
 //             OPTIONAL (flag bit) — coherent frames of one block send H once
 //             and later frames reference it by fingerprint, which the
 //             server resolves from its per-connection channel cache.
@@ -38,7 +42,10 @@
 namespace sd::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x53444E46u;  // "SDNF"
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Version 2: the fingerprint field carries the four-lane word hash of
+/// channel_fingerprint (version 1 carried a byte-wise FNV-1a). The layout
+/// is unchanged; a version-1 peer is refused with kBadVersion.
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Hard ceiling on one message (length prefix); anything larger is a
 /// protocol error before a single payload byte is buffered.
 inline constexpr usize kMaxMessageBytes = 1u << 24;  // 16 MiB

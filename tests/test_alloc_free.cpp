@@ -22,6 +22,7 @@
 #include "decode/mmse_neumann.hpp"
 #include "decode/sd_gemm.hpp"
 #include "decode/sd_gemm_bfs.hpp"
+#include "dispatch/cost_model.hpp"
 #include "linalg/gemm.hpp"
 #include "obs/alloc_count.hpp"
 #include "obs/counters.hpp"
@@ -347,6 +348,43 @@ TEST_F(AllocFree, MmseNeumannCachedPrepDecodeIsAllocationFreeAfterWarmup) {
       << "decodes)";
   EXPECT_EQ(result.indices, warm_result.indices);
   EXPECT_EQ(result.metric, warm_result.metric);
+}
+
+TEST_F(AllocFree, CostModelLookupsOnAnExistingBucketAllocateNothing) {
+  // Admission and placement price every frame under the cost-model mutex;
+  // the bucket key is formatted on the stack, so neither predict nor
+  // observe touches the heap once the bucket exists.
+  dispatch::CostModel cm;
+  const int fp32 = cm.register_backend("cpu", 150e-9, 30e-6);
+  const int i16 = cm.register_backend("cpu-int16", 90e-9, 20e-6, "int16");
+  dispatch::FrameFeatures f;
+  f.num_tx = 8;
+  f.num_rx = 128;
+  f.mod_order = 16;
+  f.snr_db = -3.0;
+  f.cond_proxy = 2.5;
+  for (const int b : {fp32, i16}) {
+    cm.observe(f, b, dispatch::DecodeTier::kMmseApprox, 40, 2e-6, true);
+  }
+  const usize buckets = cm.bucket_count();
+
+  double sink = 0.0;
+  const obs::AllocCounts before = obs::alloc_counts();
+  for (int rep = 0; rep < 100; ++rep) {
+    for (const int b : {fp32, i16}) {
+      sink += cm.predict(f, b, dispatch::DecodeTier::kMmseApprox, true).seconds;
+      // A cold bucket is priced from the prior without being created.
+      sink += cm.predict(f, b, dispatch::DecodeTier::kPrimary, false).seconds;
+      cm.observe(f, b, dispatch::DecodeTier::kMmseApprox, 40 + rep, 2e-6,
+                 true);
+    }
+  }
+  const obs::AllocCounts after = obs::alloc_counts();
+  EXPECT_EQ(after.allocations, before.allocations)
+      << "cost model: " << (after.allocations - before.allocations)
+      << " allocations over 400 lookups";
+  EXPECT_EQ(cm.bucket_count(), buckets);
+  EXPECT_GT(sink, 0.0);
 }
 
 TEST_F(AllocFree, ExportedCountersReflectTraffic) {

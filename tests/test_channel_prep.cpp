@@ -9,11 +9,17 @@
 // under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "decode/channel_prep.hpp"
+#include "dispatch/cost_model.hpp"
+#include "mimo/channel.hpp"
 #include "decode/parallel_sd.hpp"
 #include "decode/sd_gemm.hpp"
 #include "test_util.hpp"
@@ -41,10 +47,153 @@ TEST(ChannelPrep, FingerprintIsContentDerived) {
   CMat wide(1, 4);
   CMat tall(4, 1);
   for (index_t i = 0; i < 4; ++i) {
-    wide(0, i) = cplx{static_cast<double>(i), 0.0};
-    tall(i, 0) = cplx{static_cast<double>(i), 0.0};
+    wide(0, i) = cplx{static_cast<real>(i), 0.0f};
+    tall(i, 0) = cplx{static_cast<real>(i), 0.0f};
   }
   EXPECT_NE(channel_fingerprint(wide), channel_fingerprint(tall));
+}
+
+TEST(ChannelFingerprint, EqualContentGivesEqualFingerprints) {
+  const CMat h = testing::random_cmat(128, 8, 42);
+  const CMat copy = h;
+  EXPECT_EQ(channel_fingerprint(h), channel_fingerprint(copy));
+  EXPECT_EQ(ChannelHandle(h).fingerprint(), channel_fingerprint(h));
+  // The attached-fingerprint constructor stores what it is given.
+  EXPECT_EQ(ChannelHandle(h, 12345).fingerprint(), 12345u);
+}
+
+TEST(ChannelFingerprint, EverySingleBitFlipOfA4x4ChangesIt) {
+  // 4x4 fills the four lanes evenly; 3x5 leaves three entries for the tail.
+  for (const auto& [rows, cols] : {std::pair{4, 4}, std::pair{3, 5}}) {
+    const CMat h = testing::random_cmat(rows, cols, 43);
+    const std::uint64_t fp = channel_fingerprint(h);
+    std::vector<std::uint64_t> seen;
+    for (usize e = 0; e < h.size(); ++e) {
+      for (int bit = 0; bit < 64; ++bit) {
+        CMat flipped = h;
+        cplx& v = flipped.data()[e];
+        v = std::bit_cast<cplx>(std::bit_cast<std::uint64_t>(v) ^
+                                (std::uint64_t{1} << bit));
+        const std::uint64_t f = channel_fingerprint(flipped);
+        EXPECT_NE(f, fp) << rows << "x" << cols << " entry " << e << " bit "
+                         << bit;
+        seen.push_back(f);
+      }
+    }
+    // And the one-bit neighbours are pairwise distinct.
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+  }
+}
+
+TEST(ChannelFingerprint, WideAndTallShapesDiffer) {
+  // The same entry bytes under every factorization of 24 entries.
+  const CMat src = testing::random_cmat(1, 24, 44);
+  std::vector<std::uint64_t> fps;
+  for (index_t rows : {1, 2, 3, 4, 6, 8, 12, 24}) {
+    CMat h(rows, 24 / rows);
+    std::memcpy(h.data(), src.data(), src.size() * sizeof(cplx));
+    fps.push_back(channel_fingerprint(h));
+  }
+  std::sort(fps.begin(), fps.end());
+  EXPECT_EQ(std::adjacent_find(fps.begin(), fps.end()), fps.end());
+  // Zero matrices of different shapes differ too, empty ones included.
+  EXPECT_NE(channel_fingerprint(CMat(2, 3)), channel_fingerprint(CMat(3, 2)));
+  EXPECT_NE(channel_fingerprint(CMat(1, 1)), channel_fingerprint(CMat()));
+  EXPECT_NE(channel_fingerprint(CMat(3, 0)), channel_fingerprint(CMat(5, 0)));
+}
+
+/// FrameFeatures::extract's scan of H as it was before the summary moved
+/// onto the handle: the reference the handle's features must reproduce bit
+/// for bit.
+dispatch::FrameFeatures reference_features(const CMat& h, double sigma2,
+                                           index_t mod_order) {
+  dispatch::FrameFeatures f;
+  f.num_tx = h.cols();
+  f.num_rx = h.rows();
+  f.mod_order = mod_order;
+  f.sigma2 = sigma2;
+  f.snr_db = sigma2 > 0.0 && h.cols() > 0 ? sigma2_to_snr_db(sigma2, h.cols())
+                                          : 60.0;
+  double min_norm = std::numeric_limits<double>::infinity();
+  double max_norm = 0.0;
+  for (index_t c = 0; c < h.cols(); ++c) {
+    double norm2 = 0.0;
+    for (index_t r = 0; r < h.rows(); ++r) {
+      const double re = h(r, c).real();
+      const double im = h(r, c).imag();
+      norm2 += re * re + im * im;
+    }
+    f.finite_h = f.finite_h && std::isfinite(norm2);
+    min_norm = std::min(min_norm, norm2);
+    max_norm = std::max(max_norm, norm2);
+  }
+  f.cond_proxy = min_norm > 0.0 ? std::sqrt(max_norm / min_norm) : 16.0;
+  f.cond_proxy = std::clamp(f.cond_proxy, 1.0, 16.0);
+  return f;
+}
+
+void expect_same_features(const dispatch::FrameFeatures& a,
+                          const dispatch::FrameFeatures& b) {
+  EXPECT_EQ(a.num_tx, b.num_tx);
+  EXPECT_EQ(a.num_rx, b.num_rx);
+  EXPECT_EQ(a.mod_order, b.mod_order);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.sigma2),
+            std::bit_cast<std::uint64_t>(b.sigma2));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.snr_db),
+            std::bit_cast<std::uint64_t>(b.snr_db));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cond_proxy),
+            std::bit_cast<std::uint64_t>(b.cond_proxy));
+  EXPECT_EQ(a.finite_h, b.finite_h);
+}
+
+TEST(ChannelSummary, HandleFeaturesEqualAScanOfH) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<CMat> channels;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const auto rows = static_cast<index_t>(1 + seed % 9 + (seed % 4) * 30);
+    const auto cols = static_cast<index_t>(1 + seed % 8);
+    channels.push_back(testing::random_cmat(rows, cols, 500 + seed));
+  }
+  CMat zero_col = testing::random_cmat(10, 10, 45);
+  for (index_t r = 0; r < 10; ++r) zero_col(r, 3) = cplx{0.0f, -0.0f};
+  channels.push_back(zero_col);
+  CMat inf_col = testing::random_cmat(10, 10, 46);
+  inf_col(4, 7) = cplx{inf, 0.0f};
+  channels.push_back(inf_col);
+  CMat nan_col = testing::random_cmat(128, 8, 47);
+  nan_col(90, 0) = cplx{1.0f, nan};
+  channels.push_back(nan_col);
+  CMat spread = testing::random_cmat(12, 4, 48);
+  for (index_t r = 0; r < 12; ++r) spread(r, 1) *= 1e-3f;  // clamps at 16
+  channels.push_back(spread);
+  channels.push_back(CMat(4, 4));  // all zero
+
+  for (const CMat& h : channels) {
+    const ChannelHandle handle(h);
+    for (const double sigma2 : {0.0, 1e-3, 0.25, 3.0}) {
+      const dispatch::FrameFeatures want = reference_features(h, sigma2, 16);
+      SCOPED_TRACE(::testing::Message() << h.rows() << "x" << h.cols()
+                                        << " sigma2=" << sigma2);
+      expect_same_features(
+          dispatch::FrameFeatures::extract(handle, sigma2, 16), want);
+    }
+  }
+  EXPECT_FALSE(ChannelHandle(inf_col).summary().finite);
+  EXPECT_FALSE(ChannelHandle(nan_col).summary().finite);
+  EXPECT_TRUE(ChannelHandle(zero_col).summary().finite);
+  EXPECT_EQ(ChannelHandle(zero_col).summary().min_col_norm2, 0.0);
+}
+
+TEST(ChannelSummary, AttachedFingerprintStillSummarizesH) {
+  CMat h = testing::random_cmat(8, 4, 49);
+  h(2, 2) = cplx{std::numeric_limits<float>::infinity(), 0.0f};
+  const ChannelHandle with_fp(h, 7);
+  const ChannelHandle plain(h);
+  EXPECT_FALSE(with_fp.summary().finite);
+  EXPECT_EQ(with_fp.summary().min_col_norm2, plain.summary().min_col_norm2);
+  EXPECT_EQ(with_fp.summary().max_col_norm2, plain.summary().max_col_norm2);
 }
 
 TEST(ChannelPrep, HandleSharesStorage) {

@@ -329,6 +329,151 @@ TEST(DispatchCost, JsonRoundTrip) {
   EXPECT_THROW(c.import_json(json), invalid_argument_error);
 }
 
+// The cost model's bucket keys are formatted on the stack now; the keys and
+// the JSON export must not move by a byte. The golden document below was
+// exported by the ostringstream key builder for the observation stream of
+// golden_cost_model(): three backends (fp32 by default, an int16 datapath,
+// an explicit "fp32"), negative and zero SNR buckets, square and 128-row
+// channels, prep hits and misses, and two-observation EWMA buckets.
+const std::string kCostModelGoldenV3 =
+    R"({"schema":"spheredec.costmodel","schema_version":3,"ewma_alpha":0.25,"snr_bucket_db":2,"backends":[{"label":"cpu","seconds_per_node":1.5e-07,"overhead_s":3e-05},)"
+    R"({"label":"cpu-int16","seconds_per_node":9e-08,"overhead_s":2e-05,"precision":"int16"},)"
+    R"({"label":"fpga","seconds_per_node":1e-08,"overhead_s":0.001,"precision":"fp32"}],"buckets":{)"
+    R"("b0.t0.m10.q4.s-4.c0.r128.h1":{"nodes":131.60740129524922,"seconds":0.00011892071150027206,"count":2},)"
+    R"("b0.t0.m10.q4.s-4.c2.h0":{"nodes":237.841423000544,"seconds":0.0002213363839400643,"count":2},)"
+    R"("b0.t0.m10.q4.s0.c0.h1":{"nodes":340.8658099402496,"seconds":0.0003223709795470626,"count":2},)"
+    R"("b0.t0.m10.q4.s0.c2.r128.h0":{"nodes":442.67276788012845,"seconds":0.00042294850537622565,"count":2},)"
+    R"("b0.t0.m10.q4.s15.c0.h1":{"nodes":543.8786529686383,"seconds":0.0005233175696960528,"count":2},)"
+    R"("b0.t0.m10.q4.s15.c2.h0":{"nodes":644.7419590941249,"seconds":0.0006235739265752472,"count":2},)"
+    R"("b1.t1.m10.q4.s-4.c0.r128.h0.pint16":{"nodes":40,"seconds":3e-05,"count":1},)"
+    R"("b1.t1.m10.q4.s-4.c2.h1.pint16":{"nodes":41,"seconds":6e-05,"count":1},)"
+    R"("b1.t1.m10.q4.s0.c0.h0.pint16":{"nodes":42,"seconds":9e-05,"count":1},)"
+    R"("b1.t1.m10.q4.s0.c2.r128.h1.pint16":{"nodes":43,"seconds":0.00012,"count":1},)"
+    R"("b1.t1.m10.q4.s15.c0.h0.pint16":{"nodes":44,"seconds":0.00015000000000000001,"count":1},)"
+    R"("b1.t1.m10.q4.s15.c2.h1.pint16":{"nodes":45,"seconds":0.00018,"count":1},)"
+    R"("b2.t2.m10.q4.s-4.c0.r128.h0":{"nodes":1,"seconds":4e-06,"count":1},)"
+    R"("b2.t2.m10.q4.s-4.c2.h0":{"nodes":7,"seconds":6e-06,"count":1},)"
+    R"("b2.t2.m10.q4.s0.c0.h0":{"nodes":14,"seconds":8e-06,"count":1},)"
+    R"("b2.t2.m10.q4.s0.c2.r128.h0":{"nodes":21,"seconds":9.999999999999999e-06,"count":1},)"
+    R"("b2.t2.m10.q4.s15.c0.h0":{"nodes":28,"seconds":1.2e-05,"count":1},)"
+    R"("b2.t2.m10.q4.s15.c2.h0":{"nodes":35,"seconds":1.4e-05,"count":1}}})";
+
+/// Feeds golden_cost_model()'s observation stream into `cm` (backends 0-2
+/// already registered).
+void observe_golden_stream(CostModel& cm) {
+  FrameFeatures f;
+  f.num_tx = 10;
+  f.mod_order = 4;
+  int i = 0;
+  for (const double snr : {-7.5, 0.0, 31.0}) {
+    for (const double cond : {1.0, 7.9}) {
+      f.snr_db = snr;
+      f.cond_proxy = cond;
+      f.num_rx = (i % 3 == 0) ? 128 : 10;
+      const auto u = static_cast<std::uint64_t>(i);
+      cm.observe(f, 0, DecodeTier::kPrimary, 100u * (u + 1), 1e-4 * (i + 1),
+                 i % 2 == 0);
+      cm.observe(f, 1, DecodeTier::kKBest, 40u + u, 3e-5 * (i + 1),
+                 i % 2 == 1);
+      cm.observe(f, 2, DecodeTier::kMmseApprox, 7u * u, 2e-6 * (i + 2),
+                 false);
+      cm.observe(f, 0, DecodeTier::kPrimary, 100u * (u + 3), 1e-4 * (i + 2),
+                 i % 2 == 0);
+      ++i;
+    }
+  }
+}
+
+void register_golden_backends(CostModel& cm) {
+  (void)cm.register_backend("cpu", 150e-9, 30e-6);
+  (void)cm.register_backend("cpu-int16", 90e-9, 20e-6, "int16");
+  (void)cm.register_backend("fpga", 10e-9, 1e-3, "fp32");
+}
+
+TEST(CostModelKeys, ExportIsByteIdenticalToTheGolden) {
+  CostModel cm;
+  register_golden_backends(cm);
+  observe_golden_stream(cm);
+  EXPECT_EQ(cm.bucket_count(), 18u);
+  EXPECT_EQ(cm.export_json(), kCostModelGoldenV3);
+}
+
+TEST(CostModelKeys, GoldenImportsIntoTheSameBuckets) {
+  CostModel built;
+  register_golden_backends(built);
+  observe_golden_stream(built);
+
+  CostModel imported;
+  (void)imported.register_backend("cpu", 1.0, 1.0);
+  (void)imported.register_backend("cpu-int16", 1.0, 1.0, "int16");
+  (void)imported.register_backend("fpga", 1.0, 1.0, "fp32");
+  imported.import_json(kCostModelGoldenV3);
+  EXPECT_EQ(imported.bucket_count(), built.bucket_count());
+  EXPECT_EQ(imported.observations(), built.observations());
+  EXPECT_EQ(imported.export_json(), kCostModelGoldenV3);
+
+  // Every key the golden stream produced finds its imported bucket warm,
+  // with the same prediction as the model that observed the stream.
+  FrameFeatures f;
+  f.num_tx = 10;
+  f.mod_order = 4;
+  int i = 0;
+  int warm = 0;
+  for (const double snr : {-7.5, 0.0, 31.0}) {
+    for (const double cond : {1.0, 7.9}) {
+      f.snr_db = snr;
+      f.cond_proxy = cond;
+      f.num_rx = (i % 3 == 0) ? 128 : 10;
+      const std::tuple<int, DecodeTier, bool> keys[] = {
+          {0, DecodeTier::kPrimary, i % 2 == 0},
+          {1, DecodeTier::kKBest, i % 2 == 1},
+          {2, DecodeTier::kMmseApprox, false}};
+      for (const auto& [b, tier, hit] : keys) {
+        const CostPrediction want = built.predict(f, b, tier, hit);
+        const CostPrediction got = imported.predict(f, b, tier, hit);
+        EXPECT_TRUE(got.warm);
+        EXPECT_EQ(got.nodes, want.nodes);
+        EXPECT_EQ(got.seconds, want.seconds);
+        warm += got.warm ? 1 : 0;
+        // The other prep-hit bucket of the same scenario stays cold.
+        EXPECT_FALSE(imported.predict(f, b, tier, !hit).warm);
+      }
+      ++i;
+    }
+  }
+  EXPECT_EQ(warm, 18);
+}
+
+TEST(CostModelKeys, OverlongPrecisionNamesAreRefused) {
+  CostModel cm;
+  EXPECT_THROW((void)cm.register_backend(
+                   "x", 1.0, 1.0,
+                   std::string(CostModel::kMaxPrecisionChars + 1, 'p')),
+               invalid_argument_error);
+  const int b = cm.register_backend(
+      "y", 1e-7, 1e-6, std::string(CostModel::kMaxPrecisionChars, 'p'));
+  // The longest key still formats: widest numeric fields plus the suffix.
+  FrameFeatures f;
+  f.num_tx = std::numeric_limits<index_t>::min();
+  f.num_rx = std::numeric_limits<index_t>::max();
+  f.mod_order = std::numeric_limits<index_t>::min();
+  f.snr_db = -1e300;
+  f.cond_proxy = 16.0;
+  cm.observe(f, b, DecodeTier::kLinear, 5, 1e-6, true);
+  EXPECT_TRUE(cm.predict(f, b, DecodeTier::kLinear, true).warm);
+  const std::string json = cm.export_json();
+  EXPECT_NE(json.find(".h1.p" + std::string(CostModel::kMaxPrecisionChars,
+                                             'p')),
+            std::string::npos);
+  std::string doc = json;
+  const auto pos = doc.find("\"precision\":\"");
+  ASSERT_NE(pos, std::string::npos);
+  doc.insert(pos + 13, "q");  // one character over the limit
+  CostModel other;
+  (void)other.register_backend("y", 1.0, 1.0);
+  EXPECT_THROW(other.import_json(doc), invalid_argument_error);
+}
+
 TEST(DispatchCost, PrepHitAndMissBucketsAreSeparate) {
   CostModel cm;
   const int b = cm.register_backend("cpu", 100e-9, 10e-6);
@@ -722,7 +867,7 @@ TEST(DispatchLadder, DegradesTiersAgainstPredictedDeadline) {
   const int b = probe.register_backend(pool[0].label,
                                        pool[0].prior_seconds_per_node,
                                        pool[0].prior_overhead_s);
-  const FrameFeatures f = FrameFeatures::extract(t.h, t.sigma2, 4);
+  const FrameFeatures f = FrameFeatures::extract(ChannelHandle(t.h), t.sigma2, 4);
   const double p_sd = probe.predict(f, b, DecodeTier::kPrimary).seconds;
   const double p_kb = probe.predict(f, b, DecodeTier::kKBest).seconds;
   const double p_ln = probe.predict(f, b, DecodeTier::kLinear).seconds;

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "linalg/norms.hpp"
+#include "linalg/solve.hpp"
 #include "test_util.hpp"
 
 namespace sd {
@@ -274,6 +279,163 @@ TEST(GemmDispatch, FastPathShapesStillAgreeWithBothKernels) {
   gemm_packed(Op::kNone, cplx{1, 0}, a, b, cplx{0, 0}, c_packed);
   expect_bitwise_equal(c_dispatch, c_naive);
   expect_bitwise_equal(c_dispatch, c_packed);
+}
+
+// The matched filter (gemv kConjTrans) and gram_into spell conj(a) * b out
+// in real arithmetic. Pinned bitwise against copies of the std::complex
+// loops they replaced, on seeded shapes (m 1-16, k 0-160) whose entries
+// include signed zeros and values scaled by 1e20 (products overflow to
+// Inf, and Inf - Inf sums turn NaN and take the std::complex path).
+
+/// The conjugate-transpose gemv loop as it was: std::complex accumulation,
+/// row by row, each output in ascending row order.
+void reference_gemv_conj(cplx alpha, const CMat& a, std::span<const cplx> x,
+                         cplx beta, std::span<cplx> y) {
+  const index_t m = a.cols();
+  const bool overwrite = beta == cplx{0, 0};
+  std::vector<cplx> acc(static_cast<usize>(m), cplx{0, 0});
+  for (index_t r = 0; r < a.rows(); ++r) {
+    const auto row = a.row(r);
+    const cplx xr = x[static_cast<usize>(r)];
+    for (index_t i = 0; i < m; ++i) {
+      acc[static_cast<usize>(i)] += std::conj(row[static_cast<usize>(i)]) * xr;
+    }
+  }
+  for (index_t i = 0; i < m; ++i) {
+    const auto u = static_cast<usize>(i);
+    y[u] = overwrite ? alpha * acc[u] : alpha * acc[u] + beta * y[u];
+  }
+}
+
+/// gemm_naive's kConjTrans loop with B = A, alpha = 1, beta = 0.
+CMat reference_gram(const CMat& h) {
+  const index_t m = h.cols();
+  CMat g(m, m);
+  const cplx alpha{1, 0};
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < m; ++j) {
+      cplx acc{0, 0};
+      for (index_t p = 0; p < h.rows(); ++p) {
+        acc += std::conj(h(p, i)) * h(p, j);
+      }
+      g(i, j) = alpha * acc;
+    }
+  }
+  return g;
+}
+
+/// One seeded entry: Gaussian, or a signed zero in either part, or scaled
+/// by 1e20.
+cplx seeded_entry(GaussianSource& g, bool huge) {
+  cplx v = g.next_cplx(1.0);
+  switch (g.next_index(8)) {
+    case 0: v = cplx{0.0f, v.imag()}; break;
+    case 1: v = cplx{-0.0f, v.imag()}; break;
+    case 2: v = cplx{v.real(), -0.0f}; break;
+    case 3: v = cplx{-0.0f, 0.0f}; break;
+    default: break;
+  }
+  if (huge && g.next_index(4) == 0) v *= 1e20f;
+  return v;
+}
+
+bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+TEST(KernelBitIdentity, GramEqualsTheComplexLoop) {
+  GaussianSource g(20261);
+  int nonfinite_cases = 0;
+  for (int c = 0; c < 800; ++c) {
+    const auto m = static_cast<index_t>(1 + g.next_index(16));
+    const auto k = static_cast<index_t>(g.next_index(161));
+    const bool huge = c % 3 == 0;
+    CMat h(k, m);
+    for (cplx& v : h.flat()) v = seeded_entry(g, huge);
+    const CMat want = reference_gram(h);
+    CMat got(3, 3, cplx{7, 7});  // stale contents and shape are overwritten
+    gram_into(h, got);
+    ASSERT_EQ(got.rows(), m);
+    ASSERT_EQ(got.cols(), m);
+    ASSERT_TRUE(same_bits(got.flat(), want.flat()))
+        << "case " << c << ": " << k << "x" << m;
+    const CMat via_gram = gram(h);
+    ASSERT_TRUE(same_bits(via_gram.flat(), want.flat())) << "case " << c;
+    for (const cplx& v : want.flat()) {
+      if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
+        ++nonfinite_cases;
+        break;
+      }
+    }
+  }
+  // The 1e20 cases really reach the overflow and NaN paths.
+  EXPECT_GT(nonfinite_cases, 50);
+}
+
+TEST(KernelBitIdentity, MatchedFilterEqualsTheComplexLoop) {
+  GaussianSource g(20262);
+  int nonfinite_cases = 0;
+  for (int c = 0; c < 2000; ++c) {
+    const auto m = static_cast<index_t>(1 + g.next_index(16));
+    const auto k = static_cast<index_t>(g.next_index(161));
+    const bool huge = c % 3 == 0;
+    CMat a(k, m);
+    for (cplx& v : a.flat()) v = seeded_entry(g, huge);
+    CVec x(static_cast<usize>(k));
+    for (cplx& v : x) v = seeded_entry(g, huge);
+    // The matched filter's alpha = 1, beta = 0, and a general update.
+    const bool general = c % 2 == 1;
+    const cplx alpha = general ? seeded_entry(g, false) : cplx{1, 0};
+    const cplx beta = general ? seeded_entry(g, false) : cplx{0, 0};
+    CVec y0(static_cast<usize>(m));
+    for (cplx& v : y0) v = seeded_entry(g, false);
+    CVec want = y0;
+    CVec got = y0;
+    reference_gemv_conj(alpha, a, x, beta, want);
+    gemv(Op::kConjTrans, alpha, a, x, beta, got);
+    ASSERT_TRUE(same_bits(got, want)) << "case " << c << ": " << k << "x" << m;
+    for (const cplx& v : want) {
+      if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
+        ++nonfinite_cases;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(nonfinite_cases, 50);
+}
+
+TEST(KernelBitIdentity, NonFiniteInputsTakeTheComplexPath) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // (Inf, NaN) makes both parts of the plain product NaN, and std::complex
+  // recovers an infinite result from it.
+  for (const cplx bad : {cplx{inf, 0.0f}, cplx{0.0f, -inf}, cplx{inf, inf},
+                         cplx{nan, 1.0f}, cplx{1.0f, nan}, cplx{inf, nan},
+                         cplx{nan, -inf}}) {
+    CMat h = testing::random_cmat(12, 4, 31);
+    h(5, 2) = bad;
+    const CMat want = reference_gram(h);
+    CMat got;
+    gram_into(h, got);
+    EXPECT_TRUE(same_bits(got.flat(), want.flat()));
+
+    const CVec x = testing::random_cvec(12, 32);
+    CVec y_want(4), y_got(4);
+    reference_gemv_conj(cplx{1, 0}, h, x, cplx{0, 0}, y_want);
+    gemv(Op::kConjTrans, cplx{1, 0}, h, x, cplx{0, 0}, y_got);
+    EXPECT_TRUE(same_bits(y_got, y_want));
+  }
+}
+
+TEST(KernelBitIdentity, GramIntoIsAllocationStableInItsWorkspace) {
+  GemmWorkspace ws;
+  const CMat h = testing::random_cmat(128, 8, 33);
+  CMat g;
+  gram_into(h, g, ws);
+  const std::uint64_t grown = ws.stats().grow_events;
+  for (int i = 0; i < 4; ++i) gram_into(h, g, ws);
+  EXPECT_EQ(ws.stats().grow_events, grown);
 }
 
 }  // namespace

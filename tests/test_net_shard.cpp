@@ -122,7 +122,8 @@ struct AdmissionFixture {
 
   [[nodiscard]] double predicted(serve::DecodeTier tier, const Trial& t) {
     const dispatch::FrameFeatures f = dispatch::FrameFeatures::extract(
-        t.h, t.sigma2, Constellation::get(Modulation::kQam4).order());
+        ChannelHandle(t.h), t.sigma2,
+        Constellation::get(Modulation::kQam4).order());
     double best = std::numeric_limits<double>::infinity();
     auto& cost = server.dispatcher().cost_model();
     for (usize b = 0; b < server.dispatcher().backend_count(); ++b)
@@ -141,8 +142,8 @@ TEST(Admission, DisabledModeAdmitsEverythingAtPrimary) {
   AdmissionFixture fx(opts);
   const Trial t = make_trials(1)[0];
   for (int i = 0; i < 5; ++i) {
-    const AdmitDecision d =
-        fx.controller.decide(t.h, t.sigma2, 1e-12, QosClass::kHard);
+    const AdmitDecision d = fx.controller.decide(
+        ChannelHandle(t.h), t.sigma2, 1e-12, QosClass::kHard);
     EXPECT_EQ(d.action, AdmitAction::kAdmit);
     EXPECT_EQ(d.tier, serve::DecodeTier::kPrimary);
   }
@@ -156,8 +157,8 @@ TEST(Admission, ImpossibleBudgetIsShed) {
   AdmissionFixture fx(AdmissionOptions{});
   const Trial t = make_trials(1)[0];
   // No tier decodes in a femtosecond; shed-before-miss refuses at the door.
-  const AdmitDecision d =
-      fx.controller.decide(t.h, t.sigma2, 1e-15, QosClass::kHard);
+  const AdmitDecision d = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 1e-15, QosClass::kHard);
   EXPECT_EQ(d.action, AdmitAction::kShed);
   const AdmissionStats s = fx.controller.stats();
   EXPECT_EQ(s.shed, 1u);
@@ -168,7 +169,7 @@ TEST(Admission, GenerousBudgetAdmitsAtPrimary) {
   AdmissionFixture fx(AdmissionOptions{});
   const Trial t = make_trials(1)[0];
   const AdmitDecision d =
-      fx.controller.decide(t.h, t.sigma2, 10.0, QosClass::kSoft);
+      fx.controller.decide(ChannelHandle(t.h), t.sigma2, 10.0, QosClass::kSoft);
   EXPECT_EQ(d.action, AdmitAction::kAdmit);
   EXPECT_EQ(d.tier, serve::DecodeTier::kPrimary);
   EXPECT_GT(d.predicted_s, 0.0);
@@ -183,8 +184,8 @@ TEST(Admission, TightBudgetDegradesBelowPrimary) {
   // A budget between the linear and primary predictions: admissible, but not
   // at the primary tier.
   const double budget = (primary + linear) / 2.0;
-  const AdmitDecision d =
-      fx.controller.decide(t.h, t.sigma2, budget, QosClass::kHard);
+  const AdmitDecision d = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, budget, QosClass::kHard);
   EXPECT_EQ(d.action, AdmitAction::kAdmit);
   EXPECT_NE(d.tier, serve::DecodeTier::kPrimary);
   const AdmissionStats s = fx.controller.stats();
@@ -197,19 +198,19 @@ TEST(Admission, ClassDefaultBudgetsApplyWhenFrameCarriesNone) {
   AdmissionFixture fx(opts);
   const Trial t = make_trials(1)[0];
   const AdmitDecision hard =
-      fx.controller.decide(t.h, t.sigma2, 0.0, QosClass::kHard);
+      fx.controller.decide(ChannelHandle(t.h), t.sigma2, 0.0, QosClass::kHard);
   EXPECT_DOUBLE_EQ(hard.budget_s, 0.020);
   const AdmitDecision soft =
-      fx.controller.decide(t.h, t.sigma2, 0.0, QosClass::kSoft);
+      fx.controller.decide(ChannelHandle(t.h), t.sigma2, 0.0, QosClass::kSoft);
   EXPECT_DOUBLE_EQ(soft.budget_s, 0.070);
   // Best-effort has no default: budget 0 = never shed on budget.
-  const AdmitDecision be =
-      fx.controller.decide(t.h, t.sigma2, 0.0, QosClass::kBestEffort);
+  const AdmitDecision be = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 0.0, QosClass::kBestEffort);
   EXPECT_DOUBLE_EQ(be.budget_s, 0.0);
   EXPECT_EQ(be.action, AdmitAction::kAdmit);
   // An explicit frame deadline overrides the class default.
   const AdmitDecision expl =
-      fx.controller.decide(t.h, t.sigma2, 0.5, QosClass::kHard);
+      fx.controller.decide(ChannelHandle(t.h), t.sigma2, 0.5, QosClass::kHard);
   EXPECT_DOUBLE_EQ(expl.budget_s, 0.5);
 }
 
@@ -227,8 +228,8 @@ TEST(Admission, NonFiniteBudgetTakesTheDeadlinelessPathAndDegrades) {
   const Trial t = make_trials(1)[0];
 
   // Idle: deadline-less best-effort is admitted at primary, budget 0.
-  const AdmitDecision idle =
-      fx.controller.decide(t.h, t.sigma2, 0.0, QosClass::kBestEffort);
+  const AdmitDecision idle = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 0.0, QosClass::kBestEffort);
   EXPECT_EQ(idle.action, AdmitAction::kAdmit);
   EXPECT_EQ(idle.tier, serve::DecodeTier::kPrimary);
   EXPECT_DOUBLE_EQ(idle.budget_s, 0.0);  // inf never leaks downstream
@@ -240,10 +241,11 @@ TEST(Admission, NonFiniteBudgetTakesTheDeadlinelessPathAndDegrades) {
   r.service_s = 1.0;
   fx.controller.on_complete(r);
   for (int i = 0; i < 8; ++i)
-    (void)fx.controller.decide(t.h, t.sigma2, 100.0, QosClass::kSoft);
+    (void)fx.controller.decide(
+        ChannelHandle(t.h), t.sigma2, 100.0, QosClass::kSoft);
 
-  const AdmitDecision d =
-      fx.controller.decide(t.h, t.sigma2, 0.0, QosClass::kBestEffort);
+  const AdmitDecision d = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 0.0, QosClass::kBestEffort);
   EXPECT_EQ(d.action, AdmitAction::kAdmit);  // deadline-less never sheds
   EXPECT_EQ(d.tier, serve::DecodeTier::kLinear)
       << "saturated best-effort must degrade, not admit at primary";
@@ -252,7 +254,8 @@ TEST(Admission, NonFiniteBudgetTakesTheDeadlinelessPathAndDegrades) {
 
   // An explicit non-finite frame deadline normalizes the same way.
   const AdmitDecision inf_frame = fx.controller.decide(
-      t.h, t.sigma2, std::numeric_limits<double>::infinity(), QosClass::kHard);
+      ChannelHandle(t.h), t.sigma2, std::numeric_limits<double>::infinity(),
+      QosClass::kHard);
   EXPECT_DOUBLE_EQ(inf_frame.budget_s, 0.0);
   EXPECT_EQ(inf_frame.action, AdmitAction::kAdmit);
 }
@@ -269,7 +272,8 @@ TEST(Admission, BudgetedWalkIgnoresTiersNoBackendCanServe) {
 
   // The pool's only backend serves nothing below its primary rung.
   const dispatch::FrameFeatures f = dispatch::FrameFeatures::extract(
-      t.h, t.sigma2, Constellation::get(Modulation::kQam4).order());
+      ChannelHandle(t.h), t.sigma2,
+      Constellation::get(Modulation::kQam4).order());
   auto& disp = fx.server.dispatcher();
   const double primary =
       disp.cheapest_prediction(f, serve::DecodeTier::kPrimary);
@@ -281,15 +285,15 @@ TEST(Admission, BudgetedWalkIgnoresTiersNoBackendCanServe) {
       std::isinf(disp.cheapest_prediction(f, serve::DecodeTier::kLinear)));
 
   // Affordable at primary: admitted there.
-  const AdmitDecision ok =
-      fx.controller.decide(t.h, t.sigma2, primary * 4.0, QosClass::kHard);
+  const AdmitDecision ok = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, primary * 4.0, QosClass::kHard);
   EXPECT_EQ(ok.action, AdmitAction::kAdmit);
   EXPECT_EQ(ok.tier, serve::DecodeTier::kPrimary);
 
   // Below the primary prediction nothing placeable fits: shed — the buggy
   // min over unserved tiers would have admitted at kKBest or kLinear.
-  const AdmitDecision shed =
-      fx.controller.decide(t.h, t.sigma2, primary * 0.25, QosClass::kHard);
+  const AdmitDecision shed = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, primary * 0.25, QosClass::kHard);
   EXPECT_EQ(shed.action, AdmitAction::kShed);
 }
 
@@ -301,7 +305,8 @@ TEST(Admission, OutstandingLedgerDrivesTheWaitEstimate) {
   EXPECT_DOUBLE_EQ(fx.controller.estimated_wait_s(), 0.0);
 
   // Admit one frame, observe its completion at 0.1 s service.
-  (void)fx.controller.decide(t.h, t.sigma2, 10.0, QosClass::kSoft);
+  (void)fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 10.0, QosClass::kSoft);
   serve::FrameResult r;
   r.status = serve::FrameStatus::kCompleted;
   r.service_s = 0.1;
@@ -309,8 +314,10 @@ TEST(Admission, OutstandingLedgerDrivesTheWaitEstimate) {
   EXPECT_DOUBLE_EQ(fx.controller.estimated_wait_s(), 0.0);  // nothing queued
 
   // Two admitted-but-unfinished frames now wait 2 * 0.1 / lanes.
-  (void)fx.controller.decide(t.h, t.sigma2, 10.0, QosClass::kSoft);
-  (void)fx.controller.decide(t.h, t.sigma2, 10.0, QosClass::kSoft);
+  (void)fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 10.0, QosClass::kSoft);
+  (void)fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 10.0, QosClass::kSoft);
   const double lanes = fx.server.dispatcher().total_lanes();
   EXPECT_NEAR(fx.controller.estimated_wait_s(), 2.0 * 0.1 / lanes, 1e-12);
 
@@ -327,7 +334,8 @@ TEST(Admission, QueueBacklogShedsFramesAGenerousBudgetWouldAdmit) {
   AdmissionFixture fx(opts);
   const Trial t = make_trials(1)[0];
   const double budget = 0.050;
-  EXPECT_EQ(fx.controller.decide(t.h, t.sigma2, budget, QosClass::kHard).action,
+  EXPECT_EQ(fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, budget, QosClass::kHard).action,
             AdmitAction::kAdmit);
   // Teach a 1 s service time, then pile up admitted frames: the wait estimate
   // alone blows any 50 ms budget at every tier.
@@ -336,9 +344,10 @@ TEST(Admission, QueueBacklogShedsFramesAGenerousBudgetWouldAdmit) {
   r.service_s = 1.0;
   fx.controller.on_complete(r);
   for (int i = 0; i < 8; ++i)
-    (void)fx.controller.decide(t.h, t.sigma2, 100.0, QosClass::kBestEffort);
-  const AdmitDecision d =
-      fx.controller.decide(t.h, t.sigma2, budget, QosClass::kHard);
+    (void)fx.controller.decide(
+        ChannelHandle(t.h), t.sigma2, 100.0, QosClass::kBestEffort);
+  const AdmitDecision d = fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, budget, QosClass::kHard);
   EXPECT_EQ(d.action, AdmitAction::kShed);
   EXPECT_GT(d.est_wait_s, budget);
 }
@@ -346,8 +355,10 @@ TEST(Admission, QueueBacklogShedsFramesAGenerousBudgetWouldAdmit) {
 TEST(Admission, StatsExportUnderNetAdmissionPrefix) {
   AdmissionFixture fx(AdmissionOptions{});
   const Trial t = make_trials(1)[0];
-  (void)fx.controller.decide(t.h, t.sigma2, 10.0, QosClass::kHard);
-  (void)fx.controller.decide(t.h, t.sigma2, 1e-15, QosClass::kSoft);
+  (void)fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 10.0, QosClass::kHard);
+  (void)fx.controller.decide(
+      ChannelHandle(t.h), t.sigma2, 1e-15, QosClass::kSoft);
   obs::CounterRegistry reg;
   fx.controller.stats().export_counters(reg);
   EXPECT_EQ(reg.get_uint_or("net.admission.considered"), 2u);

@@ -447,5 +447,227 @@ TEST(NetWire, BufferCompactionKeepsStreamIntact) {
   EXPECT_EQ(got, kN);
 }
 
+// Golden bytes recorded from the version-1 codec (the byte-at-a-time
+// encoder, before the bulk memcpy encoder replaced it) for fixed inputs.
+// Version 2 changes exactly two things on the wire: the version byte and
+// the value of the fingerprint field, which now carries the lane hash.
+constexpr usize kVersionByte = 8;
+constexpr usize kFpOffset = 46;
+
+const std::vector<std::uint8_t> kV1FrameWithChannel = {
+    0x7a, 0x00, 0x00, 0x00, 0x46, 0x4e, 0x44, 0x53, 0x01, 0x01, 0x04, 0x03,
+    0x02, 0x01, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x01, 0x01,
+    0x03, 0x00, 0x02, 0x00, 0x00, 0x00, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99,
+    0x89, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x3f, 0x8d, 0x3f,
+    0x51, 0xae, 0x7d, 0x83, 0xe7, 0x1a, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00,
+    0x10, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x60, 0x42,
+    0xa2, 0x0d, 0xe6, 0xb1, 0x61, 0x7f, 0x00, 0x00, 0xe4, 0xc0, 0xcd, 0xcc,
+    0xcc, 0x3d, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xbf, 0x00, 0xe0,
+    0x7f, 0x47, 0xfa, 0x7e, 0xaa, 0xbe, 0x00, 0x00, 0x00, 0x3f, 0x00, 0x00,
+    0x00, 0xbf, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x40, 0x08, 0xe5,
+    0x3c, 0x1e, 0x00, 0x00, 0x60, 0xc0,
+};
+
+const std::vector<std::uint8_t> kV1FrameElided = {
+    0x4a, 0x00, 0x00, 0x00, 0x46, 0x4e, 0x44, 0x53, 0x01, 0x01, 0x04, 0x03,
+    0x02, 0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x02, 0x00, 0x00, 0x00, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99,
+    0x89, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x3f, 0x8d, 0x3f,
+    0x51, 0xae, 0x7d, 0x83, 0xe7, 0x1a, 0x00, 0x00, 0x00, 0x3f, 0x00, 0x00,
+    0x00, 0xbf, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x40, 0x08, 0xe5,
+    0x3c, 0x1e, 0x00, 0x00, 0x60, 0xc0,
+};
+
+const std::vector<std::uint8_t> kV1Response = {
+    0x38, 0x00, 0x00, 0x00, 0x46, 0x4e, 0x44, 0x53, 0x01, 0x02, 0x18, 0x07,
+    0xf6, 0xe5, 0xd4, 0xc3, 0xb2, 0xa1, 0x4d, 0x00, 0x00, 0x00, 0x01, 0x02,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x29, 0xc0, 0x06, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x00, 0x00,
+    0x3f, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x45, 0x23, 0x01, 0x00,
+};
+
+/// channel_fingerprint of golden_channel(): pinned so a change of the hash
+/// (which needs a new kWireVersion) cannot pass unnoticed.
+constexpr std::uint64_t kGoldenFpV2 = 0x5C988D09C5E15433ull;
+
+CMat golden_channel() {
+  CMat h(3, 2);
+  const float vals[12] = {1.5f,     -2.25f, 0.0f,     -0.0f,   1e-30f, 3.0e38f,
+                          -7.125f,  0.1f,   1.4e-45f, -1.0f,   65504.0f,
+                          -0.333f};
+  for (index_t r = 0; r < 3; ++r)
+    for (index_t c = 0; c < 2; ++c)
+      h(r, c) = cplx(vals[(r * 2 + c) * 2], vals[(r * 2 + c) * 2 + 1]);
+  return h;
+}
+
+WireFrame golden_frame(bool with_channel) {
+  WireFrame f;
+  f.cell_id = 0x01020304u;
+  f.frame_id = with_channel ? 0x1122334455667788ull : 5;
+  f.qos = with_channel ? QosClass::kSoft : QosClass::kHard;
+  f.has_channel = with_channel;
+  f.deadline_s = 0.0125;
+  f.sigma2 = 0.03125;
+  f.h = golden_channel();
+  f.channel_fp = channel_fingerprint(f.h);
+  f.y = {cplx(0.5f, -0.5f), cplx(-0.0f, 2.0f), cplx(1e-20f, -3.5f)};
+  return f;
+}
+
+/// `got` equals the version-1 bytes except the version byte (now
+/// kWireVersion) and, for frames, the fingerprint field (now `fp`).
+void expect_v1_bytes_except_version_and_fp(
+    const std::vector<std::uint8_t>& got, const std::vector<std::uint8_t>& v1,
+    bool has_fp_field, std::uint64_t fp) {
+  ASSERT_EQ(got.size(), v1.size());
+  EXPECT_EQ(v1[kVersionByte], 1);
+  EXPECT_EQ(got[kVersionByte], kWireVersion);
+  for (usize i = 0; i < got.size(); ++i) {
+    if (i == kVersionByte) continue;
+    if (has_fp_field && i >= kFpOffset && i < kFpOffset + 8) {
+      EXPECT_EQ(got[i], static_cast<std::uint8_t>(fp >> (8 * (i - kFpOffset))))
+          << "fingerprint byte " << i - kFpOffset;
+      continue;
+    }
+    EXPECT_EQ(got[i], v1[i]) << "byte " << i;
+  }
+}
+
+TEST(WireGolden, FrameWithChannelMatchesVersion1Bytes) {
+  const WireFrame f = golden_frame(true);
+  EXPECT_EQ(f.channel_fp, kGoldenFpV2);
+  std::vector<std::uint8_t> out = {0xEE};  // appends after existing bytes
+  encode_frame(f, out);
+  ASSERT_EQ(out[0], 0xEE);
+  out.erase(out.begin());
+  expect_v1_bytes_except_version_and_fp(out, kV1FrameWithChannel, true,
+                                        kGoldenFpV2);
+
+  // And the decoder gives back every bit, signed zeros and subnormals too.
+  WireDecoder dec;
+  WireFrame got;
+  WireResponse resp;
+  ASSERT_EQ(decode_one(out, got, resp, dec), WireDecoder::Next::kFrame);
+  ASSERT_EQ(got.h.rows(), 3);
+  ASSERT_EQ(got.h.cols(), 2);
+  EXPECT_EQ(std::memcmp(got.h.data(), f.h.data(), 6 * sizeof(cplx)), 0);
+  ASSERT_EQ(got.y.size(), 3u);
+  EXPECT_EQ(std::memcmp(got.y.data(), f.y.data(), 3 * sizeof(cplx)), 0);
+  EXPECT_EQ(got.frame_id, f.frame_id);
+  EXPECT_EQ(got.cell_id, f.cell_id);
+  EXPECT_EQ(got.qos, f.qos);
+  EXPECT_EQ(got.deadline_s, f.deadline_s);
+  EXPECT_EQ(got.sigma2, f.sigma2);
+}
+
+TEST(WireGolden, ElidedFrameMatchesVersion1Bytes) {
+  const WireFrame f = golden_frame(false);
+  std::vector<std::uint8_t> out;
+  encode_frame(f, out);
+  expect_v1_bytes_except_version_and_fp(out, kV1FrameElided, true,
+                                        kGoldenFpV2);
+}
+
+TEST(WireGolden, ResponseMatchesVersion1Bytes) {
+  WireResponse r;
+  r.frame_id = 0xA1B2C3D4E5F60718ull;
+  r.cell_id = 77;
+  r.status = WireFrameStatus::kExpiredFallback;
+  r.tier = serve::DecodeTier::kMmseApprox;
+  r.qos = QosClass::kSoft;
+  r.metric = -12.75;
+  r.indices = {0, 3, 15, 63, 1, 0x12345};
+  std::vector<std::uint8_t> out;
+  encode_response(r, out);
+  expect_v1_bytes_except_version_and_fp(out, kV1Response, false, 0);
+
+  WireDecoder dec;
+  WireFrame frame;
+  WireResponse got;
+  dec.feed(out.data(), out.size());
+  ASSERT_EQ(dec.next(frame, got), WireDecoder::Next::kResponse);
+  EXPECT_EQ(got.indices, r.indices);
+  EXPECT_EQ(got.metric, r.metric);
+  EXPECT_EQ(got.frame_id, r.frame_id);
+}
+
+TEST(WireGolden, VersionOneMessagesAreRefused) {
+  WireDecoder dec;
+  WireFrame f;
+  WireResponse r;
+  EXPECT_EQ(decode_one(kV1FrameWithChannel, f, r, dec),
+            WireDecoder::Next::kError);
+  EXPECT_EQ(dec.error(), WireError::kBadVersion);
+}
+
+TEST(WireGolden, NonFiniteValueAtEveryPositionIsBadField) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Trial t = make_trial(11);
+  for (const float bad : {nan, inf, -inf}) {
+    // Every float of H (real and imaginary parts).
+    for (usize i = 0; i < 2 * t.h.size(); ++i) {
+      WireFrame f = make_frame(t);
+      reinterpret_cast<float*>(f.h.data())[i] = bad;
+      f.channel_fp = channel_fingerprint(f.h);
+      WireDecoder dec;
+      WireFrame got;
+      WireResponse r;
+      ASSERT_EQ(decode_one(encode(f), got, r, dec), WireDecoder::Next::kError)
+          << "H float " << i;
+      EXPECT_EQ(dec.error(), WireError::kBadField) << "H float " << i;
+    }
+    // Every float of y, with H inline and elided.
+    for (const bool with_channel : {true, false}) {
+      for (usize i = 0; i < 2 * t.y.size(); ++i) {
+        WireFrame f = make_frame(t, with_channel);
+        reinterpret_cast<float*>(f.y.data())[i] = bad;
+        WireDecoder dec;
+        WireFrame got;
+        WireResponse r;
+        ASSERT_EQ(decode_one(encode(f), got, r, dec),
+                  WireDecoder::Next::kError)
+            << "y float " << i;
+        EXPECT_EQ(dec.error(), WireError::kBadField) << "y float " << i;
+      }
+    }
+  }
+}
+
+TEST(WireGolden, EveryWrongFingerprintBitIsAMismatch) {
+  const Trial t = make_trial(12);
+  for (int bit = 0; bit < 64; ++bit) {
+    WireFrame f = make_frame(t);
+    f.channel_fp ^= std::uint64_t{1} << bit;
+    WireDecoder dec;
+    WireFrame got;
+    WireResponse r;
+    ASSERT_EQ(decode_one(encode(f), got, r, dec), WireDecoder::Next::kError);
+    EXPECT_EQ(dec.error(), WireError::kFingerprintMismatch) << "bit " << bit;
+  }
+}
+
+TEST(WireGolden, TallChannelRoundTripsBitExactly) {
+  ScenarioConfig sc;
+  sc.num_tx = 8;
+  sc.num_rx = 128;
+  sc.seed = 13;
+  const Trial t = Scenario(sc).next();
+  WireFrame f = make_frame(t);
+  const std::vector<std::uint8_t> bytes = encode(f);
+  EXPECT_EQ(bytes.size(), encoded_frame_bytes(128, 8, true));
+  WireDecoder dec;
+  WireFrame got;
+  WireResponse r;
+  ASSERT_EQ(decode_one(bytes, got, r, dec), WireDecoder::Next::kFrame);
+  EXPECT_EQ(std::memcmp(got.h.data(), t.h.data(), t.h.size() * sizeof(cplx)),
+            0);
+  EXPECT_EQ(std::memcmp(got.y.data(), t.y.data(), t.y.size() * sizeof(cplx)),
+            0);
+  // Re-encoding the decoded frame reproduces the bytes.
+  EXPECT_EQ(encode(got), bytes);
+}
+
 }  // namespace
 }  // namespace sd::net
