@@ -23,7 +23,7 @@ int main() {
                       "8x8 MIMO 4-QAM, iid vs correlated (rho=0.9)", trials);
   const Constellation& c = Constellation::get(Modulation::kQam4);
 
-  for (const auto [rho, snr] : {std::pair{0.0, 12.0}, std::pair{0.0, 20.0},
+  for (const auto& [rho, snr] : {std::pair{0.0, 12.0}, std::pair{0.0, 20.0},
                                 std::pair{0.9, 12.0}, std::pair{0.9, 20.0}}) {
     std::printf("--- rho = %.1f, SNR = %.0f dB ---\n", rho, snr);
     ScenarioConfig sc;

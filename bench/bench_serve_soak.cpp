@@ -61,21 +61,23 @@ int main(int argc, char** argv) {
     std::string rtt_ms;  ///< non-empty: paced `cpu:<workers>:rtt-ms=` lanes
   };
   const std::string precision = cli.get_or("precision", "");
-  const std::vector<Backend> backends =
-      precision == "int16"
-          // Fixed-point soak: same traversal on the float and the quantized
-          // datapaths, so any throughput/latency delta is the datapath's.
-          ? std::vector<Backend>{
-                {"bfs (fp32)", "bfs", ""},
-                {"bfs (int16)", "bfs:precision=int16", ""},
-            }
-          : std::vector<Backend>{
-                {"sphere (cpu)", "sphere", ""},
-                {"multipe:threads=2", "multipe:threads=2", ""},
-                {"kbest:k=16", "kbest:k=16", ""},
-                {"sphere@fpga (model)", "sphere@fpga", ""},
-                {"sphere@fpga (offload, 1ms rtt)", "sphere@fpga", "1"},
-            };
+  std::vector<Backend> backends;
+  if (precision == "int16") {
+    // Fixed-point soak: same traversal on the float and the quantized
+    // datapaths, so any throughput/latency delta is the datapath's.
+    backends = {
+        {"bfs (fp32)", "bfs", ""},
+        {"bfs (int16)", "bfs:precision=int16", ""},
+    };
+  } else {
+    backends = {
+        {"sphere (cpu)", "sphere", ""},
+        {"multipe:threads=2", "multipe:threads=2", ""},
+        {"kbest:k=16", "kbest:k=16", ""},
+        {"sphere@fpga (model)", "sphere@fpga", ""},
+        {"sphere@fpga (offload, 1ms rtt)", "sphere@fpga", "1"},
+    };
+  }
   const std::string pool = cli.get_or("backends", "");
 
   if (!pool.empty()) {

@@ -116,7 +116,7 @@ const CMat& ChannelHandle::matrix() const {
 
 std::string_view prep_kind_name(PrepKind kind) noexcept {
   switch (kind) {
-    case PrepKind::kNone: return "none";
+    case PrepKind::kChannel: return "channel";
     case PrepKind::kQrPlain: return "qr";
     case PrepKind::kQrSorted: return "sqrd";
     case PrepKind::kZf: return "zf";
@@ -130,7 +130,6 @@ std::string_view prep_kind_name(PrepKind kind) noexcept {
 std::shared_ptr<const PreprocessedChannel> build_channel_prep(
     const ChannelHandle& channel, PrepKind kind) {
   SD_TRACE_SPAN("decode.prep.build");
-  SD_CHECK(kind != PrepKind::kNone, "cannot build a kNone channel prep");
   auto prep = std::make_shared<PreprocessedChannel>();
   prep->channel = channel;
   prep->kind = kind;
@@ -176,7 +175,7 @@ std::shared_ptr<const PreprocessedChannel> build_channel_prep(
     case PrepKind::kGramMmse:
       prep->g = gram(h);
       break;
-    case PrepKind::kNone:
+    case PrepKind::kChannel:
       break;
   }
   prep->build_seconds = timer.elapsed_seconds();
@@ -186,7 +185,7 @@ std::shared_ptr<const PreprocessedChannel> build_channel_prep(
 struct ChannelPrepCache::Shard {
   struct Entry {
     std::uint64_t fp = 0;
-    PrepKind kind = PrepKind::kNone;
+    PrepKind kind = PrepKind::kChannel;
     std::shared_ptr<const PreprocessedChannel> prep;
   };
   mutable std::mutex mu;
@@ -226,7 +225,6 @@ ChannelPrepCache::Shard& ChannelPrepCache::shard_for(std::uint64_t fp) const {
 std::shared_ptr<const PreprocessedChannel> ChannelPrepCache::get_or_build(
     const ChannelHandle& channel, PrepKind kind, bool* hit) {
   SD_CHECK(channel.valid(), "prep cache lookup on an empty ChannelHandle");
-  SD_CHECK(kind != PrepKind::kNone, "prep cache lookup with kind == kNone");
   const std::uint64_t key = entry_key(channel.fingerprint(), kind);
   Shard& shard = shard_for(channel.fingerprint());
   const usize shard_capacity =

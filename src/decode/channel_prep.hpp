@@ -2,8 +2,9 @@
 // per-channel preprocessing, and a bounded preprocessing cache.
 //
 // The decode cost of every detector splits into a per-CHANNEL part (QR or
-// sorted QR of H, or the linear equalizer W) and a per-FRAME part (ybar =
-// Q^H y plus the tree search). Block-fading uplinks hold H fixed over a
+// sorted QR of H, the ZF equalizer W or the Gram matrix, or nothing for the
+// detectors that read H directly) and a per-FRAME part (ybar = Q^H y plus
+// the tree search). Block-fading uplinks hold H fixed over a
 // coherence interval, so the serving stack can pay the channel part once per
 // interval instead of once per frame. Three pieces make that safe:
 //
@@ -109,7 +110,8 @@ class ChannelHandle {
 /// (channel, kind): a BFS detector with sorted_qr and a linear ZF fallback
 /// draw different prep objects from the same cache without clashing.
 enum class PrepKind : std::uint8_t {
-  kNone,      ///< detector has no cacheable channel-only phase
+  kChannel,   ///< the handle alone, for detectors that read H directly
+              ///< (ML, MRC, LR-SIC): their per-channel work is nothing
   kQrPlain,   ///< Householder QR (plain layer order)
   kQrSorted,  ///< SQRD: sorted QR + explicit thin Q + permutation
   kZf,        ///< zero-forcing equalizer W = (H^H H)^-1 H^H
@@ -129,7 +131,7 @@ enum class PrepKind : std::uint8_t {
 /// coherence block and shared (read-only) by every frame that uses it.
 struct PreprocessedChannel {
   ChannelHandle channel;
-  PrepKind kind = PrepKind::kNone;
+  PrepKind kind = PrepKind::kChannel;
 
   // kQrPlain: the full factorization object (R + compact reflectors), so the
   // per-frame ybar = Q^H y applies reflectors without forming Q.

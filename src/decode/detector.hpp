@@ -75,12 +75,13 @@ struct DecodeResult {
   }
 };
 
-/// Abstract detector. A detector implements one per-frame hook,
-/// decode_frame(); the public entry points decode(), decode_into() and
-/// decode_with() are wrappers in this class that reset the output, pick the
-/// prep the hook may use and call it, so every entry point gives the same
-/// bits for the same frame. decode_wide() loops the hook too, unless a
-/// detector overrides it with a fused multi-frame search.
+/// Abstract detector. A detector names its channel-only phase, prep_kind(),
+/// and implements one per-frame hook, decode_frame(); the public entry
+/// points decode(), decode_into() and decode_with() are wrappers in this
+/// class that reset the output, pick the prep the hook may use and call it,
+/// so every entry point gives the same bits for the same frame.
+/// decode_wide() loops the hook too, unless a detector overrides it with a
+/// fused multi-frame search.
 ///
 /// decode() is safe to call repeatedly with different channels, but an
 /// instance may own reusable search scratch (decode/decode_scratch.hpp), so a
@@ -105,20 +106,18 @@ class Detector {
 
   // ---- Two-phase (channel-split) decoding ----------------------------------
   //
-  // decode_into(h, y, ...) re-factors h on every call even when consecutive
-  // frames share the channel. The two-phase API splits that cost: preprocess()
-  // builds the channel-only factorization once (directly or via a
-  // ChannelPrepCache), and decode_with() runs the per-frame remainder (ybar +
-  // search). decode_with(preprocess(handle), y, ...) is bitwise-identical to
-  // decode_into(handle.matrix(), y, ...) — same factorization code, same H
-  // bytes, same search. See DESIGN.md §12.
+  // Every detector's work splits into a channel-only phase and a per-frame
+  // remainder. preprocess() builds the channel-only phase once (directly or
+  // via a ChannelPrepCache), and decode_with() runs the per-frame remainder
+  // (ybar + search, or equalize + slice). decode_into(h, y, ...) runs both
+  // phases on every call. decode_with(preprocess(handle), y, ...) is
+  // bitwise-identical to decode_into(handle.matrix(), y, ...) — same
+  // factorization code, same H bytes, same search. See DESIGN.md §12.
 
-  /// Which channel-only factorization this detector can reuse. kNone means
-  /// the detector has no cacheable phase; decode_with() then decodes from
-  /// the prep's channel matrix.
-  [[nodiscard]] virtual PrepKind prep_kind() const noexcept {
-    return PrepKind::kNone;
-  }
+  /// Which channel-only phase this detector reuses. Every detector names
+  /// one; a detector that reads H directly names kChannel, whose prep is the
+  /// handle alone.
+  [[nodiscard]] virtual PrepKind prep_kind() const noexcept = 0;
 
   /// Builds the channel-only preprocessing for this detector. Callers that
   /// serve coherent traffic should prefer ChannelPrepCache::get_or_build with

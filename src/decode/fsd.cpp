@@ -14,10 +14,11 @@ FsdDetector::FsdDetector(const Constellation& constellation,
 }
 
 void FsdDetector::decode_frame(const CMat& h,
-                               const PreprocessedChannel* /*prep*/,
+                               const PreprocessedChannel* prep,
                                std::span<const cplx> y, double /*sigma2*/,
                                DecodeResult& result) {
-  const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
+  preprocess_frame(h, prep, y, opts_.sorted_qr, prep_scratch_, pre_);
+  const Preprocessed& pre = pre_;
   result.stats.preprocess_seconds = pre.seconds;
 
   const index_t m = pre.r.rows();
@@ -31,8 +32,10 @@ void FsdDetector::decode_frame(const CMat& h,
   for (index_t i = 0; i < full; ++i) num_paths *= static_cast<std::uint64_t>(p);
   SD_CHECK(num_paths <= (1ull << 24), "FSD full-expansion too large");
 
-  std::vector<index_t> path(static_cast<usize>(m), 0);
-  std::vector<index_t> best_path;
+  std::vector<index_t>& path = path_;
+  std::vector<index_t>& best_path = best_path_;
+  path.assign(static_cast<usize>(m), 0);
+  best_path.clear();
   double best_pd = std::numeric_limits<double>::infinity();
 
   for (std::uint64_t pi = 0; pi < num_paths; ++pi) {
@@ -73,11 +76,7 @@ void FsdDetector::decode_frame(const CMat& h,
     best_pd = babai_point(pre, *c_, best_path);
   }
 
-  std::vector<index_t> layered(static_cast<usize>(m));
-  for (index_t d = 0; d < m; ++d) {
-    layered[static_cast<usize>(m - 1 - d)] = best_path[static_cast<usize>(d)];
-  }
-  result.indices = to_antenna_order(pre, layered);
+  path_to_antenna_order(pre, best_path, layered_, result.indices);
   result.metric = best_pd;
   result.stats.search_seconds = timer.elapsed_seconds();
   materialize_symbols(*c_, result);

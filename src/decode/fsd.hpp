@@ -10,6 +10,8 @@
 // related-work ablation point.
 #pragma once
 
+#include <vector>
+
 #include "decode/detector.hpp"
 #include "decode/sphere_common.hpp"
 
@@ -27,13 +29,25 @@ class FsdDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "FSD"; }
 
+  /// Channel-split phase: the QR (plain or SQRD per options) is cacheable.
+  [[nodiscard]] PrepKind prep_kind() const noexcept override {
+    return opts_.sorted_qr ? PrepKind::kQrSorted : PrepKind::kQrPlain;
+  }
+
  private:
+  /// Allocation-free in steady state: the scratch below and `out` reach
+  /// their high-water capacity and are then recycled.
   void decode_frame(const CMat& h, const PreprocessedChannel* prep,
                     std::span<const cplx> y, double sigma2,
                     DecodeResult& out) override;
 
   const Constellation* c_;
   FsdOptions opts_;
+  PreprocessScratch prep_scratch_;
+  Preprocessed pre_;
+  std::vector<index_t> path_;
+  std::vector<index_t> best_path_;
+  std::vector<index_t> layered_;
 };
 
 }  // namespace sd

@@ -47,16 +47,21 @@ void LinearDetector::decode_frame(const CMat& h,
     }
     case LinearKind::kZf:
     case LinearKind::kMmse: {
-      // A cached ZF equalizer was paid once at prep build time
-      // (prep.build_seconds); the per-frame cost is then just W y.
+      // A cached ZF equalizer, or MMSE's Gram matrix, was paid once at prep
+      // build time (prep.build_seconds); a cached ZF frame then costs just
+      // W y.
       CMat built;
-      if (prep == nullptr) {
-        built = (kind_ == LinearKind::kZf)
-                    ? zf_equalizer(h)
-                    : mmse_equalizer(h, static_cast<real>(sigma2));
+      if (kind_ == LinearKind::kMmse) {
+        const auto s2 = static_cast<real>(sigma2);
+        built = prep != nullptr ? mmse_equalizer_from_gram(h, prep->g, s2)
+                                : mmse_equalizer(h, s2);
+        out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+      } else if (prep == nullptr) {
+        built = zf_equalizer(h);
         out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
       }
-      const CMat& w = prep != nullptr ? prep->w : built;
+      const CMat& w =
+          kind_ == LinearKind::kZf && prep != nullptr ? prep->w : built;
       Timer search_timer;
       gemv(Op::kNone, cplx{1, 0}, w, y, cplx{0, 0}, est);
       out.stats.search_seconds = search_timer.elapsed_seconds();

@@ -23,14 +23,20 @@ class LinearDetector final : public Detector {
   }
 
   /// ZF's equalizer W depends only on H, so it is cacheable. MMSE's W also
-  /// depends on sigma2 (a per-frame input) and MRC has no setup worth
-  /// caching, so both stay kNone.
+  /// depends on sigma2 (a per-frame input), so its channel-only phase is the
+  /// Gram matrix H^H H. MRC reads H directly.
   [[nodiscard]] PrepKind prep_kind() const noexcept override {
-    return kind_ == LinearKind::kZf ? PrepKind::kZf : PrepKind::kNone;
+    switch (kind_) {
+      case LinearKind::kZf: return PrepKind::kZf;
+      case LinearKind::kMmse: return PrepKind::kGramMmse;
+      case LinearKind::kMrc: break;
+    }
+    return PrepKind::kChannel;
   }
 
  private:
-  /// A ZF frame with a cached prep skips building W.
+  /// A ZF frame with a cached prep skips building W; an MMSE frame with one
+  /// skips forming the Gram matrix.
   void decode_frame(const CMat& h, const PreprocessedChannel* prep,
                     std::span<const cplx> y, double sigma2,
                     DecodeResult& out) override;

@@ -21,6 +21,12 @@ class LrSicDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "LR-SIC"; }
 
+  /// Reads H directly. Its channel-only phase would be the LLL-reduced
+  /// basis, which no served lane needs (make_detector builds no LR-SIC).
+  [[nodiscard]] PrepKind prep_kind() const noexcept override {
+    return PrepKind::kChannel;
+  }
+
  private:
   void decode_frame(const CMat& h, const PreprocessedChannel* prep,
                     std::span<const cplx> y, double sigma2,

@@ -26,11 +26,13 @@ void MlDetector::decode_frame(const CMat& h,
   result.indices.assign(static_cast<usize>(m), 0);
   Timer timer;
 
-  std::vector<index_t> current(static_cast<usize>(m), 0);
+  std::vector<index_t>& current = current_;
+  current.assign(static_cast<usize>(m), 0);
   // All accumulation runs in double precision: the mixed-radix walk updates
   // H*s incrementally up to |Omega|^M times, and single-precision drift over
   // millions of updates is enough to misrank near-tied candidates.
-  std::vector<cplxd> hs(static_cast<usize>(n));
+  std::vector<cplxd>& hs = hs_;
+  hs.resize(static_cast<usize>(n));
   // Incremental candidate update: start from all-zero indices, then walk the
   // mixed-radix counter, adjusting H*s by the single column that changed.
   for (index_t i = 0; i < n; ++i) {

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "decode/dfs_search.hpp"
 #include "obs/trace.hpp"
 
 namespace sd {
@@ -28,26 +27,27 @@ SdDfsDetector::SdDfsDetector(const Constellation& constellation,
     : c_(&constellation), opts_(options) {}
 
 void SdDfsDetector::decode_frame(const CMat& h,
-                                 const PreprocessedChannel* /*prep*/,
+                                 const PreprocessedChannel* prep,
                                  std::span<const cplx> y, double sigma2,
                                  DecodeResult& out) {
-  const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
-  out.stats.preprocess_seconds = pre.seconds;
-  search(pre, sigma2, out);
+  preprocess_frame(h, prep, y, opts_.sorted_qr, prep_scratch_, pre_);
+  out.stats.preprocess_seconds = pre_.seconds;
+  search(sigma2, out);
   materialize_symbols(*c_, out);
 }
 
-void SdDfsDetector::search(const Preprocessed& pre, double sigma2,
-                           DecodeResult& result) {
+void SdDfsDetector::search(double sigma2, DecodeResult& result) {
   SD_TRACE_SPAN("decode.search");
+  const Preprocessed& pre = pre_;
   const index_t m = pre.r.rows();
   const index_t p = c_->order();
   result.stats.tree_levels = static_cast<std::uint64_t>(m);
 
   Timer timer;
-  DfsScratch s;
+  DfsScratch& s = dfs_;
   s.begin(m);
-  std::vector<index_t> best_path(static_cast<usize>(m), 0);
+  std::vector<index_t>& best_path = best_path_;
+  best_path.assign(static_cast<usize>(m), 0);
   double best_pd = std::numeric_limits<double>::infinity();
   const std::uint64_t expanded = result.stats.nodes_expanded;
 
@@ -79,8 +79,7 @@ void SdDfsDetector::search(const Preprocessed& pre, double sigma2,
                                   static_cast<std::uint64_t>(depth + 1);
   }
 
-  std::vector<index_t> layered;
-  path_to_antenna_order(pre, best_path, layered, result.indices);
+  path_to_antenna_order(pre, best_path, layered_, result.indices);
   result.metric = best_pd;
   result.stats.search_seconds = timer.elapsed_seconds();
 }

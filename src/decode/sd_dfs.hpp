@@ -12,7 +12,10 @@
 // model charges for in the Fig. 12 comparison.
 #pragma once
 
+#include <vector>
+
 #include "decode/detector.hpp"
+#include "decode/dfs_search.hpp"
 #include "decode/sphere_common.hpp"
 
 namespace sd {
@@ -26,16 +29,28 @@ class SdDfsDetector final : public Detector {
 
   [[nodiscard]] const SdOptions& options() const noexcept { return opts_; }
 
+  /// Channel-split phase: the QR (plain or SQRD per options) is cacheable.
+  [[nodiscard]] PrepKind prep_kind() const noexcept override {
+    return opts_.sorted_qr ? PrepKind::kQrSorted : PrepKind::kQrPlain;
+  }
+
  private:
+  /// Allocation-free in steady state: the scratch below and `out` reach
+  /// their high-water capacity and are then recycled.
   void decode_frame(const CMat& h, const PreprocessedChannel* prep,
                     std::span<const cplx> y, double sigma2,
                     DecodeResult& out) override;
 
-  /// Tree search on an already-preprocessed system.
-  void search(const Preprocessed& pre, double sigma2, DecodeResult& result);
+  /// Tree search on pre_.
+  void search(double sigma2, DecodeResult& result);
 
   const Constellation* c_;
   SdOptions opts_;
+  PreprocessScratch prep_scratch_;
+  Preprocessed pre_;
+  DfsScratch dfs_;
+  std::vector<index_t> best_path_;
+  std::vector<index_t> layered_;
 };
 
 }  // namespace sd

@@ -62,12 +62,9 @@ Backend::Backend(SystemConfig system, BackendConfig config)
                cfg_.decoder.strategy == Strategy::kMultiPe,
            "a parallel-sd backend needs a multipe decoder spec");
   // Fail fast on an unbuildable spec in the constructing thread instead of
-  // from inside a lane: build (and discard) one detector eagerly. The probe
-  // also tells us whether the primary has a cacheable prep phase — without
-  // one a lane's runs are single frames, so the cross-lane former stays off.
-  const PrepKind probe_kind = make_detector(system_, cfg_.decoder)->prep_kind();
-  former_enabled_ = cfg_.cross_lane_former && cfg_.lanes > 1 &&
-                    probe_kind != PrepKind::kNone;
+  // from inside a lane: build (and discard) one detector eagerly.
+  (void)make_detector(system_, cfg_.decoder);
+  former_enabled_ = cfg_.cross_lane_former && cfg_.lanes > 1;
   // Which overload-ladder rungs this substrate can serve. A linear primary
   // has nothing cheaper to degrade to; fixed-complexity searches skip the
   // K-Best rung (they already are one); an MMSE-Neumann primary skips its
@@ -354,17 +351,13 @@ void Backend::lane_main(unsigned lane_id) {
     // Split the popped batch into maximal runs of CONSECUTIVE frames that
     // share a tier. Channels may differ within a run — run() resolves each
     // distinct channel once — so interleaved cells (A,B,A,B,...) decode at
-    // full width. A rung without a cacheable channel phase has nothing to
-    // share, so its runs break after every frame and each frame is paced on
-    // its own. Consecutive-only grouping never reorders frames, so
+    // full width. Consecutive-only grouping never reorders frames, so
     // completion order is preserved within the pop.
     usize i = 0;
     while (i < batch.size()) {
       const serve::DecodeTier tier = batch[i].tier;
       usize j = i + 1;
-      if (lane.detector(tier).prep_kind() != PrepKind::kNone) {
-        while (j < batch.size() && batch[j].tier == tier) ++j;
-      }
+      while (j < batch.size() && batch[j].tier == tier) ++j;
       run(lane, std::span<PlacedFrame>(batch).subspan(i, j - i));
       i = j;
     }
@@ -386,7 +379,7 @@ void Backend::run(Lane& lane, std::span<PlacedFrame> frames) {
   const usize n = frames.size();
   lane.results.clear();
   lane.results.resize(n);
-  lane.preps.assign(kind == PrepKind::kNone ? 0 : n, nullptr);
+  lane.preps.assign(n, nullptr);
   lane.items.clear();
   lane.live.clear();
 
@@ -417,41 +410,31 @@ void Backend::run(Lane& lane, std::span<PlacedFrame> frames) {
       continue;
     }
     r.status = serve::FrameStatus::kCompleted;
-    if (kind != PrepKind::kNone) {
-      // Resolve each DISTINCT channel of the run's live frames once: the
-      // first live frame carrying a channel pays (or reuses) the cache
-      // lookup; later ones with the same storage reuse the run-local
-      // resolution and count as hits.
-      const auto same = std::find_if(
-          lane.live.begin(), lane.live.end(), [&](usize j) {
-            return frames[j].frame.channel.same_storage(frame.channel);
-          });
-      if (same != lane.live.end()) {
-        lane.preps[i] = lane.preps[*same];
-        pf.prep_hit = true;
-      } else {
-        bool cache_hit = false;
-        lane.preps[i] = prep_cache_.get_or_build(frame.channel, kind, &cache_hit);
-        pf.prep_hit = cache_hit;
-        if (!cache_hit) ++misses;
-      }
-      lane.items.push_back(Detector::WideItem{lane.preps[i].get(), frame.y,
-                                              frame.sigma2, &r.result});
+    // Resolve each DISTINCT channel of the run's live frames once: the
+    // first live frame carrying a channel pays (or reuses) the cache
+    // lookup; later ones with the same storage reuse the run-local
+    // resolution and count as hits.
+    const auto same =
+        std::find_if(lane.live.begin(), lane.live.end(), [&](usize j) {
+          return frames[j].frame.channel.same_storage(frame.channel);
+        });
+    if (same != lane.live.end()) {
+      lane.preps[i] = lane.preps[*same];
+      pf.prep_hit = true;
+    } else {
+      bool cache_hit = false;
+      lane.preps[i] = prep_cache_.get_or_build(frame.channel, kind, &cache_hit);
+      pf.prep_hit = cache_hit;
+      if (!cache_hit) ++misses;
     }
+    lane.items.push_back(Detector::WideItem{lane.preps[i].get(), frame.y,
+                                            frame.sigma2, &r.result});
     lane.live.push_back(i);
   }
 
-  if (!lane.live.empty()) {
+  if (!lane.items.empty()) {
     SD_TRACE_SPAN("dispatch.decode");
-    if (kind == PrepKind::kNone) {
-      for (const usize i : lane.live) {
-        const serve::FrameRequest& frame = frames[i].frame;
-        chosen.decode_into(frame.h(), frame.y, frame.sigma2,
-                           lane.results[i].result);
-      }
-    } else {
-      chosen.decode_wide(lane.items);
-    }
+    chosen.decode_wide(lane.items);
   }
 
   double charged_total = 0.0;
@@ -484,10 +467,8 @@ void Backend::run(Lane& lane, std::span<PlacedFrame> frames) {
                        static_cast<double>(width);
   {
     std::lock_guard<std::mutex> lock(acct_mu_);
-    if (kind != PrepKind::kNone) {
-      acct_.prep_hits += lane.live.size() - misses;
-      acct_.prep_misses += misses;
-    }
+    acct_.prep_hits += width - misses;
+    acct_.prep_misses += misses;
     if (width >= 2) {
       ++acct_.fused_runs;
       acct_.fused_frames += width;
@@ -709,7 +690,7 @@ std::vector<BackendConfig> parse_backend_pool(std::string_view text,
   std::unordered_map<std::string, int> seen;
   for (BackendConfig& cfg : out) {
     const int n = seen[cfg.label]++;
-    if (n > 0) cfg.label += "#" + std::to_string(n);
+    if (n > 0) cfg.label.append("#").append(std::to_string(n));
   }
   return out;
 }

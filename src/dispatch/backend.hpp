@@ -52,14 +52,13 @@ struct BackendConfig {
   serve::BackpressurePolicy policy = serve::BackpressurePolicy::kBlock;
   usize batch_size = 1;            ///< max frames per own-queue pop
   /// Wide-batch former (DESIGN.md §16): when a lane pops work, it also drains
-  /// compatible frames (same tier, fusable prep) from its SIBLING lanes'
-  /// queues — up to a fair share of the backend's ready work — so the run
-  /// width tracks system load instead of one lane's queue depth. Claims
-  /// happen under the same queue mutex as work stealing, so a claimed frame
-  /// can never be stolen or decoded twice. No-op for single-lane backends
-  /// and for decoders without a cacheable prep phase (their runs are single
-  /// frames). Paced lanes of a prep-capable decoder gather too — the run pays
-  /// one RTT and sleeps to its summed charged time (see Backend::run).
+  /// compatible frames (same tier) from its SIBLING lanes' queues — up to a
+  /// fair share of the backend's ready work — so the run width tracks system
+  /// load instead of one lane's queue depth. Claims happen under the same
+  /// queue mutex as work stealing, so a claimed frame can never be stolen or
+  /// decoded twice. No-op for single-lane backends. Paced lanes (`fpga`
+  /// included) gather too — the run pays one RTT and sleeps to its summed
+  /// charged time (see Backend::run).
   bool cross_lane_former = true;
   /// Hard cap on frames per formed wide run (own pop + cross-lane gather).
   usize max_wide_width = 32;
@@ -137,9 +136,9 @@ class Backend {
     /// Coherence-block reuse: frames whose channel factorization was reused
     /// (cache or same popped run) vs rebuilt, fused multi-frame decode runs,
     /// and the distribution of fused-run widths (index = frames per run).
-    /// Hits and misses count only live frames on a rung with a cacheable
-    /// channel phase: an expired frame is answered by ZF from H or dropped,
-    /// resolves no channel and counts as neither.
+    /// Hits and misses count every live frame, on every rung: an expired
+    /// frame is answered by ZF from H or dropped, resolves no channel and
+    /// counts as neither.
     std::uint64_t prep_hits = 0;
     std::uint64_t prep_misses = 0;
     std::uint64_t fused_runs = 0;
@@ -211,11 +210,9 @@ class Backend {
   /// that share a tier (channels may differ). Expired frames peel off to
   /// the ZF fallback or are dropped; each distinct channel is resolved once,
   /// from the run and then from prep_cache_; the live frames decode in one
-  /// decode_wide call (decode_into for a rung without a cacheable phase,
-  /// whose runs are single frames), each against its own prep and
-  /// bit-identical to a one-shot decode. Paced backends sleep to the run's
-  /// summed charged device time plus ONE round trip. A width-1 run is just
-  /// a run.
+  /// decode_wide call, each against its own prep and bit-identical to a
+  /// one-shot decode. Paced backends sleep to the run's summed charged
+  /// device time plus ONE round trip. A width-1 run is just a run.
   void run(Lane& lane, std::span<PlacedFrame> frames);
 
   SystemConfig system_;
@@ -230,11 +227,8 @@ class Backend {
   friend struct BackendTestAccess;
 
   /// True when this backend's lanes may form cross-lane wide runs: the
-  /// config enables it, there are siblings to gather from, and the primary
-  /// detector has a cacheable prep phase (probed once at construction).
-  /// Paced lanes of a prep-capable decoder qualify too: a gathered run pays
-  /// ONE host<->device round trip. `fpga` lanes never gather (the FPGA model
-  /// has no prep phase) and pay one RTT per frame.
+  /// config enables it and there are siblings to gather from. Paced lanes
+  /// qualify too: a gathered run pays ONE host<->device round trip.
   bool former_enabled_ = false;
 
   mutable std::mutex mu_;

@@ -13,10 +13,10 @@ FpgaDetector::FpgaDetector(const Constellation& constellation,
 }
 
 void FpgaDetector::decode_frame(const CMat& h,
-                                const PreprocessedChannel* /*prep*/,
+                                const PreprocessedChannel* prep,
                                 std::span<const cplx> y, double sigma2,
                                 DecodeResult& out) {
-  preprocess_into(h, y, opts_.sorted_qr, scratch_.prep, scratch_.pre);
+  preprocess_frame(h, prep, y, opts_.sorted_qr, scratch_.prep, scratch_.pre);
   pipeline_.run_into(scratch_.pre, *c_, sigma2, opts_, scratch_, last_);
   out = last_.result;  // copy-assign; reuses out's capacity
   out.stats.preprocess_seconds = scratch_.pre.seconds;

@@ -1,9 +1,10 @@
 // Detector facade over the FPGA pipeline simulator.
 //
-// Each decode runs the host-side preprocessing (QR of the channel
-// estimate, as the paper's system does once per channel), then drives the
-// simulated pipeline; both reuse the detector's DecodeScratch, so a warm
-// decode allocates nothing. NOTE the timing semantics: stats.search_seconds
+// Each decode takes the host-side preprocessing (QR of the channel
+// estimate, which the paper's system computes once per channel: a cached
+// prep supplies it, else the decode factors H), then drives the simulated
+// pipeline; both reuse the detector's DecodeScratch, so a warm decode
+// allocates nothing. NOTE the timing semantics: stats.search_seconds
 // of the returned result is the *simulated device time* (cycles / clock +
 // PCIe staging), not host wall-clock — that is the quantity the paper's
 // figures plot for the FPGA series. Host wall-clock spent simulating is
@@ -34,6 +35,11 @@ class FpgaDetector final : public Detector {
 
   [[nodiscard]] const FpgaConfig& config() const noexcept {
     return pipeline_.config();
+  }
+
+  /// Channel-split phase: the host QR (plain or SQRD per options).
+  [[nodiscard]] PrepKind prep_kind() const noexcept override {
+    return opts_.sorted_qr ? PrepKind::kQrSorted : PrepKind::kQrPlain;
   }
 
  private:

@@ -278,15 +278,21 @@ CMat zf_equalizer(const CMat& h) {
 }
 
 CMat mmse_equalizer(const CMat& h, real sigma2) {
+  return mmse_equalizer_from_gram(h, gram(h), sigma2);
+}
+
+CMat mmse_equalizer_from_gram(const CMat& h, const CMat& g, real sigma2) {
   SD_CHECK(sigma2 >= real{0}, "noise variance must be non-negative");
-  CMat g = gram(h);
-  for (index_t i = 0; i < g.rows(); ++i) {
-    g(i, i) += cplx{sigma2, 0};
+  SD_CHECK(g.rows() == h.cols() && g.cols() == h.cols(),
+           "Gram matrix does not match the channel");
+  CMat a = g;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    a(i, i) += cplx{sigma2, 0};
   }
-  const CMat g_inv = inverse(g);
+  const CMat a_inv = inverse(a);
   const CMat hh = hermitian(h);
   CMat w(h.cols(), h.rows());
-  gemm_naive(Op::kNone, cplx{1, 0}, g_inv, hh, cplx{0, 0}, w);
+  gemm_naive(Op::kNone, cplx{1, 0}, a_inv, hh, cplx{0, 0}, w);
   return w;
 }
 

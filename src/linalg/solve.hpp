@@ -57,7 +57,14 @@ struct Lu {
 /// gets a zero W row, and the others are zero-forced among themselves.
 [[nodiscard]] CMat zf_equalizer(const CMat& h);
 
-/// MMSE equalizer W = (H^H H + sigma2 I)^{-1} H^H.
+/// MMSE equalizer W = (H^H H + sigma2 I)^{-1} H^H:
+/// mmse_equalizer_from_gram(h, gram(h), sigma2).
 [[nodiscard]] CMat mmse_equalizer(const CMat& h, real sigma2);
+
+/// The MMSE equalizer from an already-formed Gram matrix g = gram(h), so a
+/// caller that caches g per channel pays only the sigma2-dependent rest per
+/// frame, with the same bits as mmse_equalizer().
+[[nodiscard]] CMat mmse_equalizer_from_gram(const CMat& h, const CMat& g,
+                                            real sigma2);
 
 }  // namespace sd

@@ -163,13 +163,10 @@ std::vector<NamedDetector> detector_zoo() {
   return zoo;
 }
 
-/// The detector's own prep; a plain QR for a detector with no cacheable
-/// phase, which decodes from the prep's channel.
+/// The detector's own prep.
 std::shared_ptr<const PreprocessedChannel> own_prep(
     const Detector& det, const ChannelHandle& channel) {
-  return build_channel_prep(channel, det.prep_kind() == PrepKind::kNone
-                                         ? PrepKind::kQrPlain
-                                         : det.prep_kind());
+  return build_channel_prep(channel, det.prep_kind());
 }
 
 /// A prep of some kind the detector does not use.
@@ -193,9 +190,7 @@ TEST(CoherentBatch, CachedPrepMatchesOneShotForEveryDetector) {
   const ChannelHandle channel(testing::random_cmat(kM, kM, 501));
   for (NamedDetector& nd : detector_zoo()) {
     auto prep = own_prep(*nd.det, channel);
-    if (nd.det->prep_kind() != PrepKind::kNone) {
-      ASSERT_EQ(nd.det->preprocess(channel)->kind, prep->kind) << nd.label;
-    }
+    ASSERT_EQ(nd.det->preprocess(channel)->kind, prep->kind) << nd.label;
     auto foreign = foreign_prep(*nd.det, channel);
     ASSERT_NE(foreign->kind, nd.det->prep_kind()) << nd.label;
     // Several frames through one warm detector into reused, dirty results:

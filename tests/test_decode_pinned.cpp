@@ -97,11 +97,7 @@ Hashes decode_both(const Case& cs, const std::vector<Trial>& trials,
   const DecoderSpec spec = parse_decoder_spec(cs.spec);
   auto solo = make_detector(sys, spec);
   auto wide = make_detector(sys, spec);
-  // A detector with no cacheable phase (DFS) gets a plain-QR prep and
-  // decodes from its channel matrix.
-  const PrepKind kind = solo->prep_kind() == PrepKind::kNone
-                            ? PrepKind::kQrPlain
-                            : solo->prep_kind();
+  const PrepKind kind = solo->prep_kind();
   std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
   for (const Trial& t : trials) {
     preps.push_back(build_channel_prep(ChannelHandle(t.h), kind));

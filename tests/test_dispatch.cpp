@@ -1004,21 +1004,16 @@ TEST(DispatchStealing, StolenFramesDecodeBitIdentically) {
 TEST(DispatchCoherent, FusedRunsAreBitIdenticalAndAccounted) {
   // Pre-fill one lane with 4 coherence blocks of 8 frames sharing a handle,
   // then start it: every pop is one maximal same-channel run of 8, so the
-  // fused path executes deterministically — one factorization per block, one
-  // decode_wide per pop.
+  // fused path executes deterministically — one channel-only phase per
+  // block, one decode_wide per pop. Every detector takes this path, whatever
+  // its channel-only phase: the QR of bfs, dfs, fsd and the FPGA model, or
+  // mmse's Gram matrix. The paced fpga lane ships each run as ONE round
+  // trip, so each of its frames is charged an even share of rtt + Σ search.
   constexpr usize kBlock = 8;
   constexpr usize kBlocks = 4;
   constexpr usize kFrames = kBlock * kBlocks;
+  constexpr double kRtt = 1e-3;
   const SystemConfig sys = test_system();
-  BackendConfig cfg;
-  cfg.kind = BackendKind::kCpu;
-  cfg.label = "cpu";
-  cfg.lanes = 1;
-  cfg.decoder = parse_decoder_spec("bfs");
-  cfg.lane_queue_capacity = kFrames;
-  cfg.batch_size = kBlock;
-  apply_rate_priors(cfg);
-  Backend backend(sys, cfg);
 
   ScenarioConfig sc;
   sc.num_tx = kM;
@@ -1031,51 +1026,81 @@ TEST(DispatchCoherent, FusedRunsAreBitIdenticalAndAccounted) {
   std::vector<Trial> trials;
   for (usize i = 0; i < kFrames; ++i) trials.push_back(scenario.next());
 
-  for (usize block = 0; block < kBlocks; ++block) {
-    const ChannelHandle shared(trials[block * kBlock].h);
-    for (usize j = 0; j < kBlock; ++j) {
-      const usize i = block * kBlock + j;
-      PlacedFrame pf;
-      pf.frame.id = i;
-      pf.frame.channel = shared;
-      pf.frame.y = trials[i].y;
-      pf.frame.sigma2 = trials[i].sigma2;
-      pf.frame.submit_time = serve::Clock::now();
-      pf.lane = 0;
-      ASSERT_EQ(backend.place(std::move(pf)).status,
-                serve::PushStatus::kAccepted);
+  for (const char* spec : {"bfs", "dfs", "fsd", "sphere@fpga", "mmse"}) {
+    SCOPED_TRACE(spec);
+    BackendConfig cfg;
+    cfg.decoder = parse_decoder_spec(spec);
+    cfg.kind = cfg.decoder.device == TargetDevice::kCpu ? BackendKind::kCpu
+                                                        : BackendKind::kFpga;
+    cfg.label = std::string(backend_kind_name(cfg.kind));
+    if (cfg.kind == BackendKind::kFpga) cfg.rtt_s = kRtt;
+    cfg.lanes = 1;
+    cfg.lane_queue_capacity = kFrames;
+    cfg.batch_size = kBlock;
+    apply_rate_priors(cfg);
+    Backend backend(sys, cfg);
+    const bool paced = backend.config().pace_to_charged;
+    ASSERT_EQ(paced, cfg.kind == BackendKind::kFpga);
+
+    for (usize block = 0; block < kBlocks; ++block) {
+      const ChannelHandle shared(trials[block * kBlock].h);
+      for (usize j = 0; j < kBlock; ++j) {
+        const usize i = block * kBlock + j;
+        PlacedFrame pf;
+        pf.frame.id = i;
+        pf.frame.channel = shared;
+        pf.frame.y = trials[i].y;
+        pf.frame.sigma2 = trials[i].sigma2;
+        pf.frame.submit_time = serve::Clock::now();
+        pf.lane = 0;
+        ASSERT_EQ(backend.place(std::move(pf)).status,
+                  serve::PushStatus::kAccepted);
+      }
     }
-  }
-  CaptureSink sink;
-  backend.start(sink);
-  backend.close();
-  backend.join();
+    CaptureSink sink;
+    backend.start(sink);
+    backend.close();
+    backend.join();
 
-  const Backend::Snapshot snap = backend.snapshot();
-  EXPECT_EQ(snap.frames, kFrames);
-  EXPECT_EQ(snap.completed, kFrames);
-  EXPECT_EQ(snap.prep_misses, kBlocks);  // one factorization per block
-  EXPECT_EQ(snap.prep_hits, kFrames - kBlocks);
-  EXPECT_EQ(snap.fused_runs, kBlocks);
-  EXPECT_EQ(snap.fused_frames, kFrames);
-  ASSERT_GT(snap.fused_width_counts.size(), kBlock);
-  EXPECT_EQ(snap.fused_width_counts[kBlock], kBlocks);
+    const Backend::Snapshot snap = backend.snapshot();
+    EXPECT_EQ(snap.frames, kFrames);
+    EXPECT_EQ(snap.completed, kFrames);
+    EXPECT_EQ(snap.prep_misses, kBlocks);  // one channel phase per block
+    EXPECT_EQ(snap.prep_hits, kFrames - kBlocks);
+    EXPECT_EQ(snap.fused_runs, kBlocks);
+    EXPECT_EQ(snap.fused_frames, kFrames);
+    ASSERT_GT(snap.fused_width_counts.size(), kBlock);
+    EXPECT_EQ(snap.fused_width_counts[kBlock], kBlocks);
 
-  // Fusion must be invisible in the bits: every frame matches the one-shot
-  // decode of its trial.
-  auto reference = make_detector(sys, parse_decoder_spec("bfs"));
-  auto retired = sink.take();
-  ASSERT_EQ(retired.size(), kFrames);
-  for (const auto& [placed, result] : retired) {
-    EXPECT_EQ(result.status, serve::FrameStatus::kCompleted);
-    const Trial& t = trials[result.id];
-    const DecodeResult want = reference->decode(t.h, t.y, t.sigma2);
-    EXPECT_EQ(result.result.indices, want.indices) << "frame " << result.id;
-    EXPECT_EQ(result.result.metric, want.metric) << "frame " << result.id;
-    EXPECT_EQ(result.result.stats.nodes_expanded,
-              want.stats.nodes_expanded) << "frame " << result.id;
-    EXPECT_TRUE(placed.prep_hit || result.id % kBlock == 0)
-        << "frame " << result.id;
+    // Fusion must be invisible in the bits: every frame matches the one-shot
+    // decode of its trial.
+    auto reference = make_detector(sys, cfg.decoder);
+    auto retired = sink.take();
+    ASSERT_EQ(retired.size(), kFrames);
+    // Each run's rtt + Σ search, summed in the lane's order: a run retires
+    // its frames in queue order.
+    std::vector<double> run_charge(kBlocks, kRtt);
+    for (const auto& [placed, result] : retired) {
+      run_charge[result.id / kBlock] += result.result.stats.search_seconds;
+    }
+    for (const auto& [placed, result] : retired) {
+      EXPECT_EQ(result.status, serve::FrameStatus::kCompleted);
+      const Trial& t = trials[result.id];
+      const DecodeResult want = reference->decode(t.h, t.y, t.sigma2);
+      EXPECT_EQ(result.result.indices, want.indices) << "frame " << result.id;
+      EXPECT_EQ(result.result.metric, want.metric) << "frame " << result.id;
+      EXPECT_EQ(result.result.stats.nodes_expanded,
+                want.stats.nodes_expanded) << "frame " << result.id;
+      EXPECT_TRUE(placed.prep_hit || result.id % kBlock == 0)
+          << "frame " << result.id;
+      if (paced) {
+        EXPECT_EQ(placed.charged_seconds,
+                  run_charge[result.id / kBlock] / static_cast<double>(kBlock))
+            << "frame " << result.id;
+        EXPECT_GE(result.service_s, run_charge[result.id / kBlock])
+            << "frame " << result.id;
+      }
+    }
   }
 }
 
@@ -1383,67 +1408,6 @@ TEST(DispatchCoherent, ExpiredFrameMidRunPeelsOffTheFusedRun) {
       EXPECT_EQ(result.result.indices, want.indices) << "frame " << i;
       EXPECT_EQ(result.result.metric, want.metric) << "frame " << i;
       EXPECT_EQ(result.result.stats.nodes_expanded, want.stats.nodes_expanded);
-    }
-  }
-}
-
-TEST(DispatchCoherent, UncacheableRunsArePacedPerFrame) {
-  // Detectors without a cacheable channel phase (DFS, the FPGA model) have
-  // nothing to share across a run, so a popped batch of 8 decodes and paces
-  // frame by frame: each frame sleeps to its own search time plus one RTT.
-  constexpr usize kFrames = 8;
-  constexpr double kRtt = 5e-3;
-  const SystemConfig sys = test_system();
-  const std::vector<Trial> trials = seeded_trials(kFrames, 10.0);
-  struct Case {
-    std::string pool;
-    std::string primary;
-    std::string reference;
-  };
-  for (const Case& c : {Case{"dfs:1:rtt-ms=5", "sphere", "dfs"},
-                        Case{"cpu:1:rtt-ms=5", "sphere@fpga", "sphere@fpga"}}) {
-    SCOPED_TRACE(c.pool + " primary " + c.primary);
-    PoolDefaults pd;
-    pd.primary = parse_decoder_spec(c.primary);
-    pd.batch_size = kFrames;
-    pd.lane_queue_capacity = kFrames;
-    std::vector<BackendConfig> pool = parse_backend_pool(c.pool, pd);
-    ASSERT_TRUE(pool[0].pace_to_charged);
-    const double rtt = pool[0].rtt_s;
-    ASSERT_DOUBLE_EQ(rtt, kRtt);
-    auto backend = make_backend(sys, std::move(pool[0]));
-
-    std::vector<PlacedFrame> frames(kFrames);
-    for (usize i = 0; i < kFrames; ++i) frames[i].frame = make_frame(trials[i], i);
-    const auto retired = drain_prefilled(*backend, std::move(frames));
-
-    const Backend::Snapshot snap = backend->snapshot();
-    EXPECT_EQ(snap.frames, kFrames);
-    EXPECT_EQ(snap.completed, kFrames);
-    EXPECT_EQ(snap.expired_fallback + snap.expired_dropped, 0u);
-    EXPECT_EQ(snap.prep_hits + snap.prep_misses, 0u);  // nothing cacheable
-    EXPECT_EQ(snap.fused_runs, 0u);
-    EXPECT_EQ(snap.fused_frames, 0u);
-    EXPECT_TRUE(snap.fused_width_counts.empty());
-    EXPECT_EQ(snap.former_runs + snap.former_gathered + snap.former_empty, 0u);
-    EXPECT_EQ(snap.lanes[0].frames, kFrames);
-    EXPECT_EQ(snap.lanes[0].batches, 1u);  // one pop of 8
-
-    auto reference = make_detector(sys, parse_decoder_spec(c.reference));
-    ASSERT_EQ(retired.size(), kFrames);
-    for (usize i = 0; i < kFrames; ++i) {
-      const auto& [placed, result] = retired[i];
-      EXPECT_EQ(result.id, i);
-      EXPECT_EQ(result.status, serve::FrameStatus::kCompleted);
-      EXPECT_EQ(result.tier, serve::DecodeTier::kPrimary);
-      EXPECT_FALSE(placed.prep_hit);
-      const double charged = result.result.stats.search_seconds + rtt;
-      EXPECT_GE(result.service_s, charged) << "frame " << i;
-      EXPECT_EQ(placed.charged_seconds, charged) << "frame " << i;
-      const DecodeResult want =
-          reference->decode(trials[i].h, trials[i].y, trials[i].sigma2);
-      EXPECT_EQ(result.result.indices, want.indices) << "frame " << i;
-      EXPECT_EQ(result.result.metric, want.metric) << "frame " << i;
     }
   }
 }
