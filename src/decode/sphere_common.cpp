@@ -198,13 +198,6 @@ void preprocess_frame(const CMat& h, const PreprocessedChannel* prep,
   }
 }
 
-std::vector<index_t> to_antenna_order(const Preprocessed& pre,
-                                      const std::vector<index_t>& layered) {
-  std::vector<index_t> out;
-  to_antenna_order_into(pre, layered, out);
-  return out;
-}
-
 void to_antenna_order_into(const Preprocessed& pre,
                            const std::vector<index_t>& layered,
                            std::vector<index_t>& out) {

@@ -163,11 +163,8 @@ void preprocess_frame(const CMat& h, const PreprocessedChannel* prep,
                       std::span<const cplx> y, bool sorted_qr,
                       PreprocessScratch& scratch, Preprocessed& pre);
 
-/// Converts layer-ordered detected indices back to antenna order.
-[[nodiscard]] std::vector<index_t> to_antenna_order(
-    const Preprocessed& pre, const std::vector<index_t>& layered);
-
-/// Allocation-aware variant of to_antenna_order; `out` capacity is reused.
+/// Converts layer-ordered detected indices back to antenna order in `out`,
+/// reusing its capacity.
 void to_antenna_order_into(const Preprocessed& pre,
                            const std::vector<index_t>& layered,
                            std::vector<index_t>& out);
